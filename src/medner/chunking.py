@@ -129,12 +129,6 @@ def chunks_to_tags(chunks: list[Chunk], sentence_length: int) -> list[str]:
     return tags
 
 
-@dataclass
-class ChunkEmbedding:
-    chunk: Chunk
-    vector: np.ndarray
-
-
 def chunk_embedding(table: EmbeddingTable, sentence: Sentence, chunk: Chunk) -> np.ndarray:
     """Average of the mean-pooled chunk vectors and sentence vectors."""
     if len(sentence) == 0:

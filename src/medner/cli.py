@@ -21,14 +21,12 @@ from pathlib import Path
 from . import chunking, deid, evaluation
 from .corpus import (
     DEFAULT_ABBREVIATIONS,
-    DEFAULT_MAX_SEQ_LENGTH,
     FORMATS,
     Corpus,
     LabelSchema,
     Sentence,
     build_vocab,
     convert_scheme,
-    iob_spans,
     parse_conll,
     sentence_split,
     split_corpus,
@@ -43,9 +41,9 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .nercore.model import TrainConfig, init_model, predict
+from .nercore.model import ModelParams, TrainConfig, init_model, tag
 from .nercore.serialize import load_model, save_model
-from .nercore.training import fit, grid_search
+from .nercore.training import evaluate, fit, grid_search
 
 log = logging.getLogger(__name__)
 
@@ -153,7 +151,8 @@ def add_train_config_flags(parser: argparse.ArgumentParser) -> None:
                        action=argparse.BooleanOptionalAction)
     group.add_argument("--train-word-delta", dest="train_word_delta",
                        action=argparse.BooleanOptionalAction)
-    group.add_argument("--max-seq-length", dest="max_seq_length", type=int)
+    group.add_argument("--max-seq-length", dest="max_seq_length", type=int,
+                       help="truncate longer --train sentences; other inputs keep every token")
     group.add_argument("--use-transition-mask", dest="use_transition_mask",
                        action=argparse.BooleanOptionalAction)
     group.add_argument("--learning-rate", dest="learning_rate", type=float)
@@ -273,23 +272,18 @@ def _read_abbreviations(path: str | None) -> frozenset[str]:
 
 
 def ingest_raw_text(
-    text: str,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-    max_seq_length: int = DEFAULT_MAX_SEQ_LENGTH,
+    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
 ) -> list[Sentence]:
-    """Sentence-split and tokenize raw text; offsets stay absolute."""
-    sentences = []
-    for index, (sent_text, begin, _end) in enumerate(sentence_split(text, abbreviations)):
-        tokens = tokenize(sent_text, base_offset=begin)
-        if len(tokens) > max_seq_length:
-            log.warning("truncating sentence %d to %d tokens", index, max_seq_length)
-            tokens = tokens[:max_seq_length]
-        sentences.append(Sentence(tokens, "doc0", index))
-    return sentences
+    """Sentence-split and tokenize raw text; offsets stay absolute and every
+    token is kept, however long the sentence."""
+    return [
+        Sentence(tokenize(sent_text, base_offset=begin), "doc0", index)
+        for index, (sent_text, begin, _end) in enumerate(sentence_split(text, abbreviations))
+    ]
 
 
 def _load_corpus(path: str, fmt: str, scheme: str, schema: LabelSchema | None,
-                 max_seq_length: int = DEFAULT_MAX_SEQ_LENGTH) -> Corpus:
+                 max_seq_length: int | None = None) -> Corpus:
     text = Path(path).read_text(encoding="utf-8")
     return parse_conll(
         text, FORMATS[fmt], schema=schema, input_scheme=scheme,
@@ -314,7 +308,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         schema = train_corpus.schema
     val_path = opts.get("val")
     if val_path:
-        val_corpus = _load_corpus(val_path, fmt, scheme, schema, config.max_seq_length)
+        val_corpus = _load_corpus(val_path, fmt, scheme, schema)
     else:
         train_corpus, val_corpus, _unused_test = split_corpus(
             train_corpus, (0.70, 0.15, 0.15), config.seed
@@ -351,11 +345,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "\n".join(fit_result.log_lines()) + ("\n" if fit_result.history else ""),
         encoding="utf-8",
     )
-    report = _evaluate_model(model, val_corpus)
-    (out / "eval_report.txt").write_text(report.summary() + "\n", encoding="utf-8")
-    (out / "eval_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_report(out, evaluate(model, val_corpus))
     log.info("model written to %s", out / "model.medner")
     return EXIT_OK
 
@@ -378,19 +368,31 @@ def _read_grid_file(path: str) -> dict[str, list]:
     return grid
 
 
-def _predict_corpus_spans(model, corpus: Corpus):
-    gold_spans, pred_spans, gold_tags, pred_tags = [], [], [], []
-    for sent in corpus.sentences:
-        tags, _ = predict(model, sent)
-        gold_spans.append(iob_spans(sent.tags(), "IOB2"))
-        pred_spans.append(iob_spans(tags, "IOB2"))
-        gold_tags.extend(sent.tags())
-        pred_tags.extend(tags)
-    return gold_spans, pred_spans, gold_tags, pred_tags
+def _write_report(out: Path, report: evaluation.EvalReport) -> None:
+    (out / "eval_report.txt").write_text(report.summary() + "\n", encoding="utf-8")
+    (out / "eval_report.json").write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
-def _evaluate_model(model, corpus: Corpus) -> evaluation.EvalReport:
-    return evaluation.EvalReport.build(*_predict_corpus_spans(model, corpus))
+def _check_known_types(model: ModelParams, entity_types) -> None:
+    """Reject input whose entity types the model schema does not know."""
+    unknown = set(entity_types) - set(model.schema.entity_types)
+    if unknown:
+        raise SchemaError(
+            f"input entity types {sorted(unknown)} are unknown to the model schema "
+            f"{model.schema.entity_types}"
+        )
+
+
+def _tag_chunks(model: ModelParams, sentences: list[Sentence]) -> list[chunking.Chunk]:
+    """Tag every sentence and decode its chunks with confidences."""
+    chunks = []
+    for sent, (tags, marg) in zip(sentences, tag(model, sentences, marginals=True)):
+        chunks.extend(
+            chunking.decode_chunks(sent, tags, marg, model.schema, model.config.confidence_mode)
+        )
+    return chunks
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -400,31 +402,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     text = Path(opts.require("input")).read_text(encoding="utf-8")
     input_format = opts.get("input_format", "raw")
     if input_format == "raw":
-        sentences = ingest_raw_text(
-            text, _read_abbreviations(opts.get("abbreviations")),
-            model.config.max_seq_length,
-        )
+        sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
     else:
-        corpus = parse_conll(
-            text, FORMATS[input_format],
-            max_seq_length=model.config.max_seq_length,
-        )
-        unknown = corpus.entity_types_present() - set(model.schema.entity_types)
-        if unknown:
-            raise SchemaError(
-                f"input schema {sorted(corpus.entity_types_present())} does not match "
-                f"the model schema {model.schema.entity_types}: unknown types "
-                f"{sorted(unknown)}"
-            )
+        corpus = parse_conll(text, FORMATS[input_format])
+        _check_known_types(model, corpus.entity_types_present())
         sentences = corpus.sentences
-    chunks = []
-    for sent in sentences:
-        tags, marg = predict(model, sent)
-        chunks.extend(
-            chunking.decode_chunks(
-                sent, tags, marg, model.schema, model.config.confidence_mode
-            )
-        )
+    chunks = _tag_chunks(model, sentences)
     min_confidence = opts.get("min_confidence", 0.0)
     chunks = [c for c in chunks if c.confidence >= min_confidence]
     (out / "chunks.tsv").write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
@@ -443,52 +426,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = _load_corpus(opts.require("gold"), fmt, scheme, None)
     if model_path:
         model = load_model(model_path)
-        _check_eval_schema(model.schema, gold.schema)
-        report = _evaluate_model(model, gold)
+        _check_known_types(model, gold.schema.entity_types)
+        report = evaluate(model, gold)
     else:
         pred = _load_corpus(pred_path, fmt, scheme, None)
-        report = _report_from_corpora(gold, pred)
+        report = evaluation.EvalReport.from_sentences(gold.sentences, pred.sentences)
     print(report.summary())
     out_dir = opts.get("out_dir")
     if out_dir:
-        out = _out_dir(out_dir)
-        (out / "eval_report.txt").write_text(report.summary() + "\n", encoding="utf-8")
-        (out / "eval_report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_report(_out_dir(out_dir), report)
     gate = opts.get("min_micro_f1")
     if gate is not None and report.micro_f1 < gate:
         log.error("micro-F1 %.4f below gate %.4f", report.micro_f1, gate)
         return EXIT_GATE
     return EXIT_OK
-
-
-def _check_eval_schema(model_schema: LabelSchema, gold_schema: LabelSchema) -> None:
-    missing = set(gold_schema.entity_types) - set(model_schema.entity_types)
-    if missing:
-        raise SchemaError(
-            f"gold schema types {sorted(missing)} unknown to the model schema "
-            f"{model_schema.entity_types}"
-        )
-
-
-def _report_from_corpora(gold: Corpus, pred: Corpus) -> evaluation.EvalReport:
-    if len(gold) != len(pred):
-        raise ValidationError(
-            f"gold has {len(gold)} sentences but predictions have {len(pred)}"
-        )
-    gold_spans, pred_spans, gold_tags, pred_tags = [], [], [], []
-    for g, p in zip(gold.sentences, pred.sentences):
-        if len(g) != len(p):
-            raise ValidationError(
-                f"sentence {g.doc_id}[{g.sent_index}] has {len(g)} tokens in gold "
-                f"but {len(p)} in predictions"
-            )
-        gold_spans.append(iob_spans(g.tags(), "IOB2"))
-        pred_spans.append(iob_spans(p.tags(), "IOB2"))
-        gold_tags.extend(g.tags())
-        pred_tags.extend(p.tags())
-    return evaluation.EvalReport.build(gold_spans, pred_spans, gold_tags, pred_tags)
 
 
 def cmd_deidentify(args: argparse.Namespace) -> int:
@@ -516,17 +467,8 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
         chunks = chunking.parse_chunk_records(Path(chunks_path).read_text(encoding="utf-8"))
     else:
         model = load_model(model_path)
-        sentences = ingest_raw_text(
-            text, _read_abbreviations(opts.get("abbreviations")),
-            model.config.max_seq_length,
-        )
-        chunks = []
-        for sent in sentences:
-            tags, marg = predict(model, sent)
-            chunks.extend(
-                chunking.decode_chunks(sent, tags, marg, model.schema,
-                                       model.config.confidence_mode)
-            )
+        sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
+        chunks = _tag_chunks(model, sentences)
     try:
         result = deid.apply_policy(text, chunks, policy)
     except ValidationError as exc:

@@ -20,7 +20,6 @@ from .errors import ParseError, SchemaError, ValidationError
 log = logging.getLogger(__name__)
 
 SCHEMES = ("IOB1", "IOB2")
-DEFAULT_MAX_SEQ_LENGTH = 512
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -477,7 +476,7 @@ def parse_conll(
     schema: LabelSchema | None = None,
     input_scheme: str = "IOB2",
     strict: bool = True,
-    max_seq_length: int = DEFAULT_MAX_SEQ_LENGTH,
+    max_seq_length: int | None = None,
 ) -> Corpus:
     """Parse CoNLL-style annotated text into a Corpus (canonical IOB2).
 
@@ -485,7 +484,8 @@ def parse_conll(
     new document. Character offsets are synthesized by joining tokens with
     single spaces, per sentence. IOB1 input is validated under IOB1 and
     converted. Unknown tags raise SchemaError when strict, otherwise they are
-    replaced by 'O' with a warning.
+    replaced by 'O' with a warning. With `max_seq_length` set, longer
+    sentences are truncated with a warning; by default every token is kept.
     """
     _check_scheme(input_scheme)
     sentences: list[Sentence] = []
@@ -500,7 +500,7 @@ def parse_conll(
         nonlocal pending, sent_index, doc_has_content
         if not pending:
             return
-        if len(pending) > max_seq_length:
+        if max_seq_length is not None and len(pending) > max_seq_length:
             log.warning(
                 "truncating sentence of %d tokens to max_seq_length=%d (doc%d sentence %d)",
                 len(pending), max_seq_length, doc_index, sent_index,

@@ -60,9 +60,6 @@ class EmbeddingTable:
             return self.unk_vector
         return self._zero
 
-    def row_index(self, token_surface: str) -> int | None:
-        return self.word_to_row.get(token_surface)
-
 
 def load_embeddings(
     path_or_text: str, expected_dimension: int, oov_policy: str = "lowercase_then_unk",

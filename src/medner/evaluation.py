@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import split_tag
+from .corpus import Sentence, iob_spans, split_tag
 from .errors import ValidationError
 
 Span = tuple[int, int, str]  # (first token index, last token index, entity type)
@@ -77,15 +77,6 @@ def macro_f1(counts: dict[str, Counts]) -> float:
     """Arithmetic mean of per-type F1; types absent from both sides are skipped."""
     scored = [c.f1 for c in counts.values() if c.tp or c.fp or c.fn]
     return sum(scored) / len(scored) if scored else 0.0
-
-
-def micro_precision_recall(counts: dict[str, Counts]) -> tuple[float, float]:
-    pooled = Counts(
-        sum(c.tp for c in counts.values()),
-        sum(c.fp for c in counts.values()),
-        sum(c.fn for c in counts.values()),
-    )
-    return pooled.precision, pooled.recall
 
 
 def token_accuracy(gold_tags: list[str], pred_tags: list[str]) -> float:
@@ -155,6 +146,29 @@ class EvalReport:
             macro_f1=macro_f1(counts),
             token_accuracy=token_accuracy(gold_tags, pred_tags),
             per_tag=tag_report(gold_tags, pred_tags),
+        )
+
+    @classmethod
+    def from_sentences(cls, gold: list[Sentence], pred: list[Sentence]) -> "EvalReport":
+        """Score predicted sentences against gold ones aligned one to one:
+        equal sentence counts, equal token counts per pair, IOB2 tags."""
+        if len(gold) != len(pred):
+            raise ValidationError(
+                f"gold has {len(gold)} sentences but predictions have {len(pred)}"
+            )
+        for g, p in zip(gold, pred):
+            if len(g) != len(p):
+                raise ValidationError(
+                    f"sentence {g.doc_id}[{g.sent_index}] has {len(g)} tokens in gold "
+                    f"but {len(p)} in predictions"
+                )
+        gold_tags = [s.tags() for s in gold]
+        pred_tags = [s.tags() for s in pred]
+        return cls.build(
+            [iob_spans(t, "IOB2") for t in gold_tags],
+            [iob_spans(t, "IOB2") for t in pred_tags],
+            [t for tags in gold_tags for t in tags],
+            [t for tags in pred_tags for t in tags],
         )
 
     def to_dict(self) -> dict:

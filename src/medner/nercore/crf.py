@@ -8,6 +8,10 @@ than -inf so gradients stay finite.
 
 Chronological summation order is kept identical between score_sequence and
 the Viterbi recursion so that tie-breaking on equal float scores is exact.
+
+Tagging uses viterbi and marginals, training nll_and_gradients. log_partition
+and nll compute the same quantities by a separate forward recursion; they stay
+as the tests' independent oracles, as does model.batch_nll.
 """
 
 from __future__ import annotations

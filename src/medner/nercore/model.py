@@ -42,7 +42,9 @@ class TrainConfig:
     0.5, Adam, kernel width 2, LSTM state 200, char embedding 128, word
     embedding 768, max sequence length 512, 3000 warmup steps. The word/char
     dimensions are independent knobs; the word dimension must match the
-    loaded embedding table.
+    loaded embedding table. max_seq_length caps the sentences of the
+    training corpus only: predict, evaluate, deidentify and convert keep
+    every token, since the BiLSTM-CRF has no positional limit.
     """
 
     word_dim: int = 768
@@ -157,10 +159,6 @@ class ModelParams:
 
     def effective_transitions(self) -> np.ndarray:
         return crf.apply_mask(self.transitions, self.transition_mask)
-
-    def decode_mask(self) -> np.ndarray:
-        """Mask always applied at prediction time, even if training was unmasked."""
-        return self.schema.transition_mask()
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -377,19 +375,31 @@ def batch_nll_and_grads(
     return total, grads
 
 
+def tag(
+    model: ModelParams, sentences: list[Sentence] | list[list[str]], marginals: bool
+) -> list[tuple[list[str], np.ndarray | None]]:
+    """Viterbi tags under the schema transition mask, one pair per sentence.
+
+    The second item of each pair is the (N, num_tags) posterior marginal
+    matrix when `marginals` is set, else None; chunk confidences read the
+    column of each chosen tag. This is the only inference loop.
+    """
+    # the schema mask applies at prediction even when training ran unmasked
+    trans = crf.apply_mask(model.transitions, model.schema.transition_mask())
+    out: list[tuple[list[str], np.ndarray | None]] = []
+    for sentence in sentences:
+        if len(sentence) == 0:
+            out.append(([], np.zeros((0, model.schema.num_tags)) if marginals else None))
+            continue
+        emissions, _ = model_forward(model, sentence, train_mode=False)
+        path, _ = crf.viterbi(emissions, trans)
+        marg = crf.marginals(emissions, trans) if marginals else None
+        out.append(([model.schema.tags[i] for i in path], marg))
+    return out
+
+
 def predict(
     model: ModelParams, sentence: Sentence | list[str]
 ) -> tuple[list[str], np.ndarray]:
-    """Viterbi tags under the schema transition mask, plus posterior marginals.
-
-    Returns ([], empty matrix) for an empty input. The marginal matrix is
-    (N, num_tags); chunk confidences read the column of each chosen tag.
-    """
-    surfaces = sentence.surfaces() if isinstance(sentence, Sentence) else list(sentence)
-    if not surfaces:
-        return [], np.zeros((0, model.schema.num_tags))
-    trans = crf.apply_mask(model.transitions, model.decode_mask())
-    emissions, _ = model_forward(model, surfaces, train_mode=False)
-    path, _ = crf.viterbi(emissions, trans)
-    marg = crf.marginals(emissions, trans)
-    return [model.schema.tags[i] for i in path], marg
+    """Tags and marginals of one sentence: `tag` with marginals on."""
+    return tag(model, [sentence], marginals=True)[0]

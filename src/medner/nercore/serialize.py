@@ -13,6 +13,7 @@ without external files, bit-identically to the saved one.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -31,6 +32,42 @@ from .model import ModelParams, TrainConfig
 
 MAGIC = "mednermodel"
 FORMAT_VERSION = 1
+
+# The JSON type of every manifest field load_model reads; [t] is a list of t.
+# Types compare exactly, so a boolean never passes for an integer.
+_CONFIG_TYPES = {"int": int, "float": (float, int), "bool": bool, "str": str}
+_MANIFEST_TYPES = {
+    "dimensions": dict.fromkeys(
+        ("word_dim", "char_dim", "kernel_width", "num_filters", "lstm_size",
+         "num_tags", "num_chars", "input_dim", "embed_rows"), int,
+    ) | {"num_words": (int, type(None))},
+    "tensors": [{"name": str, "shape": [int], "offset": int, "nbytes": int, "sha256": str}],
+    "config": {f.name: _CONFIG_TYPES[f.type] for f in dataclasses.fields(TrainConfig)},
+    "schema": {"entity_types": [str], "scheme": str},
+    "vocab": {"words": [str], "chars": [str], "min_count": int},
+    "embedding": {"words": [str], "oov_policy": str},
+}
+
+
+def _check_json(value, kind, where: str) -> None:
+    """Raise ModelFormatError unless `value` has the type `kind` describes."""
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            raise ModelFormatError(f"{where} is a JSON {type(value).__name__}, not an object")
+        for key, sub in kind.items():
+            if key not in value:
+                raise ModelFormatError(f"{where} has no field {key!r}")
+            _check_json(value[key], sub, f"{where}.{key}")
+    elif isinstance(kind, list):
+        if type(value) is not list:
+            raise ModelFormatError(f"{where} is a {type(value).__name__}, not a list")
+        if isinstance(kind[0], dict):
+            for item in value:
+                _check_json(item, kind[0], f"{where} item")
+        elif any(type(item) is not kind[0] for item in value):  # one pass over word lists
+            raise ModelFormatError(f"{where} holds an item that is not a {kind[0].__name__}")
+    elif type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
+        raise ModelFormatError(f"{where} is a {type(value).__name__}")
 
 
 def _expected_shapes(dims: dict) -> dict[str, tuple[int, ...]]:
@@ -140,10 +177,11 @@ def load_model(path: str) -> ModelParams:
         manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"unreadable manifest: {exc}")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if isinstance(manifest, dict) and manifest.get("format_version") != FORMAT_VERSION:
         raise VersionMismatchError(
             f"manifest format_version {manifest.get('format_version')!r} unsupported"
         )
+    _check_json(manifest, _MANIFEST_TYPES, "manifest")
 
     payload = data[manifest_start + manifest_len :]
     dims = manifest["dimensions"]

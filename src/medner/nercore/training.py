@@ -7,14 +7,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import Corpus, iob_spans
+from ..corpus import Corpus
 from ..errors import NumericError, ValidationError
-from ..evaluation import entity_match_counts, micro_f1
-from .model import ModelParams, TrainConfig, batch_nll_and_grads, predict
+from ..evaluation import EvalReport
+from .model import ModelParams, TrainConfig, batch_nll_and_grads, tag
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +29,6 @@ class TrainState:
     best_metric: float = float("-inf")
     best_epoch: int = -1
     epochs_since_improvement: int = 0
-    loss_history: list[float] = field(default_factory=list)
 
     @classmethod
     def for_model(cls, model: ModelParams) -> "TrainState":
@@ -97,15 +96,17 @@ def adam_step(
     return lr
 
 
+def evaluate(model: ModelParams, corpus: Corpus) -> EvalReport:
+    """Entity and tag scores of the model's Viterbi tags against gold tags;
+    confidences play no part, so no marginals are computed."""
+    tagged = tag(model, corpus.sentences, marginals=False)
+    predicted = [s.with_tags(tags) for s, (tags, _) in zip(corpus.sentences, tagged)]
+    return EvalReport.from_sentences(corpus.sentences, predicted)
+
+
 def validation_micro_f1(model: ModelParams, corpus: Corpus) -> float:
     """Entity-level micro-F1 of the model's predictions against gold tags."""
-    gold_spans = []
-    pred_spans = []
-    for sent in corpus.sentences:
-        tags, _ = predict(model, sent)
-        gold_spans.append(iob_spans(sent.tags(), "IOB2"))
-        pred_spans.append(iob_spans(tags, "IOB2"))
-    return micro_f1(entity_match_counts(gold_spans, pred_spans))
+    return evaluate(model, corpus).micro_f1
 
 
 @dataclass
@@ -160,7 +161,6 @@ def fit(
             lr = adam_step(model, grads, state, cfg)
             model.assert_finite()
             epoch_loss += loss
-            state.loss_history.append(loss)
 
         metric = validation_micro_f1(model, val_corpus)
         history.append(EpochRecord(epoch, state.step, lr, epoch_loss, metric))

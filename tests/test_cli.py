@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rule_corpus, rule_lexicon, toy_table
+from conftest import FILLERS, make_sentence, rule_corpus, rule_lexicon, toy_table
 from medner.chunking import Chunk, write_chunk_records
 from medner.cli import main
-from medner.corpus import TSV2, parse_conll, write_conll
+from medner.corpus import TSV2, Corpus, parse_conll, write_conll
 from medner.embeddings import write_embeddings
 from medner.nercore.serialize import load_model, save_model
 
@@ -228,7 +228,7 @@ class TestEvaluate:
         assert report["micro_f1"] == pytest.approx(2 / 3)
         assert report["macro_f1"] == pytest.approx(11 / 14)
 
-    def test_alignment_mismatch(self, trained_tiny_model, tmp_path):
+    def test_alignment_mismatch(self, trained_tiny_model, tmp_path, caplog):
         _, corpus, _ = trained_tiny_model
         gold = tmp_path / "gold.tsv"
         gold.write_text(write_conll(corpus, TSV2), encoding="utf-8")
@@ -238,6 +238,14 @@ class TestEvaluate:
         shorter.write_text(text[: first_blank + 1], encoding="utf-8")
         code = main(["evaluate", "--gold", str(gold), "--pred", str(shorter)])
         assert code == 4
+        # same sentence count, the last token of the first sentence dropped
+        lines = text.split("\n")
+        del lines[lines.index("") - 1]
+        dropped = tmp_path / "dropped.tsv"
+        dropped.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["evaluate", "--gold", str(gold), "--pred", str(dropped)])
+        assert code == 4
+        assert "tokens in gold" in caplog.text
 
     def test_micro_gate(self, trained_tiny_model, tmp_path):
         _, corpus, _ = trained_tiny_model
@@ -351,22 +359,28 @@ class TestDeidentify:
         assert code == 4
 
     def test_model_driven(self, model_file, tmp_path):
-        inp = tmp_path / "notes.txt"
-        inp.write_text("patient took 250mg daily.", encoding="utf-8")
         policy = tmp_path / "dose.policy"
         policy.write_text("Dosage = mask\n", encoding="utf-8")
-        out = tmp_path / "deid_model"
-        code = main(["deidentify", "--input", str(inp), "--model", str(model_file),
-                     "--policy", str(policy), "--out-dir", str(out)])
-        assert code == 0
-        text = (out / "deidentified.txt").read_text(encoding="utf-8")
-        assert "<DOSAGE>" in text
+        # the second note is one sentence whose dosage is its 601st token
+        long_note = " ".join(FILLERS[i % len(FILLERS)] for i in range(600)) + " 250mg daily."
+        for index, note in enumerate(["patient took 250mg daily.", long_note]):
+            inp = tmp_path / f"notes{index}.txt"
+            inp.write_text(note, encoding="utf-8")
+            out = tmp_path / f"deid_model{index}"
+            code = main(["deidentify", "--input", str(inp), "--model", str(model_file),
+                         "--policy", str(policy), "--out-dir", str(out)])
+            assert code == 0
+            text = (out / "deidentified.txt").read_text(encoding="utf-8")
+            assert "<DOSAGE>" in text
 
 
 class TestConvert:
     def test_conll4_tsv2_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         corpus = rule_corpus(rng, 10)
+        long_words = ["word"] * 600 + ["250mg"]
+        long_sentence = make_sentence(long_words, ["O"] * 600 + ["B-Dosage"], idx=10)
+        corpus = Corpus(corpus.sentences + [long_sentence], corpus.schema)
         src = tmp_path / "src.conll"
         src.write_text(write_conll(corpus, TSV2), encoding="utf-8")
         mid = tmp_path / "mid.conll4"
@@ -380,6 +394,8 @@ class TestConvert:
         for a, b in zip(original.sentences, final.sentences):
             assert a.surfaces() == b.surfaces()
             assert a.tags() == b.tags()
+        assert final.sentences[-1].tags()[-1] == "B-Dosage"
+        assert len(final.sentences[-1]) == len(long_words)
 
     def test_iob1_to_iob2_same_chunks(self, tmp_path):
         src = tmp_path / "iob1.tsv"

@@ -12,6 +12,7 @@ from medner.nercore.model import (
     init_model,
     model_forward,
     predict,
+    tag,
 )
 
 
@@ -185,6 +186,15 @@ class TestPredict:
             assert all(t in model.schema.tags for t in tags)
             assert marg.shape == (len(sent), model.schema.num_tags)
             np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_tag_without_marginals_matches_predict(self, tiny_model):
+        model, corpus = tiny_model
+        sentences = corpus.sentences[:5] + [[]]
+        tagged = tag(model, sentences, marginals=False)
+        assert len(tagged) == len(sentences)
+        for sent, (tags, marg) in zip(sentences, tagged):
+            assert tags == predict(model, sent)[0]
+            assert marg is None
 
     def test_mask_guarantees_valid_iob(self, tiny_model):
         model, _ = tiny_model

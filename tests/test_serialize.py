@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from medner.cli import main
 from medner.errors import (
     ChecksumError,
     ModelFormatError,
@@ -17,6 +20,30 @@ def saved(trained_tiny_model, tmp_path):
     path = tmp_path / "model.medner"
     save_model(model, str(path))
     return model, corpus, path
+
+
+def rewrite_manifest(path, edit):
+    """Replace the container's manifest by edit(manifest), fixing the header."""
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    magic, version, length = data[:newline].split()
+    start = newline + 1
+    manifest = json.loads(data[start : start + int(length)])
+    new = json.dumps(edit(manifest)).encode("utf-8")
+    header = b"%s %s %d\n" % (magic, version, len(new))
+    path.write_bytes(header + new + data[start + int(length) :])
+
+
+def _string_config_value(manifest):
+    manifest["config"]["lstm_size"] = str(manifest["config"]["lstm_size"])
+    return manifest
+
+
+MALFORMED_MANIFESTS = {
+    "no_dimensions": lambda m: {k: v for k, v in m.items() if k != "dimensions"},
+    "json_list": lambda m: [m],
+    "string_config_value": _string_config_value,
+}
 
 
 def random_word(rng):
@@ -87,6 +114,23 @@ class TestCorruption:
         path.write_bytes(data.replace(b"mednermodel 1 ", b"mednermodel 9 ", 1))
         with pytest.raises(VersionMismatchError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_exits_4(self, saved, tmp_path, kind):
+        _, _, path = saved
+        rewrite_manifest(path, MALFORMED_MANIFESTS[kind])
+        with pytest.raises(ModelFormatError):
+            load_model(str(path))
+        note = tmp_path / "note.txt"
+        note.write_text("patient took 250mg daily.", encoding="utf-8")
+        code = main(["deidentify", "--input", str(note), "--model", str(path),
+                     "--out-dir", str(tmp_path / "deid")])
+        assert code == 4
+
+    def test_rewritten_manifest_still_loads(self, saved):
+        _, _, path = saved
+        rewrite_manifest(path, lambda m: m)
+        load_model(str(path))
 
     def test_wrong_magic(self, saved):
         _, _, path = saved

@@ -6,11 +6,12 @@ import pytest
 from conftest import rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import Corpus, build_vocab
 from medner.errors import NumericError, ValidationError
-from medner.nercore import training
+from medner.nercore import crf, training
 from medner.nercore.model import init_model, predict
 from medner.nercore.training import (
     FitResult,
     clip_gradients,
+    evaluate,
     fit,
     grid_search,
     validation_micro_f1,
@@ -173,6 +174,20 @@ class TestValidationMetric:
         )
         fit(model, corpus, corpus, config)
         assert validation_micro_f1(model, corpus) == pytest.approx(1.0)
+
+    def test_scoring_computes_no_marginals(self, monkeypatch):
+        model, corpus, config = fresh_setup(size=6, max_epochs=1)
+        fit(model, corpus, corpus, config)
+        expected = validation_micro_f1(model, corpus)
+
+        def no_marginals(*_args):
+            raise AssertionError("scoring must not compute marginals")
+
+        monkeypatch.setattr(crf, "marginals", no_marginals)
+        assert validation_micro_f1(model, corpus) == expected
+        report = evaluate(model, corpus)
+        assert report.micro_f1 == expected
+        assert 0.0 <= report.token_accuracy <= 1.0
 
     def test_metrics_log_fields(self):
         model, corpus, config = fresh_setup(size=5, max_epochs=2)
