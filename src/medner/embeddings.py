@@ -40,7 +40,7 @@ class EmbeddingTable:
             raise ValidationError("unk vector has wrong dimension")
         if not np.all(np.isfinite(self.matrix)) or not np.all(np.isfinite(self.unk_vector)):
             raise ValidationError("embedding table contains non-finite values")
-        self.word_to_row = {w: i for i, w in enumerate(self.words)}
+        self.word_to_row = dict(zip(self.words, range(len(self.words))))
         self._zero = np.zeros(self.dimension, dtype=np.float64)
 
     def __len__(self) -> int:

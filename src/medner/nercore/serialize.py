@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import os
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .model import ModelParams, TrainConfig
 
 MAGIC = "mednermodel"
 FORMAT_VERSION = 1
+_MAX_HEADER_BYTES = 64  # "mednermodel <version> <manifest_nbytes>\n" is far shorter
 
 # The JSON type of every manifest field load_model reads; [t] is a list of t.
 # Types compare exactly, so a boolean never passes for an integer.
@@ -64,7 +67,7 @@ def _check_json(value, kind, where: str) -> None:
         if isinstance(kind[0], dict):
             for item in value:
                 _check_json(item, kind[0], f"{where} item")
-        elif any(type(item) is not kind[0] for item in value):  # one pass over word lists
+        elif not set(map(type, value)) <= {kind[0]}:  # one C-level pass over word lists
             raise ModelFormatError(f"{where} holds an item that is not a {kind[0].__name__}")
     elif type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
         raise ModelFormatError(f"{where} is a {type(value).__name__}")
@@ -153,24 +156,34 @@ def save_model(model: ModelParams, path: str) -> None:
 
 
 def load_model(path: str) -> ModelParams:
+    """Read and verify a container; every tensor is a view of one payload buffer.
+
+    The payload is read once into an aligned buffer and nothing is copied, so
+    the tensor directory must tile it exactly as save_model writes it: the
+    first tensor at offset 0, each next one where the previous ends, and the
+    last ending at the payload's end. Views of a gapped or aliased directory
+    could otherwise share memory.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise ModelFormatError("missing container header")
-    header = data[:newline].decode("ascii", errors="replace").split()
-    if len(header) != 3 or header[0] != MAGIC:
-        raise ModelFormatError("not a model container")
-    if header[1] != str(FORMAT_VERSION):
-        raise VersionMismatchError(
-            f"container version {header[1]} is not supported (expected {FORMAT_VERSION})"
-        )
-    try:
+        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline(_MAX_HEADER_BYTES)
+        if not line.endswith(b"\n"):
+            raise ModelFormatError("missing container header")
+        header = line.decode("ascii", errors="replace").split()
+        if len(header) != 3 or header[0] != MAGIC:
+            raise ModelFormatError("not a model container")
+        if header[1] != str(FORMAT_VERSION):
+            raise VersionMismatchError(
+                f"container version {header[1]} is not supported (expected {FORMAT_VERSION})"
+            )
+        if not header[2].isdigit():  # after the ASCII decode only 0-9 pass: no sign
+            raise ModelFormatError(f"bad manifest length {header[2]!r} in header")
         manifest_len = int(header[2])
-    except ValueError:
-        raise ModelFormatError("bad manifest length in header")
-    manifest_start = newline + 1
-    manifest_bytes = data[manifest_start : manifest_start + manifest_len]
+        if manifest_len > size - len(line):
+            raise ChecksumError("container truncated inside the manifest")
+        manifest_bytes = fh.read(manifest_len)
+        payload = np.empty(size - fh.tell(), dtype=np.uint8)
+        payload_len = fh.readinto(payload)
     if len(manifest_bytes) != manifest_len:
         raise ChecksumError("container truncated inside the manifest")
     try:
@@ -183,28 +196,36 @@ def load_model(path: str) -> ModelParams:
         )
     _check_json(manifest, _MANIFEST_TYPES, "manifest")
 
-    payload = data[manifest_start + manifest_len :]
     dims = manifest["dimensions"]
     expected = _expected_shapes(dims)
     tensors: dict[str, np.ndarray] = {}
+    end = 0
     for entry in manifest["tensors"]:
         name = entry["name"]
-        blob = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        if len(blob) != entry["nbytes"]:
+        if entry["offset"] != end:
+            raise ModelFormatError(
+                f"tensor {name}: offset {entry['offset']} is not {end}, where the "
+                "previous tensor ends"
+            )
+        start, end = end, end + entry["nbytes"]
+        if not start <= end <= payload_len:
             raise ChecksumError(f"tensor {name}: payload truncated")
+        blob = payload[start:end]
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise ChecksumError(f"tensor {name}: checksum mismatch")
         shape = tuple(entry["shape"])
-        if entry["nbytes"] != 8 * int(np.prod(shape, dtype=np.int64)):
+        if min(shape, default=0) < 0 or entry["nbytes"] != 8 * math.prod(shape):
             raise ShapeMismatchError(f"tensor {name}: shape {shape} does not fit payload")
-        if name not in expected:
-            raise ShapeMismatchError(f"unexpected tensor {name!r} in container")
+        if name not in expected or name in tensors:
+            raise ShapeMismatchError(f"unexpected or repeated tensor {name!r} in container")
         if shape != expected[name]:
             raise ShapeMismatchError(
                 f"tensor {name}: shape {shape} does not match manifest dimensions "
                 f"{expected[name]}"
             )
-        tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        tensors[name] = blob.view("<f8").reshape(shape)
+    if end != payload_len:
+        raise ModelFormatError(f"{payload_len - end} bytes follow the last tensor")
     missing = set(expected) - set(tensors)
     if missing:
         raise ShapeMismatchError(f"container is missing tensors: {sorted(missing)}")

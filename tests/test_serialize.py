@@ -1,11 +1,16 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medner.cli import main
 from medner.errors import (
     ChecksumError,
+    MednerError,
     ModelFormatError,
     ShapeMismatchError,
     VersionMismatchError,
@@ -22,16 +27,22 @@ def saved(trained_tiny_model, tmp_path):
     return model, corpus, path
 
 
+def split_container(data: bytes) -> tuple[dict, bytes]:
+    """The container's manifest and payload."""
+    newline = data.index(b"\n")
+    start = newline + 1 + int(data[:newline].split()[2])
+    return json.loads(data[newline + 1 : start]), data[start:]
+
+
+def join_container(manifest, payload: bytes) -> bytes:
+    new = json.dumps(manifest).encode("utf-8")
+    return b"mednermodel 1 %d\n" % len(new) + new + payload
+
+
 def rewrite_manifest(path, edit):
     """Replace the container's manifest by edit(manifest), fixing the header."""
-    data = path.read_bytes()
-    newline = data.index(b"\n")
-    magic, version, length = data[:newline].split()
-    start = newline + 1
-    manifest = json.loads(data[start : start + int(length)])
-    new = json.dumps(edit(manifest)).encode("utf-8")
-    header = b"%s %s %d\n" % (magic, version, len(new))
-    path.write_bytes(header + new + data[start + int(length) :])
+    manifest, payload = split_container(path.read_bytes())
+    path.write_bytes(join_container(edit(manifest), payload))
 
 
 def _string_config_value(manifest):
@@ -39,11 +50,74 @@ def _string_config_value(manifest):
     return manifest
 
 
+def _aliased_tensors(manifest):
+    """Point lstm_bwd_b at lstm_fwd_b's bytes, checksum included."""
+    entries = {e["name"]: e for e in manifest["tensors"]}
+    for key in ("offset", "sha256"):
+        entries["lstm_bwd_b"][key] = entries["lstm_fwd_b"][key]
+    return manifest
+
+
+def _gapped_tensors(manifest):
+    """Leave 8 unread bytes between char_emb and char_filters."""
+    for entry in manifest["tensors"][1:]:
+        entry["offset"] += 8
+    return manifest
+
+
+def _negative_dimensions(manifest):
+    """Negate char_emb's two dimensions everywhere they are recorded."""
+    dims = manifest["dimensions"]
+    dims["num_chars"], dims["char_dim"] = -dims["num_chars"], -dims["char_dim"]
+    manifest["config"]["char_dim"] = dims["char_dim"]
+    entry = next(e for e in manifest["tensors"] if e["name"] == "char_emb")
+    entry["shape"] = [dims["num_chars"], dims["char_dim"]]
+    return manifest
+
+
 MALFORMED_MANIFESTS = {
     "no_dimensions": lambda m: {k: v for k, v in m.items() if k != "dimensions"},
     "json_list": lambda m: [m],
     "string_config_value": _string_config_value,
+    "aliased_tensors": _aliased_tensors,
+    "gapped_tensors": _gapped_tensors,
+    "negative_dimensions": _negative_dimensions,
 }
+
+
+def replace_header(data: bytes, header: bytes) -> bytes:
+    return header + data[data.index(b"\n") + 1 :]
+
+
+def _repeated_tensor(data: bytes) -> bytes:
+    """Append a second, contiguous copy of b_c: entry and bytes."""
+    manifest, payload = split_container(data)
+    entry = next(e for e in manifest["tensors"] if e["name"] == "b_c")
+    manifest["tensors"].append(dict(entry, offset=len(payload)))
+    copy = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+    return join_container(manifest, payload + copy)
+
+
+# Whole-file corruptions that no manifest edit expresses.
+MALFORMED_CONTAINERS = {
+    "appended_bytes": lambda data: data + bytes(8),
+    "negative_manifest_length": lambda data: replace_header(data, b"mednermodel 1 -5\n"),
+    "huge_manifest_length": lambda data: replace_header(data, b"mednermodel 1 99999999999\n"),
+    "repeated_tensor": _repeated_tensor,
+}
+
+
+def deidentify_exit_code(model_path, tmp_path) -> int:
+    note = tmp_path / "note.txt"
+    note.write_text("patient took 250mg daily.", encoding="utf-8")
+    return main(["deidentify", "--input", str(note), "--model", str(model_path),
+                 "--out-dir", str(tmp_path / "deid")])
+
+
+def container_tensors(model) -> dict[str, np.ndarray]:
+    """Every tensor the container stores, by its directory name."""
+    return dict(model.tensors(), embed_matrix=model.embed.matrix,
+                embed_unk=model.embed.unk_vector)
 
 
 def random_word(rng):
@@ -80,6 +154,42 @@ class TestRoundTrip:
         other = tmp_path / "again.medner"
         save_model(model, str(other))
         assert path.read_bytes() == other.read_bytes()
+
+
+class TestZeroCopyLoad:
+    """load_model returns views of one payload buffer; each must act as its own array."""
+
+    def test_tensors_contiguous_aligned_writable(self, saved):
+        _, _, path = saved
+        for name, tensor in container_tensors(load_model(str(path))).items():
+            flags = tensor.flags
+            assert flags.c_contiguous and flags.aligned and flags.writeable, name
+            assert tensor.dtype == np.float64, name
+
+    def test_no_two_tensors_share_memory(self, saved):
+        _, _, path = saved
+        tensors = container_tensors(load_model(str(path)))
+        for (a, x), (b, y) in itertools.combinations(tensors.items(), 2):
+            assert not np.shares_memory(x, y), (a, b)
+
+    def test_resave_is_byte_identical(self, saved, tmp_path):
+        _, _, path = saved
+        again = tmp_path / "again.medner"
+        save_model(load_model(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_mutation_stays_in_one_tensor(self, saved):
+        _, _, path = saved
+        data = path.read_bytes()
+        loaded = load_model(str(path))
+        tensors = container_tensors(loaded)
+        before = {name: t.copy() for name, t in tensors.items()}
+        tensors["lstm_fwd_b"] += 1.0
+        assert path.read_bytes() == data
+        for name, tensor in tensors.items():
+            if name != "lstm_fwd_b":
+                np.testing.assert_array_equal(tensor, before[name], err_msg=name)
+        np.testing.assert_array_equal(loaded.lstm_fwd.b, before["lstm_fwd_b"] + 1.0)
 
 
 class TestCorruption:
@@ -121,11 +231,22 @@ class TestCorruption:
         rewrite_manifest(path, MALFORMED_MANIFESTS[kind])
         with pytest.raises(ModelFormatError):
             load_model(str(path))
-        note = tmp_path / "note.txt"
-        note.write_text("patient took 250mg daily.", encoding="utf-8")
-        code = main(["deidentify", "--input", str(note), "--model", str(path),
-                     "--out-dir", str(tmp_path / "deid")])
-        assert code == 4
+        assert deidentify_exit_code(path, tmp_path) == 4
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CONTAINERS))
+    def test_malformed_container_exits_4(self, saved, tmp_path, kind):
+        _, _, path = saved
+        path.write_bytes(MALFORMED_CONTAINERS[kind](path.read_bytes()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError):
+                load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nothing is allocated by the header's number, only by the file's size
+        assert peak < 4 * path.stat().st_size
+        assert deidentify_exit_code(path, tmp_path) == 4
 
     def test_rewritten_manifest_still_loads(self, saved):
         _, _, path = saved
@@ -137,3 +258,61 @@ class TestCorruption:
         path.write_bytes(b"something else entirely\n")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+class TestFuzz:
+    """Every corrupted container either loads or raises a MednerError."""
+
+    @staticmethod
+    def check(path, data: bytes) -> None:
+        path.write_bytes(data)
+        try:
+            load_model(str(path))
+        except MednerError:
+            pass
+
+    def test_truncated_anywhere(self, saved):
+        _, _, path = saved
+        data = path.read_bytes()
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.integers(0, len(data) - 1))
+        def run(cut):
+            self.check(path, data[:cut])
+
+        run()
+
+    def test_byte_flipped_anywhere(self, saved):
+        _, _, path = saved
+        data = path.read_bytes()
+        manifest_end = len(data) - len(split_container(data)[1])
+
+        # half the flips land in the header and manifest, which are a small
+        # part of the file but hold every field the loader checks
+        @settings(max_examples=80, deadline=None)
+        @given(st.one_of(st.integers(0, manifest_end - 1), st.integers(0, len(data) - 1)),
+               st.integers(1, 255))
+        def run(index, mask):
+            flipped = bytearray(data)
+            flipped[index] ^= mask
+            self.check(path, bytes(flipped))
+
+        run()
+
+    def test_header_overwritten(self, saved):
+        _, _, path = saved
+        data = path.read_bytes()
+        headers = st.one_of(
+            st.binary(max_size=80),
+            st.builds("mednermodel {} {}\n".format,
+                      st.sampled_from(["1", "0", "2", "-1", "01"]),
+                      st.one_of(st.integers(-(2**40), 2**40), st.text(max_size=6))
+                      ).map(lambda h: h.encode("utf-8")),
+        )
+
+        @settings(max_examples=40, deadline=None)
+        @given(headers)
+        def run(header):
+            self.check(path, replace_header(data, header))
+
+        run()
