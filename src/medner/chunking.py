@@ -1,5 +1,5 @@
 """Turn tag sequences into entity chunks with character offsets and
-confidence scores, and compute context-averaged chunk embeddings.
+confidence scores, and read and write them as chunk records.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LabelSchema, Sentence, iob_spans, validate_iob
-from .embeddings import EmbeddingTable, pool_mean
 from .errors import ParseError, ValidationError
 
 
@@ -127,18 +126,6 @@ def chunks_to_tags(chunks: list[Chunk], sentence_length: int) -> list[str]:
         for i in range(first + 1, last + 1):
             tags[i] = f"I-{etype}"
     return tags
-
-
-def chunk_embedding(table: EmbeddingTable, sentence: Sentence, chunk: Chunk) -> np.ndarray:
-    """Average of the mean-pooled chunk vectors and sentence vectors."""
-    if len(sentence) == 0:
-        raise ValidationError("cannot embed a chunk of an empty sentence")
-    first, last, _ = chunk.span
-    if last >= len(sentence):
-        raise ValidationError("chunk lies outside the sentence")
-    chunk_vec = pool_mean([table.lookup(t.surface) for t in sentence.tokens[first : last + 1]])
-    sent_vec = pool_mean([table.lookup(t.surface) for t in sentence.tokens])
-    return (chunk_vec + sent_vec) / 2.0
 
 
 RECORD_HEADER = "# sent\tbegin\tend\tsurface\tentity\tconfidence"

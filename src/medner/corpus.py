@@ -641,44 +641,6 @@ def split_corpus(
     return tuple(corpus.subset(p) for p in parts)  # type: ignore[return-value]
 
 
-def stratified_kfold(corpus: Corpus, k: int, seed: int) -> list[tuple[Corpus, Corpus]]:
-    """K disjoint folds stratified by the set of entity types in a sentence.
-
-    Sentences are bucketed by their type set; each bucket is shuffled, then
-    members are dealt round-robin across folds with a cursor that carries over
-    between buckets, keeping fold sizes within one of each other.
-    """
-    n = len(corpus)
-    if k < 2:
-        raise ValidationError("k must be at least 2")
-    if k > n:
-        raise ValidationError(f"k={k} exceeds corpus size {n}")
-    buckets: dict[tuple[str, ...], list[int]] = {}
-    for i, sent in enumerate(corpus.sentences):
-        types: set[str] = set()
-        if sent.is_tagged:
-            for tag in sent.tags():
-                _, etype = split_tag(tag)
-                if etype is not None:
-                    types.add(etype)
-        buckets.setdefault(tuple(sorted(types)), []).append(i)
-    rng = np.random.default_rng(seed)
-    fold_of = {}
-    cursor = 0
-    for key in sorted(buckets):
-        members = buckets[key]
-        order = rng.permutation(len(members))
-        for j in order:
-            fold_of[members[j]] = cursor % k
-            cursor += 1
-    folds = []
-    for f in range(k):
-        test_idx = sorted(i for i in range(n) if fold_of[i] == f)
-        train_idx = sorted(i for i in range(n) if fold_of[i] != f)
-        folds.append((corpus.subset(train_idx), corpus.subset(test_idx)))
-    return folds
-
-
 @dataclass
 class Vocabulary:
     """Word and character index maps with reserved PAD/UNK slots.

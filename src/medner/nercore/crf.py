@@ -9,9 +9,12 @@ than -inf so gradients stay finite.
 Chronological summation order is kept identical between score_sequence and
 the Viterbi recursion so that tie-breaking on equal float scores is exact.
 
-Tagging uses viterbi and marginals, training nll_and_gradients. log_partition
-and nll compute the same quantities by a separate forward recursion; they stay
-as the tests' independent oracles, as does model.batch_nll.
+Tagging uses viterbi_batch and marginals_batch, which run the same
+recursions over a batch of sentences of different lengths; training uses
+nll_and_gradients. viterbi and marginals are the per-sentence oracles of the
+batched routines. log_partition and nll compute the same quantities by a
+separate forward recursion; they stay as the tests' independent oracles, as
+does model.batch_nll.
 """
 
 from __future__ import annotations
@@ -153,13 +156,19 @@ def nll_and_gradients(
     return log_z - float(score), d_emissions, d_transitions
 
 
-def viterbi_batch(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Viterbi over a batch of equal-length sentences, (B, N, T) -> (B, N).
+def viterbi_batch(
+    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray | None = None
+) -> np.ndarray:
+    """Viterbi over a batch of sentences, (B, N, T) -> (B, N).
 
-    Same lowest-index tie-break as the single-sentence routine.
+    Row r is a sentence of lengths[r] >= 1 tokens (N when lengths is None);
+    its emissions past that length are ignored and its path there repeats
+    its last tag. Same lowest-index tie-break as the single-sentence routine.
     """
     b, n, t = emissions.shape
     start, stop = t, t + 1
+    if lengths is None:
+        lengths = np.full(b, n)
     inner = transitions[:t, :t]
     delta = transitions[start, :t][None, :] + emissions[:, 0, :]
     backptr = np.zeros((b, n, t), dtype=np.intp)
@@ -169,12 +178,40 @@ def viterbi_batch(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
         cand = delta[:, :, None] + inner[None, :, :]
         bp = np.argmax(cand, axis=1)
         backptr[:, i, :] = bp
-        delta = cand[rows, bp, cols] + emissions[:, i, :]
+        step = cand[rows, bp, cols] + emissions[:, i, :]
+        # a finished sentence keeps its final scores
+        delta = np.where((lengths > i)[:, None], step, delta)
     final = delta + transitions[:t, stop][None, :]
     paths = np.zeros((b, n), dtype=np.intp)
     last = np.argmax(final, axis=1)
     paths[:, n - 1] = last
     for i in range(n - 1, 0, -1):
-        last = backptr[np.arange(b), i, last]
+        last = np.where(lengths > i, backptr[np.arange(b), i, last], last)
         paths[:, i - 1] = last
     return paths
+
+
+def marginals_batch(
+    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """`marginals` of a batch of sentences, (B, N, T) -> (B, N, T).
+
+    Row r is a sentence of lengths[r] >= 1 tokens; the forward and backward
+    lattices of each row stop at its own length, and its positions past that
+    length hold zeros.
+    """
+    b, n, t = emissions.shape
+    start, stop = t, t + 1
+    inner = transitions[:t, :t]
+    alpha = np.empty((b, n, t))
+    alpha[:, 0] = transitions[start, :t] + emissions[:, 0]
+    for i in range(1, n):
+        alpha[:, i] = logsumexp(alpha[:, i - 1, :, None] + inner, axis=1) + emissions[:, i]
+    beta = np.empty((b, n, t))
+    beta[:, n - 1] = transitions[:t, stop]
+    for i in range(n - 2, -1, -1):
+        step = logsumexp(inner + emissions[:, i + 1, None, :] + beta[:, i + 1, None, :], axis=2)
+        beta[:, i] = np.where((lengths - 1 > i)[:, None], step, transitions[:t, stop])
+    log_z = logsumexp(alpha[np.arange(b), lengths - 1] + transitions[:t, stop], axis=1)
+    log_p = alpha + beta - log_z[:, None, None]
+    return np.exp(np.where((np.arange(n) < lengths[:, None])[:, :, None], log_p, -np.inf))

@@ -13,12 +13,8 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the tanh form is stable at both extremes and needs no boolean masks
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +77,36 @@ def char_cnn_backward(
         d_filters[:, j, :] += d_pre.T @ cache.x[j : j + p]
         d_x[j : j + p] += d_pre @ filters[:, j, :]
     np.add.at(d_char_emb, cache.char_idx, d_x)
+
+
+def char_cnn_batch(
+    char_emb: np.ndarray,
+    filters: np.ndarray,
+    bias: np.ndarray,
+    char_idx: list[list[int]],
+) -> np.ndarray:
+    """char_cnn_forward over many words at once, (len(char_idx), M); no cache.
+
+    Words are padded with PAD (index 0) to a common length of at least the
+    kernel width, as char_cnn_forward pads a short word. Every character's
+    response to each filter column is looked up from one (chars, M, K)
+    product, and windows past a word's own last window are masked out of the
+    max-pool.
+    """
+    m, k, d = filters.shape
+    lens = np.array([max(len(c), k) for c in char_idx])
+    idx = np.zeros((len(char_idx), lens.max()), dtype=np.intp)
+    for r, c in enumerate(char_idx):
+        idx[r, : len(c)] = c
+    resp = (char_emb @ filters.reshape(m * k, d).T).reshape(-1, m, k)[idx]  # (W, L, M, K)
+    p = idx.shape[1] - k + 1
+    pre = np.broadcast_to(bias, (len(idx), p, m)).copy()
+    for j in range(k):
+        pre += resp[:, j : j + p, :, j]
+    act = np.maximum(pre, 0.0)
+    # ReLU outputs are >= 0, so a zeroed window never wins the max
+    act[np.arange(p)[None, :] > (lens - k)[:, None]] = 0.0
+    return act.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +206,58 @@ def bilstm_forward(
     h_b_rev, cache_b = lstm_forward(bwd, xs[::-1])
     h_b = h_b_rev[::-1]
     return np.concatenate([h_f, h_b], axis=1), (cache_f, cache_b)
+
+
+def lstm_batch(
+    u: np.ndarray,
+    zx: np.ndarray,
+    tok: np.ndarray,
+    lens: np.ndarray,
+    out: np.ndarray,
+    reverse: bool = False,
+) -> np.ndarray:
+    """Inference-only lstm_forward over a batch of rows, into out (B, N, S).
+
+    zx holds the input projection `x @ w.T + b` of each distinct input and
+    tok (B, N) picks the inputs of each row, of which the first lens[r] are
+    real; with `reverse`, row r is read from its position lens[r] - 1 back to
+    0. Rows are sorted by length, longest first, so step t updates the
+    active prefix of rows (lens > t) and padding never enters a state. Each
+    hidden state is written at its token's position; out past a row's
+    length is left as it is.
+    """
+    s = u.shape[1]
+    active = np.count_nonzero(lens[:, None] > np.arange(tok.shape[1]), axis=0)
+    rows = np.arange(len(lens))
+    h = np.zeros((len(lens), s))
+    c = np.zeros((len(lens), s))
+    for t, a in enumerate(active):
+        pos = lens[:a] - 1 - t if reverse else t
+        z = h[:a] @ u.T
+        z += zx[tok[rows[:a], pos]]
+        i = sigmoid(z[:, :s]); f = sigmoid(z[:, s : 2 * s])
+        g = np.tanh(z[:, 2 * s : 3 * s]); o = sigmoid(z[:, 3 * s :])
+        c[:a] = f * c[:a] + i * g
+        h[:a] = o * np.tanh(c[:a])
+        out[rows[:a], pos] = h[:a]
+    return out
+
+
+def bilstm_batch(
+    fwd_u: np.ndarray,
+    bwd_u: np.ndarray,
+    zx_fwd: np.ndarray,
+    zx_bwd: np.ndarray,
+    tok: np.ndarray,
+    lens: np.ndarray,
+) -> np.ndarray:
+    """bilstm_forward over a length-sorted batch (see lstm_batch), (B, N, 2S);
+    zero past each row's length."""
+    s = fwd_u.shape[1]
+    h = np.zeros(tok.shape + (2 * s,))
+    lstm_batch(fwd_u, zx_fwd, tok, lens, h[:, :, :s])
+    lstm_batch(bwd_u, zx_bwd, tok, lens, h[:, :, s:], reverse=True)
+    return h
 
 
 def bilstm_backward(

@@ -5,6 +5,13 @@ Per token the forward pass concatenates a static word vector (plus an
 optional trainable delta) with the char-CNN feature vector, applies inverted
 dropout, encodes with a BiLSTM, applies dropout again, and projects to
 bounded per-tag scores through tanh. The CRF on top is in crf.py.
+
+Training runs model_forward and model_backward one sentence at a time.
+Inference (`tag`) runs the same network without dropout in one batched
+pass: word features and LSTM input projections once per distinct surface,
+then the BiLSTM, emissions and CRF over buckets of length-sorted sentences.
+model_forward with crf.viterbi and crf.marginals stays its per-sentence
+oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +29,10 @@ from .layers import (
     CharCnnCache,
     LstmParams,
     bilstm_backward,
+    bilstm_batch,
     bilstm_forward,
     char_cnn_backward,
+    char_cnn_batch,
     char_cnn_forward,
     dropout_mask,
     emission_backward,
@@ -32,6 +41,17 @@ from .layers import (
 
 DROP_INPUT = 0
 DROP_HIDDEN = 1
+
+# `tag` runs the BiLSTM-CRF over buckets of length-sorted sentences of at most
+# this many padded token positions (the char-CNN likewise over characters):
+# enough rows per step to keep the matrix products busy, while a bucket's
+# buffers stay a few MB at the paper's dimensions.
+BATCH_TOKENS = 1024
+# `tag` holds the LSTM input projections (2 x 4 x lstm_size floats each) of
+# about this many distinct surfaces at once and tags a call with more in
+# consecutive runs of sentences, so its memory does not grow with the
+# vocabulary of a long document.
+CACHE_SURFACES = 512
 
 
 @dataclass
@@ -375,6 +395,76 @@ def batch_nll_and_grads(
     return total, grads
 
 
+def _buckets(lens_desc: np.ndarray):
+    """Consecutive slices of descending lengths, each of at most BATCH_TOKENS
+    padded positions (rows x the first, longest length); a row longer than
+    the budget gets a slice of its own."""
+    start = 0
+    while start < len(lens_desc):
+        stop = start + max(1, BATCH_TOKENS // int(lens_desc[start]))
+        yield slice(start, stop)
+        start = stop
+
+
+def _input_projections(
+    model: ModelParams, words: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The LSTM input projections `x @ w.T + b` of each word, both directions.
+
+    x is model_forward's input vector without dropout: the word vector (plus
+    its trainable delta) and the char-CNN features, which run over
+    length-sorted buckets of padded characters.
+    """
+    cfg = model.config
+    x = np.array([model.embed.lookup(w) for w in words])
+    if model.word_delta is not None:
+        x += model.word_delta[[model.vocab.word_index(w) for w in words]]
+    if cfg.use_char_features:
+        chars = [model.vocab.char_indices(w) for w in words]
+        lens = np.array([max(len(c), cfg.kernel_width) for c in chars])
+        order = np.argsort(-lens, kind="stable")
+        feats = np.empty((len(words), cfg.num_filters))
+        for bucket in _buckets(lens[order]):
+            rows = order[bucket]
+            feats[rows] = char_cnn_batch(
+                model.char_emb, model.char_filters, model.char_bias, [chars[r] for r in rows]
+            )
+        x = np.concatenate([x, feats], axis=1)
+    return (x @ model.lstm_fwd.w.T + model.lstm_fwd.b,
+            x @ model.lstm_bwd.w.T + model.lstm_bwd.b)
+
+
+def _tag_run(
+    model: ModelParams, trans: np.ndarray, words: list[str], ids: list[np.ndarray],
+    marginals: bool,
+) -> list[tuple[list[str], np.ndarray | None]]:
+    """`tag` over sentences given as indices into their distinct words."""
+    t = model.schema.num_tags
+    out = [([], np.zeros((0, t)) if marginals else None) for _ in ids]
+    lens = np.array([len(i) for i in ids], dtype=np.intp)
+    order = np.argsort(-lens, kind="stable")
+    order = order[lens[order] > 0]
+    if len(order) == 0:
+        return out
+    zx_fwd, zx_bwd = _input_projections(model, words)
+    for bucket in _buckets(lens[order]):
+        rows = order[bucket]
+        blens = lens[rows]
+        tok = np.zeros((len(rows), blens[0]), dtype=np.intp)
+        for r, s in enumerate(rows):
+            tok[r, : blens[r]] = ids[s]
+        h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd, tok, blens)
+        emissions = emission_scores(model.w_c, model.b_c, h)
+        paths = crf.viterbi_batch(emissions, trans, blens)
+        marg = crf.marginals_batch(emissions, trans, blens) if marginals else None
+        for r, s in enumerate(rows):
+            out[s] = (
+                [model.schema.tags[i] for i in paths[r, : blens[r]]],
+                marg[r, : blens[r]] if marg is not None else None,
+            )
+    return out
+
+
 def tag(
     model: ModelParams, sentences: list[Sentence] | list[list[str]], marginals: bool
 ) -> list[tuple[list[str], np.ndarray | None]]:
@@ -382,19 +472,34 @@ def tag(
 
     The second item of each pair is the (N, num_tags) posterior marginal
     matrix when `marginals` is set, else None; chunk confidences read the
-    column of each chosen tag. This is the only inference loop.
+    column of each chosen tag. This is the only inference loop, and it
+    computes what model_forward, crf.viterbi and crf.marginals compute for
+    each sentence, in one batched pass:
+
+    - the word features and LSTM input projections run once per distinct
+      surface (inference has no dropout), for at most CACHE_SURFACES
+      surfaces at a time: a call with more is tagged in consecutive runs of
+      sentences;
+    - non-empty sentences are sorted by length, longest first, and cut into
+      buckets of at most BATCH_TOKENS padded positions, in which the BiLSTM,
+      the emissions, Viterbi and (only when asked) the marginals run over
+      all rows at once, each row to its own length.
+
+    So working memory is bounded whatever the number of sentences, and a
+    sentence's tags do not depend on the other sentences in the call.
     """
     # the schema mask applies at prediction even when training ran unmasked
     trans = crf.apply_mask(model.transitions, model.schema.transition_mask())
     out: list[tuple[list[str], np.ndarray | None]] = []
+    index: dict[str, int] = {}
+    ids: list[np.ndarray] = []
     for sentence in sentences:
-        if len(sentence) == 0:
-            out.append(([], np.zeros((0, model.schema.num_tags)) if marginals else None))
-            continue
-        emissions, _ = model_forward(model, sentence, train_mode=False)
-        path, _ = crf.viterbi(emissions, trans)
-        marg = crf.marginals(emissions, trans) if marginals else None
-        out.append(([model.schema.tags[i] for i in path], marg))
+        words = sentence.surfaces() if isinstance(sentence, Sentence) else sentence
+        ids.append(np.array([index.setdefault(w, len(index)) for w in words], dtype=np.intp))
+        if len(index) >= CACHE_SURFACES:
+            out += _tag_run(model, trans, list(index), ids, marginals)
+            index, ids = {}, []
+    out += _tag_run(model, trans, list(index), ids, marginals)
     return out
 
 

@@ -4,14 +4,12 @@ import pytest
 from conftest import make_sentence, valid_iob2_sequences
 from medner.chunking import (
     Chunk,
-    chunk_embedding,
     chunks_to_tags,
     decode_chunks,
     parse_chunk_records,
     write_chunk_records,
 )
 from medner.corpus import LabelSchema
-from medner.embeddings import EmbeddingTable
 from medner.errors import ParseError, ValidationError
 
 
@@ -93,40 +91,6 @@ class TestChunksToTags:
             assert chunks_to_tags(chunks, len(seq)) == seq
             lengths.add(len(seq))
         assert lengths == {1, 2, 3, 4, 5, 6}
-
-
-class TestChunkEmbedding:
-    def table(self, mapping):
-        words = list(mapping)
-        matrix = np.array([mapping[w] for w in words], dtype=float)
-        return EmbeddingTable(matrix.shape[1], words, matrix, matrix.mean(axis=0), "unk_row")
-
-    def test_whole_sentence_chunk(self):
-        table = self.table({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        sent = make_sentence(["a", "b"])
-        chunk = Chunk("X", (0, 1), 0, 2, "a b", 1.0)
-        np.testing.assert_allclose(chunk_embedding(table, sent, chunk), [2.0, 3.0])
-
-    def test_constant_vectors(self):
-        table = self.table({"a": [0.5, -1.0], "b": [0.5, -1.0]})
-        sent = make_sentence(["a", "b"])
-        chunk = Chunk("X", (1, 1), 2, 2, "b", 1.0)
-        np.testing.assert_allclose(chunk_embedding(table, sent, chunk), [0.5, -1.0])
-
-    def test_hand_arithmetic(self):
-        # sentence vectors {(0,0), (2,2)}, chunk = token 1:
-        # chunk mean (2,2), sentence mean (1,1), average (1.5,1.5)
-        table = self.table({"a": [0.0, 0.0], "b": [2.0, 2.0]})
-        sent = make_sentence(["a", "b"])
-        chunk = Chunk("X", (1, 1), 2, 2, "b", 1.0)
-        np.testing.assert_allclose(chunk_embedding(table, sent, chunk), [1.5, 1.5])
-
-    def test_out_of_sentence_rejected(self):
-        table = self.table({"a": [0.0]})
-        sent = make_sentence(["a"])
-        chunk = Chunk("X", (0, 3), 0, 0, "a", 1.0)
-        with pytest.raises(ValidationError):
-            chunk_embedding(table, sent, chunk)
 
 
 class TestRecords:

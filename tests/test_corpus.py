@@ -15,7 +15,6 @@ from medner.corpus import (
     parse_conll,
     sentence_split,
     split_corpus,
-    stratified_kfold,
     tokenize,
     validate_iob,
     write_conll,
@@ -286,40 +285,6 @@ class TestSplits:
             ids = [id(s) for part in parts for s in part.sentences]
             assert len(ids) == size
             assert len(set(ids)) == size
-
-    def test_kfold_sizes(self):
-        corpus = rule_corpus(np.random.default_rng(5), 10)
-        folds = stratified_kfold(corpus, 5, seed=2)
-        assert len(folds) == 5
-        assert all(len(test) == 2 for _, test in folds)
-
-    def test_kfold_partition(self):
-        corpus = rule_corpus(np.random.default_rng(6), 23)
-        folds = stratified_kfold(corpus, 4, seed=3)
-        seen = [id(s) for _, test in folds for s in test.sentences]
-        assert len(seen) == 23 and len(set(seen)) == 23
-        for train, test in folds:
-            assert len(train) + len(test) == 23
-
-    def test_kfold_stratification(self):
-        # 4 sentences with type A and 4 without; k=2 puts 2 A-sentences per fold
-        schema = LabelSchema(["A"])
-        sents = []
-        for i in range(8):
-            tag = "B-A" if i < 4 else "O"
-            sents.append(make_sentence(["w"], [tag], i))
-        corpus = Corpus(sents, schema)
-        folds = stratified_kfold(corpus, 2, seed=0)
-        for _, test in folds:
-            with_a = sum(1 for s in test.sentences if "B-A" in s.tags())
-            assert with_a == 2
-
-    def test_kfold_errors(self):
-        corpus = rule_corpus(np.random.default_rng(7), 3)
-        with pytest.raises(ValidationError):
-            stratified_kfold(corpus, 5, seed=0)
-        with pytest.raises(ValidationError):
-            stratified_kfold(corpus, 1, seed=0)
 
 
 class TestVocabulary:

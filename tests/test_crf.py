@@ -210,3 +210,82 @@ class TestBatchViterbi:
         for i in range(16):
             single, _ = crf.viterbi(em[i], tr)
             assert list(paths[i]) == single
+
+
+class TestRaggedBatch:
+    """viterbi_batch with lengths and marginals_batch against the
+    single-sentence routines, row by row."""
+
+    @staticmethod
+    def ragged(rng, b, n, t, integer):
+        lengths = rng.integers(1, n + 1, size=b)
+        lengths[:3] = (1, n, 1)
+        if integer:
+            # small integer scores make equal-scoring paths common
+            em = rng.integers(-2, 3, size=(b, n, t)).astype(float)
+            tr = rng.integers(-2, 3, size=(t + 2, t + 2)).astype(float)
+        else:
+            em = rng.uniform(-2, 2, size=(b, n, t))
+            tr = rng.uniform(-2, 2, size=(t + 2, t + 2))
+        return em, tr, lengths
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_viterbi_lengths_match_single(self, integer):
+        rng = np.random.default_rng(61 + integer)
+        for t in (2, 3, 5):
+            em, tr, lengths = self.ragged(rng, 40, 9, t, integer)
+            paths = crf.viterbi_batch(em, tr, lengths)
+            assert paths.shape == (40, 9)
+            for r, n in enumerate(lengths):
+                single, _ = crf.viterbi(em[r, :n], tr)
+                assert list(paths[r, :n]) == single
+
+    def test_integer_scores_tie_and_break_alike(self):
+        # rows short enough to enumerate: some have several best paths, and
+        # the batch keeps the one the brute-force oracle's tie-break keeps
+        rng = np.random.default_rng(62)
+        em, tr, lengths = self.ragged(rng, 40, 4, 3, integer=True)
+        paths = crf.viterbi_batch(em, tr, lengths)
+        tied = 0
+        for r, n in enumerate(lengths):
+            _, best, best_score, _ = brute_force(em[r, :n], tr)
+            assert list(paths[r, :n]) == best
+            scores = [crf.score_sequence(em[r, :n], tr, p)
+                      for p in itertools.product(range(3), repeat=n)]
+            tied += scores.count(best_score) > 1
+        assert tied > 0
+
+    def test_full_lengths_equal_no_lengths(self):
+        rng = np.random.default_rng(63)
+        em = rng.uniform(-2, 2, size=(6, 5, 4))
+        tr = rng.uniform(-2, 2, size=(6, 6))
+        np.testing.assert_array_equal(
+            crf.viterbi_batch(em, tr, np.full(6, 5)), crf.viterbi_batch(em, tr)
+        )
+
+    def test_marginals_match_single(self):
+        rng = np.random.default_rng(64)
+        for t in (2, 4, 13):
+            em, tr, lengths = self.ragged(rng, 30, 12, t, integer=False)
+            marg = crf.marginals_batch(em, tr, lengths)
+            assert marg.shape == em.shape
+            for r, n in enumerate(lengths):
+                np.testing.assert_allclose(
+                    marg[r, :n], crf.marginals(em[r, :n], tr), rtol=0, atol=1e-10
+                )
+
+    @pytest.mark.filterwarnings("error")
+    def test_padding_is_ignored(self):
+        rng = np.random.default_rng(65)
+        em, tr, lengths = self.ragged(rng, 10, 6, 3, integer=False)
+        noisy = em.copy()
+        for r, n in enumerate(lengths):
+            noisy[r, n:] = 1e3
+        np.testing.assert_array_equal(
+            crf.viterbi_batch(noisy, tr, lengths), crf.viterbi_batch(em, tr, lengths)
+        )
+        a = crf.marginals_batch(noisy, tr, lengths)
+        b = crf.marginals_batch(em, tr, lengths)
+        for r, n in enumerate(lengths):
+            np.testing.assert_array_equal(a[r, :n], b[r, :n])
+            assert not a[r, n:].any()

@@ -5,7 +5,9 @@ import pytest
 
 from medner.nercore.layers import (
     LstmParams,
+    bilstm_batch,
     bilstm_forward,
+    char_cnn_batch,
     char_cnn_forward,
     dropout_mask,
     emission_scores,
@@ -104,6 +106,39 @@ class TestBiLstm:
             assert h.shape == (n, 2 * s)
 
 
+class TestBatched:
+    """The inference-only batched layers against the per-sentence ones."""
+
+    def test_char_cnn_batch_matches_per_word(self):
+        rng = np.random.default_rng(4)
+        emb = rng.normal(size=(9, 5))
+        filters = rng.normal(size=(6, 3, 5))
+        bias = rng.normal(size=6)
+        # lengths 0 to 7 around the kernel width of 3, one word repeated
+        words = [[int(c) for c in rng.integers(1, 9, size=n)] for n in (7, 0, 1, 2, 3, 4, 2)]
+        words.append(words[3])
+        out = char_cnn_batch(emb, filters, bias, words)
+        assert out.shape == (len(words), 6)
+        for row, word in zip(out, words):
+            single, _ = char_cnn_forward(emb, filters, bias, word)
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-12)
+
+    def test_bilstm_batch_matches_per_sentence(self):
+        rng = np.random.default_rng(5)
+        s, d, distinct = 3, 4, 6
+        fwd = LstmParams(rng.normal(size=(4 * s, d)), rng.normal(size=(4 * s, s)), rng.normal(size=4 * s))
+        bwd = LstmParams(rng.normal(size=(4 * s, d)), rng.normal(size=(4 * s, s)), rng.normal(size=4 * s))
+        x = rng.normal(size=(distinct, d))
+        lens = np.array([7, 5, 5, 2, 1])
+        tok = rng.integers(0, distinct, size=(len(lens), 7))
+        h = bilstm_batch(fwd.u, bwd.u, x @ fwd.w.T + fwd.b, x @ bwd.w.T + bwd.b, tok, lens)
+        assert h.shape == (len(lens), 7, 2 * s)
+        for r, n in enumerate(lens):
+            single, _ = bilstm_forward(fwd, bwd, x[tok[r, :n]])
+            np.testing.assert_allclose(h[r, :n], single, rtol=0, atol=1e-12)
+            assert not h[r, n:].any()
+
+
 class TestEmission:
     def test_zero_params(self):
         scores = emission_scores(np.zeros((3, 4)), np.zeros(3), np.ones((5, 4)))
@@ -155,3 +190,9 @@ class TestSigmoid:
     def test_extremes_stable(self):
         out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
+
+    def test_matches_logistic(self):
+        # the tanh form is exact to rounding in absolute terms; far in the
+        # negative tail, 1 + tanh cancels and the relative error grows
+        x = np.linspace(-30.0, 30.0, 601)
+        np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14, atol=1e-16)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_sentence, rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import LabelSchema, build_vocab, validate_iob
 from medner.errors import ValidationError
+from medner.nercore import crf, model as model_module
 from medner.nercore.model import (
     TrainConfig,
     batch_nll,
@@ -221,6 +224,107 @@ class TestPredict:
         for sent in corpus.sentences:
             tags, _ = predict(model, sent)
             assert validate_iob(tags, "IOB2") == []
+
+
+def oracle_tag(model, sentence):
+    """Tags and marginals of one sentence from the per-sentence routines."""
+    if len(sentence) == 0:
+        return [], np.zeros((0, model.schema.num_tags))
+    trans = crf.apply_mask(model.transitions, model.schema.transition_mask())
+    emissions, _ = model_forward(model, sentence, train_mode=False)
+    path, _ = crf.viterbi(emissions, trans)
+    return [model.schema.tags[i] for i in path], crf.marginals(emissions, trans)
+
+
+def awkward_sentences(corpus, rng):
+    """Sentence objects and word lists mixed: empty and one-token sentences,
+    words shorter than a kernel, repeated surfaces, characters the vocabulary
+    lacks and a 600-token sentence among short ones."""
+    long = [corpus.sentences[0].surfaces()[i % len(corpus.sentences[0])] for i in range(599)]
+    return [
+        [],
+        corpus.sentences[0],
+        ["fever"],
+        ["a", "b", "a", "ab", "a"],
+        corpus.sentences[1],
+        ["naïve", "€5", "日本", "fever"],
+        [],
+        long + ["250mg"],
+        ["x"],
+        *corpus.sentences[2:8],
+        [str(w) for w in rng.integers(0, 99, size=9)],
+        corpus.sentences[3].surfaces(),
+    ]
+
+
+class TestBatchedTag:
+    """`tag` against the per-sentence oracle, sentence by sentence."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"kernel_width": 3},
+        {"use_char_features": False, "train_word_delta": True},
+    ])
+    def test_matches_oracle(self, tiny_model, overrides):
+        _, corpus = tiny_model
+        rng = np.random.default_rng(41)
+        model = init_model(tiny_config(**overrides), corpus.schema, build_vocab(corpus),
+                           toy_table(rule_lexicon(), 16, rng))
+        if model.word_delta is not None:
+            model.word_delta[:] = rng.normal(size=model.word_delta.shape)
+        sentences = awkward_sentences(corpus, rng)
+        tagged = tag(model, sentences, marginals=True)
+        assert len(tagged) == len(sentences)
+        for sent, (tags, marg) in zip(sentences, tagged):
+            want_tags, want_marg = oracle_tag(model, sent)
+            assert tags == want_tags
+            assert marg.shape == want_marg.shape
+            np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
+
+    def test_small_buckets_and_runs(self, tiny_model, monkeypatch):
+        # budgets this small put most sentences in buckets of their own and
+        # split the call into several runs of distinct surfaces
+        model, corpus = tiny_model
+        monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
+        monkeypatch.setattr(model_module, "CACHE_SURFACES", 7)
+        sentences = awkward_sentences(corpus, np.random.default_rng(42))
+        for sent, (tags, marg) in zip(sentences, tag(model, sentences, marginals=True)):
+            want_tags, want_marg = oracle_tag(model, sent)
+            assert tags == want_tags
+            np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
+
+    def test_batch_invariance(self, tiny_model):
+        model, _ = tiny_model
+        corpus = rule_corpus(np.random.default_rng(43), 200)
+        sentences = corpus.sentences + [["déjà", "vu"], []]
+        together = tag(model, sentences, marginals=False)
+        for sent, (tags, marg) in zip(sentences, together):
+            assert marg is None
+            assert tag(model, [sent], marginals=False)[0][0] == tags
+
+    def test_memory_does_not_grow_with_sentences(self, tiny_model):
+        # tracemalloc's peak less what the result still holds after the call:
+        # the result grows with the document, the working buffers must not.
+        # The paper's LSTM size makes the buffers a pass over the whole
+        # document at once would need about ten times larger here.
+        _, corpus = tiny_model
+        rng = np.random.default_rng(44)
+        model = init_model(tiny_config(lstm_size=200), corpus.schema, build_vocab(corpus),
+                           toy_table(rule_lexicon(), 16, rng))
+        document = rule_corpus(rng, 2000).sentences
+
+        def working_peak(sentences):
+            tracemalloc.start()
+            try:
+                result = tag(model, sentences, marginals=True)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result) == len(sentences)
+            return peak - held
+
+        small, large = working_peak(document[:200]), working_peak(document)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestGoldPath:
