@@ -74,8 +74,13 @@ def load_embeddings(
     if is_text:
         text = path_or_text
     else:
-        with open(path_or_text, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path_or_text, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            )
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
@@ -134,15 +139,3 @@ def write_embeddings(table: EmbeddingTable, path: str) -> None:
         for word, row in zip(table.words, table.matrix):
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
-
-def pool_mean(vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Element-wise arithmetic mean of equal-length vectors."""
-    if len(vectors) == 0:
-        raise ValidationError("cannot pool an empty list of vectors")
-    try:
-        arr = np.asarray(vectors, dtype=np.float64)
-    except ValueError:
-        raise ValidationError("vectors must all have the same length")
-    if arr.ndim != 2:
-        raise ValidationError("vectors must all have the same length")
-    return arr.mean(axis=0)

@@ -126,7 +126,7 @@ class LstmParams:
 @dataclass
 class LstmCache:
     x: np.ndarray
-    i: np.ndarray
+    i: np.ndarray  # (N, S) gate activations, column blocks of one (N, 4S) array
     f: np.ndarray
     g: np.ndarray
     o: np.ndarray
@@ -137,28 +137,41 @@ class LstmCache:
 
 
 def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
-    """Run the recurrence left to right; returns hidden states (N, S)."""
+    """Run the recurrence left to right; returns hidden states (N, S).
+
+    All four gates take one tanh per step: sigmoid(z) = 0.5 * (1 + tanh(z / 2))
+    with exact halvings, so i, f and o are bit for bit what sigmoid() gives.
+    """
     n = xs.shape[0]
     s = params.state_size
     zx = xs @ params.w.T + params.b  # (N, 4S)
-    i_a = np.empty((n, s)); f_a = np.empty((n, s))
-    g_a = np.empty((n, s)); o_a = np.empty((n, s))
+    # per gate column, z -> scale * z before the tanh and a -> scale * a + shift
+    # after it: the identity for g, the sigmoid's halvings for i, f and o
+    scale = np.full(4 * s, 0.5)
+    scale[2 * s : 3 * s] = 1.0
+    shift = np.full(4 * s, 0.5)
+    shift[2 * s : 3 * s] = -0.0  # x + -0.0 is x, signed zeros included
+    gates = np.empty((n, 4 * s))
     c_a = np.empty((n, s)); tc_a = np.empty((n, s))
-    h_prev = np.zeros((n, s)); c_prev = np.zeros((n, s))
-    h = np.zeros(s); c = np.zeros(s)
     hs = np.empty((n, s))
+    h = np.zeros(s); c = np.zeros(s)
     for t in range(n):
-        h_prev[t] = h
-        c_prev[t] = c
-        z = zx[t] + params.u @ h
-        i = sigmoid(z[:s]); f = sigmoid(z[s : 2 * s])
-        g = np.tanh(z[2 * s : 3 * s]); o = sigmoid(z[3 * s :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        i_a[t], f_a[t], g_a[t], o_a[t], c_a[t], tc_a[t] = i, f, g, o, c, tc
-        hs[t] = h
-    return hs, LstmCache(xs, i_a, f_a, g_a, o_a, c_a, tc_a, h_prev, c_prev)
+        a = gates[t]
+        np.dot(params.u, h, out=a)
+        a += zx[t]
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(a[s : 2 * s], c, out=c_a[t])
+        c = c_a[t]
+        c += a[:s] * a[2 * s : 3 * s]
+        np.tanh(c, out=tc_a[t])
+        h = np.multiply(a[3 * s :], tc_a[t], out=hs[t])
+    h_prev = np.zeros((n, s)); h_prev[1:] = hs[:-1]
+    c_prev = np.zeros((n, s)); c_prev[1:] = c_a[:-1]
+    i, f, g, o = (gates[:, k * s : (k + 1) * s] for k in range(4))
+    return hs, LstmCache(xs, i, f, g, o, c_a, tc_a, h_prev, c_prev)
 
 
 def lstm_backward(
@@ -169,29 +182,33 @@ def lstm_backward(
     d_u: np.ndarray,
     d_b: np.ndarray,
 ) -> np.ndarray:
-    """Backpropagate through time; returns d(inputs) and accumulates d(params)."""
+    """Backpropagate through time; returns d(inputs) and accumulates d(params).
+
+    Each gate's pre-activation gradient is dc or dh times a factor that does
+    not depend on the recurrence, so the factors are computed for all steps
+    before the loop, which then only carries dh and dc.
+    """
     n, s = d_hs.shape
+    i, f, g, o, tc = cache.i, cache.f, cache.g, cache.o, cache.tanh_c
+    # dz = [dc, dc, dc, dh] * k and dc = dh * dc_dh + dc_next
+    k = np.empty((n, 4 * s))
+    k[:, :s] = g * i * (1.0 - i)
+    k[:, s : 2 * s] = cache.c_prev * f * (1.0 - f)
+    k[:, 2 * s : 3 * s] = i * (1.0 - g * g)
+    k[:, 3 * s :] = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc * tc)
     dz_all = np.empty((n, 4 * s))
-    dh_next = np.zeros(s)
+    dh = np.zeros(s)
     dc_next = np.zeros(s)
     for t in range(n - 1, -1, -1):
-        i, f, g, o = cache.i[t], cache.f[t], cache.g[t], cache.o[t]
-        tc = cache.tanh_c[t]
-        dh = d_hs[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        dg = dc * i
-        df = dc * cache.c_prev[t]
-        dc_next = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        dz_all[t] = dz
-        dh_next = params.u.T @ dz
+        dh += d_hs[t]
+        dc = dh * dc_dh[t]
+        dc += dc_next
+        dz = dz_all[t]
+        np.multiply(k[t, : 3 * s].reshape(3, s), dc, out=dz[: 3 * s].reshape(3, s))
+        np.multiply(k[t, 3 * s :], dh, out=dz[3 * s :])
+        dc_next = np.multiply(dc, f[t], out=dc)
+        dh = dz @ params.u  # u.T @ dz, without BLAS's transposed gemv
     d_w += dz_all.T @ cache.x
     d_u += dz_all.T @ cache.h_prev
     d_b += dz_all.sum(axis=0)
@@ -227,13 +244,14 @@ def lstm_batch(
     length is left as it is.
     """
     s = u.shape[1]
+    u_t = np.ascontiguousarray(u.T)  # BLAS would repack a transposed view per product
     active = np.count_nonzero(lens[:, None] > np.arange(tok.shape[1]), axis=0)
     rows = np.arange(len(lens))
     h = np.zeros((len(lens), s))
     c = np.zeros((len(lens), s))
     for t, a in enumerate(active):
         pos = lens[:a] - 1 - t if reverse else t
-        z = h[:a] @ u.T
+        z = h[:a] @ u_t
         z += zx[tok[rows[:a], pos]]
         i = sigmoid(z[:, :s]); f = sigmoid(z[:, s : 2 * s])
         g = np.tanh(z[:, 2 * s : 3 * s]); o = sigmoid(z[:, 3 * s :])

@@ -120,7 +120,11 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus the schema, vocab, and embedding table."""
+    """All trainable tensors plus the schema, vocab, and embedding table.
+
+    The trainable tensors are views of one flat buffer, so the optimizer,
+    gradient clipping and snapshots work on `flat` as a whole.
+    """
 
     config: TrainConfig
     schema: LabelSchema
@@ -136,6 +140,41 @@ class ModelParams:
     transitions: np.ndarray
     word_delta: np.ndarray | None = None
     transition_mask: np.ndarray | None = field(default=None, repr=False)
+    # every tensors() entry is a C-contiguous view of this 1-D float64
+    # buffer, in tensors() order: the layout save_model writes
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        """Make every tensor a view of `flat`. A `flat` that the tensors already
+        tile (load_model's payload, dataclasses.replace) is kept; otherwise
+        they are copied into a new buffer."""
+        tensors = self.tensors()
+        if self._tiled_by(tensors):
+            return
+        self.flat = np.empty(sum(t.size for t in tensors.values()))
+        views = self.views(self.flat)
+        for name, t in tensors.items():
+            views[name][...] = t
+        self.char_emb = views["char_emb"]
+        self.char_filters = views["char_filters"]
+        self.char_bias = views["char_bias"]
+        self.lstm_fwd = LstmParams(views["lstm_fwd_w"], views["lstm_fwd_u"], views["lstm_fwd_b"])
+        self.lstm_bwd = LstmParams(views["lstm_bwd_w"], views["lstm_bwd_u"], views["lstm_bwd_b"])
+        self.w_c = views["w_c"]
+        self.b_c = views["b_c"]
+        self.transitions = views["transitions"]
+        self.word_delta = views.get("word_delta")
+
+    def _tiled_by(self, tensors: dict[str, np.ndarray]) -> bool:
+        flat = self.flat
+        if (flat is None or flat.ndim != 1 or flat.dtype != np.float64
+                or not flat.flags.c_contiguous
+                or flat.size != sum(t.size for t in tensors.values())):
+            return False
+        return all(
+            t.dtype == np.float64 and t.flags.c_contiguous and t.ctypes.data == v.ctypes.data
+            for t, v in zip(tensors.values(), self.views(flat).values())
+        )
 
     @property
     def input_dim(self) -> int:
@@ -162,13 +201,23 @@ class ModelParams:
             out["word_delta"] = self.word_delta
         return out
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.tensors().items()}
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a buffer laid out as `flat`, by tensors() name and shape."""
+        out, start = {}, 0
+        for name, t in self.tensors().items():
+            out[name] = flat[start : start + t.size].reshape(t.shape)
+            start += t.size
+        return out
+
+    def zero_grads(self) -> Gradients:
+        return Gradients(np.zeros_like(self.flat), self)
 
     def num_parameters(self) -> int:
-        return sum(t.size for t in self.tensors().values())
+        return self.flat.size
 
     def assert_finite(self) -> None:
+        if np.isfinite(self.flat).all():
+            return
         for name, t in self.tensors().items():
             if not np.all(np.isfinite(t)):
                 raise NumericError(f"tensor {name} contains non-finite values")
@@ -179,6 +228,15 @@ class ModelParams:
 
     def effective_transitions(self) -> np.ndarray:
         return crf.apply_mask(self.transitions, self.transition_mask)
+
+
+class Gradients(dict):
+    """d(loss)/d(tensor) by tensors() name, each a view of the 1-D buffer
+    `flat`, laid out as the model's parameters."""
+
+    def __init__(self, flat: np.ndarray, model: ModelParams):
+        super().__init__(model.views(flat))
+        self.flat = flat
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -193,7 +251,8 @@ def init_model(
     embed: EmbeddingTable,
     seed: int | None = None,
 ) -> ModelParams:
-    """Fresh parameters; deterministic for a fixed seed."""
+    """Fresh parameters, packed into one flat buffer; deterministic for a
+    fixed seed."""
     if embed.dimension != config.word_dim:
         raise ValidationError(
             f"embedding dimension {embed.dimension} does not match word_dim {config.word_dim}"
@@ -379,7 +438,7 @@ def batch_nll_and_grads(
     batch: list[Sentence],
     train_mode: bool = True,
     step: int = 0,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, Gradients]:
     """Loss and exact gradients summed over the batch in sentence order."""
     grads = model.zero_grads()
     trans = model.effective_transitions()

@@ -74,6 +74,8 @@ def _check_json(value, kind, where: str) -> None:
 
 
 def _expected_shapes(dims: dict) -> dict[str, tuple[int, ...]]:
+    """Tensor shapes by directory name, in save_model's order: the trainable
+    tensors in ModelParams.tensors() order, then the embedding table."""
     s = dims["lstm_size"]
     t = dims["num_tags"]
     d_in = dims["input_dim"]
@@ -90,11 +92,11 @@ def _expected_shapes(dims: dict) -> dict[str, tuple[int, ...]]:
         "w_c": (t, 2 * s),
         "b_c": (t,),
         "transitions": (t + 2, t + 2),
-        "embed_matrix": (dims["embed_rows"], dims["word_dim"]),
-        "embed_unk": (dims["word_dim"],),
     }
     if dims.get("num_words") is not None:
         shapes["word_delta"] = (dims["num_words"], dims["word_dim"])
+    shapes["embed_matrix"] = (dims["embed_rows"], dims["word_dim"])
+    shapes["embed_unk"] = (dims["word_dim"],)
     return shapes
 
 
@@ -159,10 +161,12 @@ def load_model(path: str) -> ModelParams:
     """Read and verify a container; every tensor is a view of one payload buffer.
 
     The payload is read once into an aligned buffer and nothing is copied, so
-    the tensor directory must tile it exactly as save_model writes it: the
-    first tensor at offset 0, each next one where the previous ends, and the
-    last ending at the payload's end. Views of a gapped or aliased directory
-    could otherwise share memory.
+    the tensor directory must tile it exactly as save_model writes it: its
+    names in save_model's order, the first tensor at offset 0, each next one
+    where the previous ends, and the last ending at the payload's end. Views
+    of a gapped or aliased directory could otherwise share memory, and the
+    trainable tensors, which come first, are the model's flat parameter
+    buffer only in that order.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -198,10 +202,15 @@ def load_model(path: str) -> ModelParams:
 
     dims = manifest["dimensions"]
     expected = _expected_shapes(dims)
+    order = list(expected)
     tensors: dict[str, np.ndarray] = {}
     end = 0
-    for entry in manifest["tensors"]:
+    for k, entry in enumerate(manifest["tensors"]):
         name = entry["name"]
+        if name != (order[k] if k < len(order) else None):
+            raise ModelFormatError(
+                f"tensor {name!r} at directory entry {k} breaks save_model's order {order}"
+            )
         if entry["offset"] != end:
             raise ModelFormatError(
                 f"tensor {name}: offset {entry['offset']} is not {end}, where the "
@@ -216,8 +225,6 @@ def load_model(path: str) -> ModelParams:
         shape = tuple(entry["shape"])
         if min(shape, default=0) < 0 or entry["nbytes"] != 8 * math.prod(shape):
             raise ShapeMismatchError(f"tensor {name}: shape {shape} does not fit payload")
-        if name not in expected or name in tensors:
-            raise ShapeMismatchError(f"unexpected or repeated tensor {name!r} in container")
         if shape != expected[name]:
             raise ShapeMismatchError(
                 f"tensor {name}: shape {shape} does not match manifest dimensions "
@@ -226,9 +233,8 @@ def load_model(path: str) -> ModelParams:
         tensors[name] = blob.view("<f8").reshape(shape)
     if end != payload_len:
         raise ModelFormatError(f"{payload_len - end} bytes follow the last tensor")
-    missing = set(expected) - set(tensors)
-    if missing:
-        raise ShapeMismatchError(f"container is missing tensors: {sorted(missing)}")
+    if len(tensors) != len(order):
+        raise ShapeMismatchError(f"container is missing tensors: {order[len(tensors):]}")
 
     config = TrainConfig.from_dict(manifest["config"])
     for key in ("word_dim", "char_dim", "kernel_width", "num_filters", "lstm_size"):
@@ -269,5 +275,7 @@ def load_model(path: str) -> ModelParams:
         transitions=tensors["transitions"],
         word_delta=tensors.get("word_delta"),
         transition_mask=schema.transition_mask() if config.use_transition_mask else None,
+        # the trainable tensors tile the payload up to the embedding matrix
+        flat=payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
     )
     return model

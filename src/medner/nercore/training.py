@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,16 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TrainState:
-    """Adam moments and bookkeeping across steps and epochs."""
+    """Adam moments and bookkeeping across steps and epochs.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m and v are flat, laid out as the model's parameter buffer, and hold the
+    scaled moments m / (1 - beta1) and v / (1 - beta2) (see adam_step);
+    scratch is adam_step's work array.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
     best_metric: float = float("-inf")
     best_epoch: int = -1
@@ -32,10 +39,8 @@ class TrainState:
 
     @classmethod
     def for_model(cls, model: ModelParams) -> "TrainState":
-        return cls(
-            m={k: np.zeros_like(t) for k, t in model.tensors().items()},
-            v={k: np.zeros_like(t) for k, t in model.tensors().items()},
-        )
+        n = model.flat.size
+        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(n))
 
 
 @dataclass
@@ -60,38 +65,49 @@ def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:
     return base_lr * min(1.0, step / warmup_steps)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient in place so its L2 norm is at most max_norm;
+    returns the norm before scaling."""
+    total = math.sqrt(float(np.dot(grad, grad)))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
 def adam_step(
     model: ModelParams,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: TrainState,
     config: TrainConfig,
 ) -> float:
-    """One Adam update with warmup; returns the learning rate used."""
+    """One Adam update with warmup on the flat parameter buffer; returns the
+    learning rate used.
+
+    Adam's update is theta -= lr * m_hat / (sqrt(v_hat) + eps) with
+    m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t). In the moments scaled
+    by 1 / (1 - b1) and 1 / (1 - b2), M = b1 M + g and V = b2 V + g^2, the
+    same update is theta -= alpha * M / (sqrt(V) + eps_t) with
+    alpha = lr * c1 / c2, eps_t = eps / c2, c1 = (1 - b1) / (1 - b1^t) and
+    c2 = sqrt((1 - b2) / (1 - b2^t)): equal in real arithmetic, in ten
+    in-place whole-buffer operations.
+    """
     state.step += 1
     t = state.step
     lr = warmup_lr(config.learning_rate, t, config.warmup_steps)
-    b1, b2, eps = config.beta1, config.beta2, config.epsilon
-    tensors = model.tensors()
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    b1, b2 = config.beta1, config.beta2
+    c2 = math.sqrt((1.0 - b2) / (1.0 - b2**t))
+    alpha = lr * (1.0 - b1) / (1.0 - b1**t) / c2
+    m, v, tmp = state.m, state.v, state.scratch
+    m *= b1
+    m += grad
+    np.multiply(grad, grad, out=tmp)
+    v *= b2
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += config.epsilon / c2
+    np.divide(m, tmp, out=tmp)
+    tmp *= alpha
+    model.flat -= tmp
     model.pin_masked_transitions()
     return lr
 
@@ -144,7 +160,7 @@ def fit(
     state = TrainState.for_model(model)
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochRecord] = []
-    best_tensors: dict[str, np.ndarray] | None = None
+    best_flat: np.ndarray | None = None
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_corpus))
@@ -157,8 +173,8 @@ def fit(
                 raise NumericError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {state.step}"
                 )
-            clip_gradients(grads, cfg.grad_clip_norm)
-            lr = adam_step(model, grads, state, cfg)
+            clip_gradients(grads.flat, cfg.grad_clip_norm)
+            lr = adam_step(model, grads.flat, state, cfg)
             model.assert_finite()
             epoch_loss += loss
 
@@ -171,7 +187,7 @@ def fit(
             state.best_metric = metric
             state.best_epoch = epoch
             state.epochs_since_improvement = 0
-            best_tensors = {k: t.copy() for k, t in model.tensors().items()}
+            best_flat = model.flat.copy()
         else:
             state.epochs_since_improvement += 1
             if state.epochs_since_improvement >= cfg.early_stopping_patience:
@@ -179,9 +195,8 @@ def fit(
                          epoch, state.best_epoch)
                 break
 
-    if best_tensors is not None:
-        for name, tensor in model.tensors().items():
-            tensor[...] = best_tensors[name]
+    if best_flat is not None:
+        model.flat[...] = best_flat
     return FitResult(model, history)
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medner.embeddings import load_embeddings, pool_mean, write_embeddings
-from medner.errors import ParseError, ValidationError
+from medner.cli import main
+from medner.embeddings import load_embeddings, write_embeddings
+from medner.errors import MednerError, ParseError
 
 
 def load_text(text, dim, policy="lowercase_then_unk"):
@@ -79,40 +80,6 @@ class TestLookup:
             assert np.all(np.isfinite(vec))
 
 
-class TestPoolMean:
-    def test_singleton(self):
-        np.testing.assert_allclose(pool_mean([np.array([1.0, 3.0])]), [1.0, 3.0])
-
-    def test_mean(self):
-        np.testing.assert_allclose(
-            pool_mean([np.array([0.0, 0.0]), np.array([2.0, 4.0])]), [1.0, 2.0]
-        )
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_constant_idempotence(self, k):
-        v = np.array([0.5, -1.5, 2.0])
-        np.testing.assert_allclose(pool_mean([v] * k), v)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            pool_mean([])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            pool_mean([np.array([1.0]), np.array([1.0, 2.0])])
-
-    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100)
-    def test_permutation_invariant_and_scale_equivariant(self, n, d, seed):
-        rng = np.random.default_rng(seed)
-        vectors = [rng.uniform(-5, 5, size=d) for _ in range(n)]
-        c = float(rng.uniform(-3, 3))
-        base = pool_mean(vectors)
-        perm = [vectors[i] for i in rng.permutation(n)]
-        np.testing.assert_allclose(pool_mean(perm), base, atol=1e-12)
-        np.testing.assert_allclose(pool_mean([c * v for v in vectors]), c * base, atol=1e-12)
-
-
 class TestRoundTrip:
     def test_write_load_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -128,3 +95,58 @@ class TestRoundTrip:
         assert again.words == table.words
         np.testing.assert_array_equal(again.matrix, table.matrix)
         np.testing.assert_array_equal(again.unk_vector, table.unk_vector)
+
+
+# Pieces of embedding files: well-formed values and every kind of bad one.
+FIELDS = st.one_of(
+    st.sampled_from(["1.0", "-2.5e-3", "0", "7", "1e999", "nan", "-inf", "1_0", "0x1p3",
+                     "abc", "", " ", "\t", "<unk>", "2 2", "é", "\u00a0", "\r"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
+LINES = st.lists(FIELDS, max_size=5).map(" ".join)
+TEXTS = st.lists(LINES, max_size=6).map("\n".join)
+
+
+class TestFuzz:
+    """load_embeddings either returns a finite table of the asked dimension or
+    raises ParseError, which the CLI reports with exit code 3."""
+
+    @staticmethod
+    def check(load, dim):
+        try:
+            table = load()
+        except MednerError as exc:
+            assert isinstance(exc, ParseError), exc
+            return
+        assert table.matrix.shape == (len(table.words), dim)
+        assert len(set(table.words)) == len(table.words)
+        assert np.all(np.isfinite(table.matrix)) and np.all(np.isfinite(table.unk_vector))
+
+    @settings(max_examples=150, deadline=None)
+    @given(TEXTS, st.integers(1, 3))
+    def test_text(self, text, dim):
+        self.check(lambda: load_text(text, dim), dim)
+
+    def test_file_bytes(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+
+        @settings(max_examples=80, deadline=None)
+        @given(st.one_of(TEXTS.map(lambda t: t.encode("utf-8")), st.binary(max_size=40)),
+               st.integers(1, 3))
+        def run(data, dim):
+            path.write_bytes(data)
+            self.check(lambda: load_embeddings(str(path), dim), dim)
+
+        run()
+
+    def test_undecodable_file_exits_3(self, tmp_path):
+        (tmp_path / "train.tsv").write_text("fever\tB-Symptom\nmild\tO\n", encoding="utf-8")
+        (tmp_path / "vecs.txt").write_bytes(b"fever 1.0 2.0\nmild 0.5 \xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text: invalid start byte at byte 23"):
+            load_embeddings(str(tmp_path / "vecs.txt"), 2)
+        code = main(["train", "--train", str(tmp_path / "train.tsv"),
+                     "--val", str(tmp_path / "train.tsv"), "--format", "tsv2",
+                     "--embeddings", str(tmp_path / "vecs.txt"), "--embed-dim", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3

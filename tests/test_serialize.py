@@ -98,12 +98,24 @@ def _repeated_tensor(data: bytes) -> bytes:
     return join_container(manifest, payload + copy)
 
 
+def _reordered_tensors(data: bytes) -> bytes:
+    """Swap char_emb and char_filters, bytes and entries, keeping the
+    directory contiguous and every checksum valid."""
+    manifest, payload = split_container(data)
+    first, second = manifest["tensors"][:2]
+    a = payload[: first["nbytes"]]
+    b = payload[first["nbytes"] : first["nbytes"] + second["nbytes"]]
+    manifest["tensors"][:2] = [dict(second, offset=0), dict(first, offset=len(b))]
+    return join_container(manifest, b + a + payload[len(a) + len(b) :])
+
+
 # Whole-file corruptions that no manifest edit expresses.
 MALFORMED_CONTAINERS = {
     "appended_bytes": lambda data: data + bytes(8),
     "negative_manifest_length": lambda data: replace_header(data, b"mednermodel 1 -5\n"),
     "huge_manifest_length": lambda data: replace_header(data, b"mednermodel 1 99999999999\n"),
     "repeated_tensor": _repeated_tensor,
+    "reordered_tensors": _reordered_tensors,
 }
 
 

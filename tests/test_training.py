@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import Corpus, build_vocab
 from medner.errors import NumericError, ValidationError
 from medner.nercore import crf, training
-from medner.nercore.model import init_model, predict
+from medner.nercore.model import batch_nll_and_grads, init_model, predict
+from medner.nercore.serialize import load_model, save_model
 from medner.nercore.training import (
     FitResult,
     clip_gradients,
@@ -37,18 +39,159 @@ class TestWarmup:
         assert warmup_lr(1e-3, 5000, 100) == pytest.approx(1e-3)
 
 
+def oracle_adam_step(model, grads, m, v, t, config):
+    """Adam as written in Kingma & Ba, one tensor at a time: the per-tensor
+    update adam_step replaced, kept as its oracle. m and v are dicts of
+    unscaled moments; returns the learning rate used."""
+    lr = warmup_lr(config.learning_rate, t, config.warmup_steps)
+    b1, b2, eps = config.beta1, config.beta2, config.epsilon
+    tensors = model.tensors()
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        m_hat = m[name] / (1.0 - b1**t)
+        v_hat = v[name] / (1.0 - b2**t)
+        tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    model.pin_masked_transitions()
+    return lr
+
+
+def assert_tiles(tensors, flat):
+    """The tensors are C-contiguous float64 views of the 1-D buffer flat, in
+    order, tiling it without overlap."""
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    offset = 0
+    for name, t in tensors.items():
+        assert t.flags.c_contiguous and t.dtype == np.float64, name
+        assert t.ctypes.data == flat.ctypes.data + 8 * offset, name
+        offset += t.size
+    assert offset == flat.size
+    for (a, x), (b, y) in itertools.combinations(tensors.items(), 2):
+        assert not np.shares_memory(x, y), (a, b)
+
+
+def assert_flat_store(model):
+    assert_tiles(model.tensors(), model.flat)
+
+
+def max_rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
 class TestClip:
     def test_norm_reduced(self):
-        grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
-        total = clip_gradients(grads, 1.0)
+        grad = np.concatenate([np.full(4, 3.0), np.full(9, 4.0)])
+        total = clip_gradients(grad, 1.0)
         assert total == pytest.approx(np.sqrt(4 * 9 + 9 * 16))
-        new_norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        new_norm = np.sqrt(float(np.sum(grad * grad)))
         assert new_norm == pytest.approx(1.0)
 
     def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.1, 0.2])}
-        clip_gradients(grads, 5.0)
-        np.testing.assert_allclose(grads["a"], [0.1, 0.2])
+        grad = np.array([0.1, 0.2])
+        clip_gradients(grad, 5.0)
+        np.testing.assert_allclose(grad, [0.1, 0.2])
+
+
+class TestAdam:
+    def test_matches_per_tensor_oracle(self):
+        # 60 steps across a 20-step warmup, real gradients at three scales,
+        # with the transition mask and a trainable word delta
+        model, corpus, config = fresh_setup(
+            size=6, warmup_steps=20, dropout=0.2, train_word_delta=True,
+        )
+        assert model.transition_mask is not None and not model.transition_mask.all()
+        oracle = dataclasses.replace(model, flat=None)  # a copy of every tensor
+        assert not np.shares_memory(oracle.flat, model.flat)
+        state = training.TrainState.for_model(model)
+        m = {k: np.zeros_like(t) for k, t in oracle.tensors().items()}
+        v = {k: np.zeros_like(t) for k, t in oracle.tensors().items()}
+        b1, b2 = config.beta1, config.beta2
+        for step in range(1, 61):
+            batch = [corpus.sentences[step % len(corpus)]]
+            _, grads = batch_nll_and_grads(model, batch, train_mode=True, step=step)
+            grads.flat *= (1e-3, 1.0, 30.0)[step % 3]
+            lr_oracle = oracle_adam_step(oracle, grads, m, v, step, config)
+            assert training.adam_step(model, grads.flat, state, config) == lr_oracle
+            if step in (1, 20, 60):
+                pairs = [(model.tensors(), oracle.tensors())]
+                pairs += [(model.views(state.m * (1.0 - b1)), m),
+                          (model.views(state.v * (1.0 - b2)), v)]
+                for got, ref in pairs:
+                    for name in ref:
+                        err = max_rel_err(got[name], ref[name])
+                        assert err <= 1e-12, (step, name, err)
+        masked = ~model.transition_mask
+        assert np.all(model.transitions[masked] == crf.MASK_SCORE)
+        assert np.all(model.transitions[~masked] != crf.MASK_SCORE)
+
+    def test_steps_in_place(self):
+        model, corpus, config = fresh_setup(size=3)
+        state = training.TrainState.for_model(model)
+
+        def addresses():
+            return [b.ctypes.data for b in (model.flat, state.m, state.v, state.scratch)]
+
+        before = addresses()
+        _, grads = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        training.adam_step(model, grads.flat, state, config)
+        assert addresses() == before
+        assert_flat_store(model)
+
+
+class TestFlatStore:
+    def test_init_model(self):
+        model, _, _ = fresh_setup(train_word_delta=True)
+        assert_flat_store(model)
+        assert model.num_parameters() == model.flat.size
+
+    def test_load_model(self, tmp_path):
+        model, _, _ = fresh_setup(train_word_delta=True)
+        save_model(model, str(tmp_path / "m.medner"))
+        loaded = load_model(str(tmp_path / "m.medner"))
+        assert_flat_store(loaded)
+        np.testing.assert_array_equal(loaded.flat, model.flat)
+        # the flat buffer is the payload's own prefix: loading stays zero-copy
+        assert loaded.flat.base is loaded.embed.matrix.base
+
+    def test_replaced_tensor_is_packed(self):
+        model, _, _ = fresh_setup()
+        before = model.flat.copy()
+        other = dataclasses.replace(model, w_c=np.ones_like(model.w_c))
+        assert_flat_store(other)
+        assert not np.shares_memory(other.flat, model.flat)
+        assert np.all(other.w_c == 1.0) and np.all(other.views(other.flat)["w_c"] == 1.0)
+        np.testing.assert_array_equal(model.flat, before)
+        same = dataclasses.replace(model, config=dataclasses.replace(model.config, seed=7))
+        assert same.flat is model.flat and same.lstm_fwd.u is model.lstm_fwd.u
+
+    def test_write_through_field_shows_in_buffer(self, tmp_path):
+        model, _, _ = fresh_setup()
+        save_model(model, str(tmp_path / "m.medner"))
+        for m in (model, load_model(str(tmp_path / "m.medner"))):
+            views = m.views(m.flat)
+            m.lstm_bwd.u[3, 2] = 7.25
+            assert views["lstm_bwd_u"][3, 2] == 7.25
+            m.flat[-1] = -3.5
+            assert m.transitions[-1, -1] == -3.5
+
+    def test_gradients_share_one_buffer(self):
+        model, corpus, _ = fresh_setup(size=3)
+        _, grads = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        assert_tiles(grads, grads.flat)
+        assert [(k, g.shape) for k, g in grads.items()] == [
+            (k, t.shape) for k, t in model.tensors().items()]
+
+    def test_fit_restoring_an_earlier_epoch(self, monkeypatch):
+        model, corpus, config = fresh_setup(size=6)
+        config = dataclasses.replace(config, max_epochs=3, early_stopping_patience=10)
+        metrics = iter([0.9, 0.1, 0.1])
+        flat = model.flat
+        monkeypatch.setattr(training, "validation_micro_f1", lambda m, c: next(metrics))
+        fit(model, corpus, corpus, config)
+        assert model.flat is flat
+        assert_flat_store(model)
 
 
 class TestFit:
