@@ -57,31 +57,46 @@ EXIT_NUMERIC = 5
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def read_text(path: str) -> str:
+    """A file's UTF-8 text, newlines translated as Path.read_text does; bytes
+    that are not UTF-8 raise ParseError with the path and byte offset."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """key -> (value, line number) of a flat key=value file."""
+    values: dict[str, tuple[str, int]] = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError("expected key=value", line=lineno)
         key, value = (p.strip() for p in line.split("=", 1))
-        values[key] = value
+        values[key] = (value, lineno)
     return values
 
 
-def _coerce(value: str, kind: str):
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
+def _coerce(value: str, kind: str, lineno: int):
+    """A config or grid file value as its field's type; ParseError names the
+    line of a value that is not one."""
+    try:
+        if kind == "int":
+            return int(value)
+        if kind == "float":
+            return float(value)
+    except ValueError:
+        raise ParseError(f"expected {kind}, got {value!r}", line=lineno) from None
     if kind == "bool":
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
-        raise ValidationError(f"bad boolean {value!r}")
+        raise ParseError(f"expected bool, got {value!r}", line=lineno)
     return value
 
 
@@ -110,7 +125,8 @@ class Options:
             return flag
         if name in self.file_values:
             kind = _CONFIG_FIELDS.get(name) or _EXTRA_KINDS.get(name, "str")
-            return _coerce(self.file_values[name], kind)
+            value, lineno = self.file_values[name]
+            return _coerce(value, kind, lineno)
         return default
 
     def require(self, name: str):
@@ -265,7 +281,7 @@ def _read_abbreviations(path: str | None) -> frozenset[str]:
         return DEFAULT_ABBREVIATIONS
     extra = {
         line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in read_text(path).splitlines()
         if line.strip()
     }
     return DEFAULT_ABBREVIATIONS | extra
@@ -284,9 +300,8 @@ def ingest_raw_text(
 
 def _load_corpus(path: str, fmt: str, scheme: str, schema: LabelSchema | None,
                  max_seq_length: int | None = None) -> Corpus:
-    text = Path(path).read_text(encoding="utf-8")
     return parse_conll(
-        text, FORMATS[fmt], schema=schema, input_scheme=scheme,
+        read_text(path), FORMATS[fmt], schema=schema, input_scheme=scheme,
         max_seq_length=max_seq_length,
     )
 
@@ -301,7 +316,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     schema = None
     schema_path = opts.get("schema")
     if schema_path:
-        schema = LabelSchema.from_text(Path(schema_path).read_text(encoding="utf-8"))
+        schema = LabelSchema.from_text(read_text(schema_path))
     train_corpus = _load_corpus(opts.require("train"), fmt, scheme, schema,
                                 config.max_seq_length)
     if schema is None:
@@ -352,7 +367,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_grid_file(path: str) -> dict[str, list]:
     grid: dict[str, list] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -362,7 +377,7 @@ def _read_grid_file(path: str) -> dict[str, list]:
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"unknown hyperparameter {key!r}", line=lineno)
         kind = _CONFIG_FIELDS[key]
-        grid[key] = [_coerce(v.strip(), kind) for v in values.split(",") if v.strip()]
+        grid[key] = [_coerce(v.strip(), kind, lineno) for v in values.split(",") if v.strip()]
     if not grid:
         raise ParseError("grid file lists no hyperparameters")
     return grid
@@ -399,7 +414,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     opts = Options(args)
     model = load_model(opts.require("model"))
     out = _out_dir(opts.require("out_dir"))
-    text = Path(opts.require("input")).read_text(encoding="utf-8")
+    text = read_text(opts.require("input"))
     input_format = opts.get("input_format", "raw")
     if input_format == "raw":
         sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
@@ -450,11 +465,11 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
         raise UsageError("one of --chunks or --model is required")
     out = _out_dir(opts.require("out_dir"))
     input_path = opts.require("input")
-    text = Path(input_path).read_text(encoding="utf-8")
+    text = read_text(input_path)
     policy_path = opts.get("policy")
     if policy_path:
         policy = deid.parse_policy_file(
-            Path(policy_path).read_text(encoding="utf-8"),
+            read_text(policy_path),
             base_dir=Path(policy_path).parent,
         )
     else:
@@ -464,7 +479,7 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
         policy.seed = seed
 
     if chunks_path:
-        chunks = chunking.parse_chunk_records(Path(chunks_path).read_text(encoding="utf-8"))
+        chunks = chunking.parse_chunk_records(read_text(chunks_path))
     else:
         model = load_model(model_path)
         sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
@@ -486,8 +501,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
         raise ValidationError(
             "chunk-records carry no token information and cannot be a source format"
         )
-    text = Path(args.input).read_text(encoding="utf-8")
-    corpus = parse_conll(text, FORMATS[args.from_format], input_scheme=args.from_scheme)
+    corpus = parse_conll(
+        read_text(args.input), FORMATS[args.from_format], input_scheme=args.from_scheme
+    )
     out_path = Path(args.out)
     if args.to_format == "chunk-records":
         chunks = []

@@ -194,11 +194,6 @@ class LabelSchema:
             mask[start, j] = legal(("O", None), dst)
         return mask
 
-    def to_text(self) -> str:
-        lines = [f"scheme: {self.scheme}"]
-        lines.extend(self.entity_types)
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "LabelSchema":
         scheme = "IOB2"

@@ -109,7 +109,7 @@ def parse_policy_file(text: str, base_dir: str | Path | None = None) -> DeidPoli
                 raise ParseError(f"bad seed {value!r}", line=lineno)
             continue
         fields = value.split(None, 1)
-        mode = fields[0]
+        mode = fields[0] if fields else ""
         if mode not in MODES:
             raise ParseError(f"unknown mode {mode!r}", line=lineno)
         modes[key] = mode
@@ -131,9 +131,14 @@ def _read_dictionary(spec: str, base_dir: str | Path | None, lineno: int) -> lis
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_bytes().decode("utf-8").splitlines()
         except OSError as exc:
             raise ParseError(f"cannot read dictionary {spec!r}: {exc}", line=lineno)
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"dictionary {spec!r} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+                line=lineno,
+            ) from None
         values = [v.strip() for v in lines if v.strip()]
     if not values:
         raise ParseError("substitution dictionary is empty", line=lineno)

@@ -1,90 +1,19 @@
 """BiLSTM-CNN-CRF sequence tagger: layers, CRF inference, training, and
 model serialization.
+
+Re-exported here are the entry points; everything else lives in the
+submodules, among it the per-sentence routines (model.model_forward,
+layers.lstm_forward, crf.viterbi, ...) that the tests use as oracles.
 """
 
 from . import crf, layers, model, serialize, training
-from .crf import (
-    MASK_SCORE,
-    apply_mask,
-    log_partition as crf_log_partition,
-    marginals as crf_marginals,
-    score_sequence as crf_score_sequence,
-    viterbi as crf_viterbi,
-    viterbi_batch,
-)
-from .layers import (
-    LstmParams,
-    bilstm_forward,
-    char_cnn_forward,
-    dropout_mask,
-    emission_scores,
-    lstm_forward,
-)
-from .model import (
-    ForwardCache,
-    ModelParams,
-    TrainConfig,
-    batch_nll_and_grads,
-    init_model,
-    model_backward,
-    model_forward,
-    predict,
-    tag,
-)
+from .model import ModelParams, TrainConfig, batch_nll_and_grads, init_model, predict, tag
 from .serialize import load_model, save_model
-from .training import (
-    EpochRecord,
-    FitResult,
-    GridResult,
-    TrainState,
-    adam_step,
-    clip_gradients,
-    evaluate,
-    fit,
-    grid_search,
-    validation_micro_f1,
-    warmup_lr,
-)
+from .training import FitResult, GridResult, evaluate, fit, grid_search
 
 __all__ = [
-    "MASK_SCORE",
-    "apply_mask",
-    "crf_log_partition",
-    "crf_marginals",
-    "crf_score_sequence",
-    "crf_viterbi",
-    "viterbi_batch",
-    "LstmParams",
-    "bilstm_forward",
-    "char_cnn_forward",
-    "dropout_mask",
-    "emission_scores",
-    "lstm_forward",
-    "ForwardCache",
-    "ModelParams",
-    "TrainConfig",
-    "batch_nll_and_grads",
-    "model_backward",
-    "init_model",
-    "model_forward",
-    "predict",
-    "tag",
-    "load_model",
-    "save_model",
-    "EpochRecord",
-    "FitResult",
-    "GridResult",
-    "TrainState",
-    "adam_step",
-    "clip_gradients",
-    "evaluate",
-    "fit",
-    "grid_search",
-    "validation_micro_f1",
-    "warmup_lr",
-    "crf",
-    "layers",
-    "model",
-    "serialize",
-    "training",
+    "crf", "layers", "model", "serialize", "training",
+    "ModelParams", "TrainConfig", "batch_nll_and_grads", "init_model", "predict", "tag",
+    "load_model", "save_model",
+    "FitResult", "GridResult", "evaluate", "fit", "grid_search",
 ]

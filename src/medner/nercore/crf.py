@@ -9,12 +9,12 @@ than -inf so gradients stay finite.
 Chronological summation order is kept identical between score_sequence and
 the Viterbi recursion so that tie-breaking on equal float scores is exact.
 
-Tagging uses viterbi_batch and marginals_batch, which run the same
-recursions over a batch of sentences of different lengths; training uses
-nll_and_gradients. viterbi and marginals are the per-sentence oracles of the
-batched routines. log_partition and nll compute the same quantities by a
-separate forward recursion; they stay as the tests' independent oracles, as
-does model.batch_nll.
+Tagging and training run the batched routines over (B, N, T) emissions of
+sentences of different lengths: viterbi_batch, marginals_batch and
+nll_and_gradients_batch, the last two on one forward-backward lattice. The
+per-sentence viterbi and marginals are their oracles; log_partition and nll
+compute the same quantities by a separate forward recursion and stay as the
+tests' independent oracles, as does model.batch_nll.
 """
 
 from __future__ import annotations
@@ -120,42 +120,6 @@ def nll(emissions: np.ndarray, transitions: np.ndarray, tag_path) -> float:
     )
 
 
-def nll_and_gradients(
-    emissions: np.ndarray, transitions: np.ndarray, tag_path
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """NLL plus exact gradients w.r.t. emissions and transitions.
-
-    d(logZ)/d(emission) is the posterior marginal and d(logZ)/d(transition)
-    the expected transition count; subtracting the observed gold counts gives
-    the NLL gradient. START/STOP rows receive the boundary marginals.
-    """
-    n, t = emissions.shape
-    start, stop = t, t + 1
-    inner = transitions[:t, :t]
-    alpha, beta, log_z = forward_backward(emissions, transitions)
-
-    d_emissions = np.exp(alpha + beta - log_z)
-    d_transitions = np.zeros_like(transitions)
-    d_transitions[start, :t] = d_emissions[0]
-    d_transitions[:t, stop] = d_emissions[n - 1]
-    for i in range(n - 1):
-        pair = alpha[i][:, None] + inner + emissions[i + 1][None, :] + beta[i + 1][None, :]
-        d_transitions[:t, :t] += np.exp(pair - log_z)
-
-    gold = list(tag_path)
-    score = transitions[start, gold[0]] + emissions[0, gold[0]]
-    d_emissions[0, gold[0]] -= 1.0
-    d_transitions[start, gold[0]] -= 1.0
-    for i in range(1, n):
-        score = score + transitions[gold[i - 1], gold[i]] + emissions[i, gold[i]]
-        d_emissions[i, gold[i]] -= 1.0
-        d_transitions[gold[i - 1], gold[i]] -= 1.0
-    score = score + transitions[gold[n - 1], stop]
-    d_transitions[gold[n - 1], stop] -= 1.0
-
-    return log_z - float(score), d_emissions, d_transitions
-
-
 def viterbi_batch(
     emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray | None = None
 ) -> np.ndarray:
@@ -191,15 +155,12 @@ def viterbi_batch(
     return paths
 
 
-def marginals_batch(
+def _lattice(
     emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """`marginals` of a batch of sentences, (B, N, T) -> (B, N, T).
-
-    Row r is a sentence of lengths[r] >= 1 tokens; the forward and backward
-    lattices of each row stop at its own length, and its positions past that
-    length hold zeros.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """forward_backward over a batch: alpha and beta (B, N, T) and each
+    row's log-partition (B,). The backward lattice of each row starts at its
+    own length; both hold meaningless values past it."""
     b, n, t = emissions.shape
     start, stop = t, t + 1
     inner = transitions[:t, :t]
@@ -213,5 +174,55 @@ def marginals_batch(
         step = logsumexp(inner + emissions[:, i + 1, None, :] + beta[:, i + 1, None, :], axis=2)
         beta[:, i] = np.where((lengths - 1 > i)[:, None], step, transitions[:t, stop])
     log_z = logsumexp(alpha[np.arange(b), lengths - 1] + transitions[:t, stop], axis=1)
-    log_p = alpha + beta - log_z[:, None, None]
-    return np.exp(np.where((np.arange(n) < lengths[:, None])[:, :, None], log_p, -np.inf))
+    return alpha, beta, log_z
+
+
+def marginals_batch(
+    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """`marginals` of a batch of sentences, (B, N, T) -> (B, N, T).
+
+    Row r is a sentence of lengths[r] >= 1 tokens; the forward and backward
+    lattices of each row stop at its own length, and its positions past that
+    length hold zeros.
+    """
+    alpha, beta, log_z = _lattice(emissions, transitions, lengths)
+    live = np.arange(emissions.shape[1]) < lengths[:, None]
+    return np.exp(np.where(live[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+
+
+def nll_and_gradients_batch(
+    emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray, gold: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`nll` of each row's gold path gold[r, :lengths[r]], (B,), with exact
+    gradients: w.r.t. emissions (B, N, T), zero past each length, and
+    w.r.t. transitions, summed over the batch.
+
+    d(logZ)/d(emission) is the posterior marginal and d(logZ)/d(transition)
+    the expected transition count; subtracting the observed gold counts gives
+    the NLL gradient. START/STOP rows receive the boundary marginals.
+    """
+    b, n, t = emissions.shape
+    start, stop = t, t + 1
+    rows, last = np.arange(b), lengths - 1
+    live = np.arange(n) < lengths[:, None]
+    alpha, beta, log_z = _lattice(emissions, transitions, lengths)
+
+    d_emissions = np.exp(np.where(live[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+    d_transitions = np.zeros_like(transitions)
+    d_transitions[start, :t] = d_emissions[:, 0].sum(axis=0)
+    d_transitions[:t, stop] = d_emissions[rows, last].sum(axis=0)
+    pair = (alpha[:, :-1, :, None] + transitions[:t, :t]
+            + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :] - log_z[:, None, None, None])
+    steps = live[:, 1:]
+    d_transitions[:t, :t] = np.exp(np.where(steps[:, :, None, None], pair, -np.inf)).sum(axis=(0, 1))
+
+    src = np.concatenate([np.full(b, start), gold[:, :-1][steps], gold[rows, last]])
+    dst = np.concatenate([gold[:, 0], gold[:, 1:][steps], np.full(b, stop)])
+    np.subtract.at(d_transitions, (src, dst), 1.0)
+    r, i = np.nonzero(live)
+    d_emissions[r, i, gold[r, i]] -= 1.0
+    score = (transitions[start, gold[:, 0]] + transitions[gold[rows, last], stop]
+             + np.where(live, np.take_along_axis(emissions, gold[:, :, None], 2)[:, :, 0], 0.0).sum(axis=1)
+             + np.where(steps, transitions[gold[:, :-1], gold[:, 1:]], 0.0).sum(axis=1))
+    return log_z - score, d_emissions, d_transitions

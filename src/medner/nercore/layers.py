@@ -1,8 +1,11 @@
-"""Neural building blocks with hand-written backward passes.
+"""Neural building blocks: batched layers with hand-written backward passes,
+and the per-sentence forward routines that tests use as their oracles.
 
-Everything is 64-bit numpy. Each forward returns (output, cache); the
-matching backward consumes the cache and accumulates parameter gradients
-into caller-supplied arrays, so batch gradients are plain sums.
+Everything is 64-bit numpy. The batched layers run over sentences sorted by
+length, longest first, and padded to a common length; each forward returns
+what its backward needs as plain arrays, and each backward accumulates
+parameter gradients into caller-supplied arrays, so gradients over several
+batches are plain sums.
 """
 
 from __future__ import annotations
@@ -20,63 +23,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Character CNN: embed chars, convolve width-K windows, ReLU, max-pool.
 
-@dataclass
-class CharCnnCache:
-    char_idx: np.ndarray      # (L,) padded indices
-    x: np.ndarray             # (L, d_char)
-    pre: np.ndarray           # (P, M) conv pre-activation
-    argmax: np.ndarray        # (M,) winning window per filter
-
-
 def char_cnn_forward(
     char_emb: np.ndarray,
     filters: np.ndarray,
     bias: np.ndarray,
     char_idx: list[int],
     pad_index: int = 0,
-) -> tuple[np.ndarray, CharCnnCache]:
-    """Per-word character feature vector of length M (number of filters).
+) -> np.ndarray:
+    """Per-word character feature vector of length M (number of filters);
+    the oracle of char_cnn_batch.
 
     Words shorter than the kernel width are padded with the PAD character.
     Each filter slides over all width-K windows; the max of the ReLU-activated
     responses is the filter's output.
     """
     m, k, d = filters.shape
-    idx = list(char_idx)
-    if len(idx) < k:
-        idx = idx + [pad_index] * (k - len(idx))
-    idx_arr = np.asarray(idx, dtype=np.intp)
-    x = char_emb[idx_arr]  # (L, d)
+    idx = list(char_idx) + [pad_index] * (k - len(char_idx))
+    x = char_emb[np.asarray(idx, dtype=np.intp)]  # (L, d)
     p = len(idx) - k + 1
-    pre = np.broadcast_to(bias, (p, m)).copy()
-    for j in range(k):
-        pre += x[j : j + p] @ filters[:, j, :].T
-    act = np.maximum(pre, 0.0)
-    argmax = np.argmax(act, axis=0)
-    out = act[argmax, np.arange(m)]
-    return out, CharCnnCache(idx_arr, x, pre, argmax)
-
-
-def char_cnn_backward(
-    filters: np.ndarray,
-    cache: CharCnnCache,
-    d_out: np.ndarray,
-    d_char_emb: np.ndarray,
-    d_filters: np.ndarray,
-    d_bias: np.ndarray,
-) -> None:
-    """Route gradient through max-pool and ReLU back to filters/embeddings."""
-    m, k, d = filters.shape
-    p = cache.pre.shape[0]
-    d_pre = np.zeros((p, m))
-    live = cache.pre[cache.argmax, np.arange(m)] > 0.0
-    d_pre[cache.argmax, np.arange(m)] = d_out * live
-    d_bias += d_pre.sum(axis=0)
-    d_x = np.zeros_like(cache.x)
-    for j in range(k):
-        d_filters[:, j, :] += d_pre.T @ cache.x[j : j + p]
-        d_x[j : j + p] += d_pre @ filters[:, j, :]
-    np.add.at(d_char_emb, cache.char_idx, d_x)
+    pre = sum((x[j : j + p] @ filters[:, j, :].T for j in range(k)), bias)
+    return np.maximum(pre, 0.0).max(axis=0)
 
 
 def char_cnn_batch(
@@ -84,8 +50,10 @@ def char_cnn_batch(
     filters: np.ndarray,
     bias: np.ndarray,
     char_idx: list[list[int]],
-) -> np.ndarray:
-    """char_cnn_forward over many words at once, (len(char_idx), M); no cache.
+) -> tuple[np.ndarray, np.ndarray]:
+    """char_cnn_forward over many words at once: the features (W, M), and
+    the characters of each filter's winning window (W, M, K) for
+    char_cnn_batch_backward.
 
     Words are padded with PAD (index 0) to a common length of at least the
     kernel width, as char_cnn_forward pads a short word. Every character's
@@ -106,7 +74,30 @@ def char_cnn_batch(
     act = np.maximum(pre, 0.0)
     # ReLU outputs are >= 0, so a zeroed window never wins the max
     act[np.arange(p)[None, :] > (lens - k)[:, None]] = 0.0
-    return act.max(axis=1)
+    win = act.argmax(axis=1)  # (W, M), the first window on ties
+    out = np.take_along_axis(act, win[:, None, :], axis=1)[:, 0]
+    windows = idx[np.arange(len(idx))[:, None, None], win[:, :, None] + np.arange(k)]
+    return out, windows
+
+
+def char_cnn_batch_backward(
+    char_emb: np.ndarray, filters: np.ndarray, windows: np.ndarray, out: np.ndarray,
+    d_out: np.ndarray, d_char_emb: np.ndarray, d_filters: np.ndarray, d_bias: np.ndarray,
+) -> None:
+    """Route d(features) (W, M) through max-pool and ReLU to the filters and
+    the character embeddings: only a filter's winning window, and only when
+    its output is positive, receives gradient."""
+    m, k, d = filters.shape
+    g = d_out * (out > 0.0)
+    d_bias += g.sum(axis=0)
+    cols = np.arange(m)
+    for j in range(k):
+        # (chars, M): the gradient of the windows whose j-th character it is
+        per_char = np.bincount(
+            (windows[:, :, j] * m + cols).ravel(), weights=g.ravel(), minlength=len(char_emb) * m
+        ).reshape(-1, m)
+        d_filters[:, j, :] += per_char.T @ char_emb
+        d_char_emb += per_char @ filters[:, j, :]
 
 
 # ---------------------------------------------------------------------------
@@ -123,151 +114,155 @@ class LstmParams:
         return self.w.shape[0] // 4
 
 
-@dataclass
-class LstmCache:
-    x: np.ndarray
-    i: np.ndarray  # (N, S) gate activations, column blocks of one (N, 4S) array
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h_prev: np.ndarray  # (N, S): h_{t-1} for each step, row 0 is zeros
-    c_prev: np.ndarray
-
-
-def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
-    """Run the recurrence left to right; returns hidden states (N, S).
-
-    All four gates take one tanh per step: sigmoid(z) = 0.5 * (1 + tanh(z / 2))
-    with exact halvings, so i, f and o are bit for bit what sigmoid() gives.
-    """
-    n = xs.shape[0]
+def lstm_forward(params: LstmParams, xs: np.ndarray) -> np.ndarray:
+    """Hidden states (N, S) of the recurrence run left to right, one
+    position at a time; the oracle of lstm_batch."""
     s = params.state_size
-    zx = xs @ params.w.T + params.b  # (N, 4S)
+    h, c, hs = np.zeros(s), np.zeros(s), np.empty((len(xs), s))
+    for t, x in enumerate(xs):
+        z = params.w @ x + params.u @ h + params.b
+        i, f, g, o = sigmoid(z[:s]), sigmoid(z[s : 2 * s]), np.tanh(z[2 * s : 3 * s]), sigmoid(z[3 * s :])
+        c = f * c + i * g
+        h = hs[t] = o * np.tanh(c)
+    return hs
+
+
+def bilstm_forward(fwd: LstmParams, bwd: LstmParams, xs: np.ndarray) -> np.ndarray:
+    """Forward and reversed-input hidden states per position, (N, 2S); the
+    oracle of bilstm_batch."""
+    return np.concatenate([lstm_forward(fwd, xs), lstm_forward(bwd, xs[::-1])[::-1]], axis=1)
+
+
+def _gate_affine(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) for _gates over gate columns i|f|g|o of state size s."""
     # per gate column, z -> scale * z before the tanh and a -> scale * a + shift
     # after it: the identity for g, the sigmoid's halvings for i, f and o
     scale = np.full(4 * s, 0.5)
     scale[2 * s : 3 * s] = 1.0
     shift = np.full(4 * s, 0.5)
     shift[2 * s : 3 * s] = -0.0  # x + -0.0 is x, signed zeros included
-    gates = np.empty((n, 4 * s))
-    c_a = np.empty((n, s)); tc_a = np.empty((n, s))
-    hs = np.empty((n, s))
-    h = np.zeros(s); c = np.zeros(s)
-    for t in range(n):
-        a = gates[t]
-        np.dot(params.u, h, out=a)
-        a += zx[t]
-        a *= scale
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        np.multiply(a[s : 2 * s], c, out=c_a[t])
-        c = c_a[t]
-        c += a[:s] * a[2 * s : 3 * s]
-        np.tanh(c, out=tc_a[t])
-        h = np.multiply(a[3 * s :], tc_a[t], out=hs[t])
-    h_prev = np.zeros((n, s)); h_prev[1:] = hs[:-1]
-    c_prev = np.zeros((n, s)); c_prev[1:] = c_a[:-1]
-    i, f, g, o = (gates[:, k * s : (k + 1) * s] for k in range(4))
-    return hs, LstmCache(xs, i, f, g, o, c_a, tc_a, h_prev, c_prev)
+    return scale, shift
 
 
-def lstm_backward(
-    params: LstmParams,
-    cache: LstmCache,
-    d_hs: np.ndarray,
-    d_w: np.ndarray,
-    d_u: np.ndarray,
-    d_b: np.ndarray,
-) -> np.ndarray:
-    """Backpropagate through time; returns d(inputs) and accumulates d(params).
-
-    Each gate's pre-activation gradient is dc or dh times a factor that does
-    not depend on the recurrence, so the factors are computed for all steps
-    before the loop, which then only carries dh and dc.
-    """
-    n, s = d_hs.shape
-    i, f, g, o, tc = cache.i, cache.f, cache.g, cache.o, cache.tanh_c
-    # dz = [dc, dc, dc, dh] * k and dc = dh * dc_dh + dc_next
-    k = np.empty((n, 4 * s))
-    k[:, :s] = g * i * (1.0 - i)
-    k[:, s : 2 * s] = cache.c_prev * f * (1.0 - f)
-    k[:, 2 * s : 3 * s] = i * (1.0 - g * g)
-    k[:, 3 * s :] = tc * o * (1.0 - o)
-    dc_dh = o * (1.0 - tc * tc)
-    dz_all = np.empty((n, 4 * s))
-    dh = np.zeros(s)
-    dc_next = np.zeros(s)
-    for t in range(n - 1, -1, -1):
-        dh += d_hs[t]
-        dc = dh * dc_dh[t]
-        dc += dc_next
-        dz = dz_all[t]
-        np.multiply(k[t, : 3 * s].reshape(3, s), dc, out=dz[: 3 * s].reshape(3, s))
-        np.multiply(k[t, 3 * s :], dh, out=dz[3 * s :])
-        dc_next = np.multiply(dc, f[t], out=dc)
-        dh = dz @ params.u  # u.T @ dz, without BLAS's transposed gemv
-    d_w += dz_all.T @ cache.x
-    d_u += dz_all.T @ cache.h_prev
-    d_b += dz_all.sum(axis=0)
-    return dz_all @ params.w
-
-
-def bilstm_forward(
-    fwd: LstmParams, bwd: LstmParams, xs: np.ndarray
-) -> tuple[np.ndarray, tuple[LstmCache, LstmCache]]:
-    """Concatenate forward and reversed-input hidden states per position."""
-    h_f, cache_f = lstm_forward(fwd, xs)
-    h_b_rev, cache_b = lstm_forward(bwd, xs[::-1])
-    h_b = h_b_rev[::-1]
-    return np.concatenate([h_f, h_b], axis=1), (cache_f, cache_b)
+def _gates(z: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Activate pre-activations (..., 4S) in place: sigmoid for i, f and o,
+    tanh for g, all in one tanh. sigmoid(z) = 0.5 * (1 + tanh(z / 2)) with
+    exact halvings, so i, f and o are bit for bit what sigmoid() gives."""
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    return z
 
 
 def lstm_batch(
-    u: np.ndarray,
-    zx: np.ndarray,
-    tok: np.ndarray,
-    lens: np.ndarray,
-    out: np.ndarray,
+    u: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, out: np.ndarray,
     reverse: bool = False,
 ) -> np.ndarray:
-    """Inference-only lstm_forward over a batch of rows, into out (B, N, S).
+    """lstm_forward over a batch of rows, into out (B, N, S).
 
-    zx holds the input projection `x @ w.T + b` of each distinct input and
-    tok (B, N) picks the inputs of each row, of which the first lens[r] are
-    real; with `reverse`, row r is read from its position lens[r] - 1 back to
-    0. Rows are sorted by length, longest first, so step t updates the
-    active prefix of rows (lens > t) and padding never enters a state. Each
-    hidden state is written at its token's position; out past a row's
-    length is left as it is.
+    zx holds the input projections `x @ w.T + b` of distinct inputs, and tok
+    (B, N) picks the input at each position of each row, of which the first
+    lens[r] are real; with `reverse`, row r is read from its position
+    lens[r] - 1 back to 0. Rows are sorted by length, longest first, so step
+    t updates the active prefix of rows (lens > t) and padding never enters
+    a state. Each hidden state is written at its token's position; out past
+    a row's length is left as it is. Only the current states are kept:
+    lstm_batch_backward recomputes the gates and cells from out.
     """
     s = u.shape[1]
     u_t = np.ascontiguousarray(u.T)  # BLAS would repack a transposed view per product
-    active = np.count_nonzero(lens[:, None] > np.arange(tok.shape[1]), axis=0)
+    affine = _gate_affine(s)
     rows = np.arange(len(lens))
     h = np.zeros((len(lens), s))
     c = np.zeros((len(lens), s))
-    for t, a in enumerate(active):
-        pos = lens[:a] - 1 - t if reverse else t
+    for t, a in enumerate(_active(lens, tok.shape[1])):
+        at = (rows[:a], lens[:a] - 1 - t) if reverse else (slice(a), t)
         z = h[:a] @ u_t
-        z += zx[tok[rows[:a], pos]]
-        i = sigmoid(z[:, :s]); f = sigmoid(z[:, s : 2 * s])
-        g = np.tanh(z[:, 2 * s : 3 * s]); o = sigmoid(z[:, 3 * s :])
-        c[:a] = f * c[:a] + i * g
-        h[:a] = o * np.tanh(c[:a])
-        out[rows[:a], pos] = h[:a]
+        z += zx[tok[at]]
+        _gates(z, *affine)
+        ca, ha = c[:a], h[:a]
+        ca *= z[:, s : 2 * s]
+        ca += z[:, :s] * z[:, 2 * s : 3 * s]
+        np.tanh(ca, out=ha)
+        ha *= z[:, 3 * s :]
+        out[at] = ha
     return out
 
 
+def _active(lens: np.ndarray, n: int) -> list[int]:
+    """Rows with a real token at each step, for rows sorted longest first."""
+    return np.count_nonzero(lens[:, None] > np.arange(n), axis=0).tolist()
+
+
+def lstm_batch_backward(
+    u: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, h: np.ndarray,
+    d_hs: np.ndarray, d_u: np.ndarray, reverse: bool = False,
+) -> np.ndarray:
+    """Backpropagate lstm_batch through time, given its hidden states h and
+    d(hidden states), both (B, N, S) by position; returns d(zx) of each
+    position, (B, N, 4S), zero past each row's length, and accumulates d(u).
+
+    The steps are laid out time-major in reading order. The gates come back
+    from each step's previous hidden state in one product over all steps,
+    and the cells from the gates, step by step. Each gate's pre-activation
+    gradient is dc or dh times a factor that does not depend on the
+    recurrence, so the factors are computed for all steps before the loop,
+    which then only carries dh and dc.
+    """
+    b, n = tok.shape
+    s = u.shape[1]
+    rows = np.arange(b)[:, None]
+    # the position each row reads at each step; padding stays in place
+    seq = _reverse_index(lens, n) if reverse else np.broadcast_to(np.arange(n), (b, n))
+    h_prev = np.zeros((n, b, s))
+    h_prev[1:] = h[rows, seq[:, :-1]].transpose(1, 0, 2)
+    h_prev = h_prev.reshape(n * b, s)
+    z = (h_prev @ u.T).reshape(n, b, 4 * s)
+    z += zx[tok[rows, seq].T]
+    _gates(z, *_gate_affine(s))
+    i, f, g, o = (z[..., q * s : (q + 1) * s] for q in range(4))
+    c = np.zeros((n + 1, b, s))
+    for t in range(n):
+        np.multiply(f[t], c[t], out=c[t + 1])
+        c[t + 1] += i[t] * g[t]
+    tc = np.tanh(c[1:])
+    # dz = [dc, dc, dc, dh] * k and dc = dh * dc_dh + dc_next
+    k = np.empty((n, b, 4, s))
+    k[:, :, 0] = g * i * (1.0 - i)
+    k[:, :, 1] = c[:n] * f * (1.0 - f)
+    k[:, :, 2] = i * (1.0 - g * g)
+    k[:, :, 3] = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc * tc)
+    dz, dh, dc = np.zeros((n, b, 4, s)), np.zeros((b, s)), np.zeros((b, s))
+    d_hs = d_hs[rows, seq].transpose(1, 0, 2)
+    active = _active(lens, n)
+    for t in range(n - 1, -1, -1):
+        a = active[t]
+        dha, dca = dh[:a], dc[:a]
+        dha += d_hs[t, :a]
+        dca += dha * dc_dh[t, :a]
+        np.multiply(k[t, :a, :3], dca[:, None], out=dz[t, :a, :3])
+        np.multiply(k[t, :a, 3], dha, out=dz[t, :a, 3])
+        dca *= f[t, :a]
+        np.matmul(dz[t, :a].reshape(a, 4 * s), u, out=dha)  # u.T @ dz per row
+    dz = dz.reshape(n * b, 4 * s)
+    d_u += dz.T @ h_prev
+    out = np.empty((b, n, 4 * s))
+    out[rows, seq] = dz.reshape(n, b, 4 * s).transpose(1, 0, 2)
+    return out
+
+
+def _reverse_index(lens: np.ndarray, n: int) -> np.ndarray:
+    """(B, N) positions that read each row's first lens[r] entries back to
+    front and keep its padding in place."""
+    pos = np.arange(n)
+    return np.where(pos < lens[:, None], lens[:, None] - 1 - pos, pos)
+
+
 def bilstm_batch(
-    fwd_u: np.ndarray,
-    bwd_u: np.ndarray,
-    zx_fwd: np.ndarray,
-    zx_bwd: np.ndarray,
-    tok: np.ndarray,
-    lens: np.ndarray,
+    fwd_u: np.ndarray, bwd_u: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
+    tok: np.ndarray, lens: np.ndarray,
 ) -> np.ndarray:
     """bilstm_forward over a length-sorted batch (see lstm_batch), (B, N, 2S);
     zero past each row's length."""
@@ -278,19 +273,20 @@ def bilstm_batch(
     return h
 
 
-def bilstm_backward(
-    fwd: LstmParams,
-    bwd: LstmParams,
-    caches: tuple[LstmCache, LstmCache],
-    d_h: np.ndarray,
-    d_fwd: tuple[np.ndarray, np.ndarray, np.ndarray],
-    d_bwd: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    s = fwd.state_size
-    cache_f, cache_b = caches
-    d_xs = lstm_backward(fwd, cache_f, d_h[:, :s], *d_fwd)
-    d_xs_rev = lstm_backward(bwd, cache_b, d_h[::-1, s:], *d_bwd)
-    return d_xs + d_xs_rev[::-1]
+def bilstm_batch_backward(
+    fwd_u: np.ndarray, bwd_u: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
+    tok: np.ndarray, lens: np.ndarray, h: np.ndarray, d_h: np.ndarray,
+    d_fwd_u: np.ndarray, d_bwd_u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate bilstm_batch, given its output h: d(zx_fwd) and
+    d(zx_bwd) at each token position, (B, N, 4S) each; accumulates d(fwd_u)
+    and d(bwd_u)."""
+    s = fwd_u.shape[1]
+    return (
+        lstm_batch_backward(fwd_u, zx_fwd, tok, lens, h[:, :, :s], d_h[:, :, :s], d_fwd_u),
+        lstm_batch_backward(bwd_u, zx_bwd, tok, lens, h[:, :, s:], d_h[:, :, s:], d_bwd_u,
+                            reverse=True),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +298,14 @@ def emission_scores(w_c: np.ndarray, b_c: np.ndarray, h: np.ndarray) -> np.ndarr
 
 
 def emission_backward(
-    w_c: np.ndarray,
-    scores: np.ndarray,
-    h: np.ndarray,
-    d_scores: np.ndarray,
-    d_w_c: np.ndarray,
-    d_b_c: np.ndarray,
+    w_c: np.ndarray, scores: np.ndarray, h: np.ndarray, d_scores: np.ndarray,
+    d_w_c: np.ndarray, d_b_c: np.ndarray,
 ) -> np.ndarray:
+    """d(h) of scores (..., T) over hidden states (..., 2S); a position whose
+    d_scores is zero (padding) contributes nothing."""
     d_pre = d_scores * (1.0 - scores * scores)
-    d_w_c += d_pre.T @ h
-    d_b_c += d_pre.sum(axis=0)
+    d_w_c += d_pre.reshape(-1, len(w_c)).T @ h.reshape(-1, h.shape[-1])
+    d_b_c += d_pre.reshape(-1, len(w_c)).sum(axis=0)
     return d_pre @ w_c
 
 

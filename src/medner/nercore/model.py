@@ -1,17 +1,19 @@
-"""The BiLSTM-CNN-CRF tagger: parameter container, forward pass, exact
-reverse-mode gradients, and Viterbi prediction with posterior marginals.
+"""The BiLSTM-CNN-CRF tagger: parameter container, the batched network
+with exact reverse-mode gradients, and Viterbi tagging with posterior
+marginals.
 
-Per token the forward pass concatenates a static word vector (plus an
-optional trainable delta) with the char-CNN feature vector, applies inverted
-dropout, encodes with a BiLSTM, applies dropout again, and projects to
-bounded per-tag scores through tanh. The CRF on top is in crf.py.
+Per token the network concatenates a static word vector (plus an optional
+trainable delta) with the char-CNN feature vector, applies inverted dropout,
+encodes with a BiLSTM, applies dropout again, and projects to bounded
+per-tag scores through tanh. The CRF on top is in crf.py.
 
-Training runs model_forward and model_backward one sentence at a time.
-Inference (`tag`) runs the same network without dropout in one batched
-pass: word features and LSTM input projections once per distinct surface,
+Training (`batch_nll_and_grads`) and inference (`tag`) run one batched
+implementation of every layer: word features once per distinct surface,
 then the BiLSTM, emissions and CRF over buckets of length-sorted sentences.
-model_forward with crf.viterbi and crf.marginals stays its per-sentence
-oracle.
+Inference has no dropout, so `tag` projects the features once per surface;
+training projects them per token after dropout. The per-sentence
+model_forward (with batch_nll, crf.viterbi and crf.marginals) is the oracle
+the tests compare both against.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from ..embeddings import OOV_POLICIES, EmbeddingTable
 from ..errors import NumericError, ValidationError
 from . import crf
 from .layers import (
-    CharCnnCache,
     LstmParams,
-    bilstm_backward,
     bilstm_batch,
+    bilstm_batch_backward,
     bilstm_forward,
-    char_cnn_backward,
     char_cnn_batch,
+    char_cnn_batch_backward,
     char_cnn_forward,
     dropout_mask,
     emission_backward,
@@ -42,10 +43,11 @@ from .layers import (
 DROP_INPUT = 0
 DROP_HIDDEN = 1
 
-# `tag` runs the BiLSTM-CRF over buckets of length-sorted sentences of at most
-# this many padded token positions (the char-CNN likewise over characters):
-# enough rows per step to keep the matrix products busy, while a bucket's
-# buffers stay a few MB at the paper's dimensions.
+# Training and `tag` run the BiLSTM-CRF over buckets of length-sorted
+# sentences of at most this many padded token positions (the char-CNN likewise
+# over characters): enough rows per step to keep the matrix products busy,
+# while a bucket's buffers stay a few MB (training: a few tens of MB) at the
+# paper's dimensions.
 BATCH_TOKENS = 1024
 # `tag` holds the LSTM input projections (2 x 4 x lstm_size floats each) of
 # about this many distinct surfaces at once and tags a call with more in
@@ -292,112 +294,39 @@ def init_model(
     return model
 
 
-@dataclass
-class ForwardCache:
-    surfaces: list[str]
-    word_rows: list[int]
-    char_caches: list[CharCnnCache] | None
-    x: np.ndarray
-    drop_in: np.ndarray | None
-    h: np.ndarray
-    lstm_caches: tuple
-    drop_h: np.ndarray | None
-    emissions: np.ndarray
-
-
 def model_forward(
     model: ModelParams,
     sentence: Sentence | list[str],
     train_mode: bool = False,
     step: int = 0,
     unit: int = 0,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Emission scores (N, num_tags) plus everything backward needs.
+) -> np.ndarray:
+    """Emission scores (N, num_tags) of one sentence: the per-sentence oracle
+    of the batched network in batch_nll_and_grads and `tag`.
 
     Dropout only fires in train mode; its masks come from a counter-based
-    stream keyed by (seed, step, unit, layer) so batches are reproducible
-    regardless of evaluation order.
+    stream keyed by (seed, step, unit, layer), where unit is the sentence's
+    position in its training batch.
     """
     surfaces = sentence.surfaces() if isinstance(sentence, Sentence) else list(sentence)
     cfg = model.config
-    n = len(surfaces)
-    word_rows = [model.vocab.word_index(s) for s in surfaces]
-    word_vecs = np.empty((n, model.embed.dimension))
-    for i, surface in enumerate(surfaces):
-        word_vecs[i] = model.embed.lookup(surface)
-        if model.word_delta is not None:
-            word_vecs[i] += model.word_delta[word_rows[i]]
-
-    char_caches: list[CharCnnCache] | None = None
-    if cfg.use_char_features:
-        char_caches = []
-        feats = np.empty((n, cfg.num_filters))
-        for i, surface in enumerate(surfaces):
-            out, cache = char_cnn_forward(
-                model.char_emb, model.char_filters, model.char_bias,
-                model.vocab.char_indices(surface),
-            )
-            feats[i] = out
-            char_caches.append(cache)
-        x = np.concatenate([word_vecs, feats], axis=1)
-    else:
-        x = word_vecs
-
-    drop_in = None
-    if train_mode and cfg.dropout > 0.0:
-        drop_in = dropout_mask(x.shape, cfg.dropout, cfg.seed, step, unit, DROP_INPUT)
-        x = x * drop_in
-
-    h, lstm_caches = bilstm_forward(model.lstm_fwd, model.lstm_bwd, x)
-
-    drop_h = None
-    if train_mode and cfg.dropout > 0.0:
-        drop_h = dropout_mask(h.shape, cfg.dropout, cfg.seed, step, unit, DROP_HIDDEN)
-        h = h * drop_h
-
-    emissions = emission_scores(model.w_c, model.b_c, h)
-    return emissions, ForwardCache(
-        surfaces, word_rows, char_caches, x, drop_in, h, lstm_caches, drop_h, emissions
-    )
-
-
-def model_backward(
-    model: ModelParams,
-    cache: ForwardCache,
-    d_emissions: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate d(loss)/d(tensor) into `grads` for one sentence."""
-    cfg = model.config
-    d_h = emission_backward(
-        model.w_c, cache.emissions, cache.h, d_emissions, grads["w_c"], grads["b_c"]
-    )
-    if cache.drop_h is not None:
-        d_h = d_h * cache.drop_h
-    d_x = bilstm_backward(
-        model.lstm_fwd,
-        model.lstm_bwd,
-        cache.lstm_caches,
-        d_h,
-        (grads["lstm_fwd_w"], grads["lstm_fwd_u"], grads["lstm_fwd_b"]),
-        (grads["lstm_bwd_w"], grads["lstm_bwd_u"], grads["lstm_bwd_b"]),
-    )
-    if cache.drop_in is not None:
-        d_x = d_x * cache.drop_in
-    word_dim = model.embed.dimension
+    x = np.array([model.embed.lookup(w) for w in surfaces])
     if model.word_delta is not None:
-        np.add.at(grads["word_delta"], cache.word_rows, d_x[:, :word_dim])
+        x += model.word_delta[[model.vocab.word_index(w) for w in surfaces]]
     if cfg.use_char_features:
-        assert cache.char_caches is not None
-        for i, char_cache in enumerate(cache.char_caches):
-            char_cnn_backward(
-                model.char_filters,
-                char_cache,
-                d_x[i, word_dim:],
-                grads["char_emb"],
-                grads["char_filters"],
-                grads["char_bias"],
-            )
+        feats = [
+            char_cnn_forward(model.char_emb, model.char_filters, model.char_bias,
+                             model.vocab.char_indices(w))
+            for w in surfaces
+        ]
+        x = np.concatenate([x, np.array(feats)], axis=1)
+    dropout = train_mode and cfg.dropout > 0.0
+    if dropout:
+        x = x * dropout_mask(x.shape, cfg.dropout, cfg.seed, step, unit, DROP_INPUT)
+    h = bilstm_forward(model.lstm_fwd, model.lstm_bwd, x)
+    if dropout:
+        h = h * dropout_mask(h.shape, cfg.dropout, cfg.seed, step, unit, DROP_HIDDEN)
+    return emission_scores(model.w_c, model.b_c, h)
 
 
 def gold_path(model: ModelParams, sentence: Sentence) -> list[int]:
@@ -428,8 +357,7 @@ def batch_nll(model: ModelParams, batch: list[Sentence]) -> float:
     trans = model.effective_transitions()
     total = 0.0
     for sent in batch:
-        emissions, _ = model_forward(model, sent, train_mode=False)
-        total += crf.nll(emissions, trans, gold_path(model, sent))
+        total += crf.nll(model_forward(model, sent), trans, gold_path(model, sent))
     return total
 
 
@@ -439,19 +367,102 @@ def batch_nll_and_grads(
     train_mode: bool = True,
     step: int = 0,
 ) -> tuple[float, Gradients]:
-    """Loss and exact gradients summed over the batch in sentence order."""
+    """Summed CRF loss of the batch and its exact gradients, through the
+    network `tag` runs.
+
+    The word features run once per distinct surface. Over buckets of
+    length-sorted sentences of at most BATCH_TOKENS padded positions, each
+    token's features take the input dropout and their own LSTM input
+    projection; the BiLSTM, hidden dropout, emissions and CRF loss follow,
+    and their backward passes accumulate into the gradients. The char-CNN's
+    backward pass runs once per distinct surface at the end. A dropout mask
+    has its sentence's own shape and is keyed by (seed, step, the sentence's
+    position in `batch`, layer), so the loss is the sum of model_forward's
+    under the same keys whatever the bucket layout.
+    """
+    cfg = model.config
     grads = model.zero_grads()
     trans = model.effective_transitions()
+    fwd, bwd = model.lstm_fwd, model.lstm_bwd
+    gold = [gold_path(model, sent) for sent in batch]
+    index: dict[str, int] = {}
+    ids = [np.array([index.setdefault(w, len(index)) for w in sent.surfaces()], dtype=np.intp)
+           for sent in batch]
+    words = list(index)
+    feats, windows = _word_features(model, words)
+    d_feats = np.zeros_like(feats)
+    rate = cfg.dropout if train_mode else 0.0
+    lens = np.array([len(i) for i in ids], dtype=np.intp)
+    order = np.argsort(-lens, kind="stable")
     total = 0.0
-    for unit, sent in enumerate(batch):
-        emissions, cache = model_forward(model, sent, train_mode=train_mode, step=step, unit=unit)
-        loss, d_em, d_tr = crf.nll_and_gradients(emissions, trans, gold_path(model, sent))
-        total += loss
+    for bucket in _buckets(lens[order]):
+        rows = order[bucket]
+        blens = lens[rows]
+        tok = _padded(ids, rows, blens)
+        x = feats[tok]
+        if rate:
+            drop_in = _dropout(cfg, step, rows, blens, x.shape[2], DROP_INPUT)
+            x *= drop_in
+        x = x.reshape(-1, x.shape[2])
+        pos = np.arange(len(x)).reshape(tok.shape)  # each token reads its own projection
+        zx_fwd, zx_bwd = x @ fwd.w.T + fwd.b, x @ bwd.w.T + bwd.b
+        h = bilstm_batch(fwd.u, bwd.u, zx_fwd, zx_bwd, pos, blens)
+        h_out = h
+        if rate:
+            drop_h = _dropout(cfg, step, rows, blens, h.shape[2], DROP_HIDDEN)
+            h_out = h * drop_h
+        emissions = emission_scores(model.w_c, model.b_c, h_out)
+        loss, d_em, d_tr = crf.nll_and_gradients_batch(
+            emissions, trans, blens, _padded(gold, rows, blens)
+        )
+        total += float(loss.sum())
         grads["transitions"] += d_tr
-        model_backward(model, cache, d_em, grads)
+        d_h = emission_backward(model.w_c, emissions, h_out, d_em, grads["w_c"], grads["b_c"])
+        if rate:
+            d_h *= drop_h
+        dz_fwd, dz_bwd = bilstm_batch_backward(
+            fwd.u, bwd.u, zx_fwd, zx_bwd, pos, blens, h, d_h,
+            grads["lstm_fwd_u"], grads["lstm_bwd_u"],
+        )
+        dz_fwd, dz_bwd = dz_fwd.reshape(len(x), -1), dz_bwd.reshape(len(x), -1)
+        for name, dz in (("lstm_fwd", dz_fwd), ("lstm_bwd", dz_bwd)):
+            grads[name + "_w"] += dz.T @ x
+            grads[name + "_b"] += dz.sum(axis=0)
+        d_x = dz_fwd @ fwd.w + dz_bwd @ bwd.w
+        if rate:
+            d_x *= drop_in.reshape(d_x.shape)
+        np.add.at(d_feats, tok.ravel(), d_x)
+    word_dim = model.embed.dimension
+    if model.word_delta is not None:
+        np.add.at(grads["word_delta"], [model.vocab.word_index(w) for w in words],
+                  d_feats[:, :word_dim])
+    if cfg.use_char_features:
+        char_cnn_batch_backward(
+            model.char_emb, model.char_filters, windows, feats[:, word_dim:],
+            d_feats[:, word_dim:], grads["char_emb"], grads["char_filters"], grads["char_bias"],
+        )
     if model.transition_mask is not None:
         grads["transitions"][~model.transition_mask] = 0.0
     return total, grads
+
+
+def _dropout(
+    cfg: TrainConfig, step: int, units: np.ndarray, lens: np.ndarray, width: int, layer: int
+) -> np.ndarray:
+    """Dropout masks of a bucket, (B, N, width): row r holds the mask of
+    sentence units[r] of the batch, of its own shape (lens[r], width)."""
+    out = np.zeros((len(units), lens[0], width))
+    for r, (unit, n) in enumerate(zip(units.tolist(), lens.tolist())):
+        out[r, :n] = dropout_mask((n, width), cfg.dropout, cfg.seed, step, unit, layer)
+    return out
+
+
+def _padded(seqs: list, rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """seqs[rows[r]] in row r of a zero-padded (B, lens[0]) index array."""
+    out = np.zeros((len(rows), lens[0]), dtype=np.intp)
+    for r, s in enumerate(rows):
+        out[r, : lens[r]] = seqs[s]
+    return out
 
 
 def _buckets(lens_desc: np.ndarray):
@@ -465,32 +476,32 @@ def _buckets(lens_desc: np.ndarray):
         start = stop
 
 
-def _input_projections(
+def _word_features(
     model: ModelParams, words: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The LSTM input projections `x @ w.T + b` of each word, both directions.
-
-    x is model_forward's input vector without dropout: the word vector (plus
-    its trainable delta) and the char-CNN features, which run over
-    length-sorted buckets of padded characters.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """model_forward's input vector of each word, without dropout: the word
+    vector (plus its trainable delta) and the char-CNN features, which run
+    over length-sorted buckets of padded characters. Also returns the
+    char-CNN's winning windows (see char_cnn_batch), None without char
+    features.
     """
     cfg = model.config
     x = np.array([model.embed.lookup(w) for w in words])
     if model.word_delta is not None:
         x += model.word_delta[[model.vocab.word_index(w) for w in words]]
-    if cfg.use_char_features:
-        chars = [model.vocab.char_indices(w) for w in words]
-        lens = np.array([max(len(c), cfg.kernel_width) for c in chars])
-        order = np.argsort(-lens, kind="stable")
-        feats = np.empty((len(words), cfg.num_filters))
-        for bucket in _buckets(lens[order]):
-            rows = order[bucket]
-            feats[rows] = char_cnn_batch(
-                model.char_emb, model.char_filters, model.char_bias, [chars[r] for r in rows]
-            )
-        x = np.concatenate([x, feats], axis=1)
-    return (x @ model.lstm_fwd.w.T + model.lstm_fwd.b,
-            x @ model.lstm_bwd.w.T + model.lstm_bwd.b)
+    if not cfg.use_char_features:
+        return x, None
+    chars = [model.vocab.char_indices(w) for w in words]
+    lens = np.array([max(len(c), cfg.kernel_width) for c in chars])
+    order = np.argsort(-lens, kind="stable")
+    feats = np.empty((len(words), cfg.num_filters))
+    windows = np.empty((len(words), cfg.num_filters, cfg.kernel_width), dtype=np.intp)
+    for bucket in _buckets(lens[order]):
+        rows = order[bucket]
+        feats[rows], windows[rows] = char_cnn_batch(
+            model.char_emb, model.char_filters, model.char_bias, [chars[r] for r in rows]
+        )
+    return np.concatenate([x, feats], axis=1), windows
 
 
 def _tag_run(
@@ -505,14 +516,14 @@ def _tag_run(
     order = order[lens[order] > 0]
     if len(order) == 0:
         return out
-    zx_fwd, zx_bwd = _input_projections(model, words)
+    x, _ = _word_features(model, words)
+    zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
+    zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
     for bucket in _buckets(lens[order]):
         rows = order[bucket]
         blens = lens[rows]
-        tok = np.zeros((len(rows), blens[0]), dtype=np.intp)
-        for r, s in enumerate(rows):
-            tok[r, : blens[r]] = ids[s]
-        h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd, tok, blens)
+        h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd,
+                         _padded(ids, rows, blens), blens)
         emissions = emission_scores(model.w_c, model.b_c, h)
         paths = crf.viterbi_batch(emissions, trans, blens)
         marg = crf.marginals_batch(emissions, trans, blens) if marginals else None

@@ -143,8 +143,9 @@ def fit(
     """Train with mini-batch Adam; keep the best-validation-epoch parameters.
 
     Deterministic for a fixed seed: epoch shuffles come from one seeded
-    generator, dropout from the counter-based stream, and gradient batches
-    are summed in a fixed sentence order.
+    generator, dropout from the counter-based stream keyed by each
+    sentence's position in its batch, and each batch runs in a fixed layout
+    of length-sorted buckets (see batch_nll_and_grads).
     """
     cfg = model.config if config is None else config
     if len(train_corpus) == 0:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import FILLERS, make_sentence, rule_corpus, rule_lexicon, toy_table
 from medner.chunking import Chunk, write_chunk_records
-from medner.cli import main
+from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
 from medner.embeddings import write_embeddings
 from medner.nercore.serialize import load_model, save_model
@@ -427,3 +427,94 @@ class TestConvert:
         code = main(["convert", "--input", str(src), "--from", "chunk-records",
                      "--to", "tsv2", "--out", str(tmp_path / "out.tsv")])
         assert code == 4
+
+
+NOT_UTF8 = b"\xff fever\n"
+
+# every text file a subcommand reads, by flag; the model container is
+# binary and exits 4 when malformed (test_serialize fuzzes it)
+TEXT_FILE_FLAGS = [
+    ("train", "--config"), ("train", "--train"), ("train", "--val"),
+    ("train", "--schema"), ("train", "--embeddings"), ("train", "--grid"),
+    ("predict", "--config"), ("predict", "--input"), ("predict", "--abbreviations"),
+    ("evaluate", "--config"), ("evaluate", "--gold"), ("evaluate", "--pred"),
+    ("deidentify", "--config"), ("deidentify", "--input"), ("deidentify", "--chunks"),
+    ("deidentify", "--policy"),
+    ("convert", "--input"),
+]
+
+
+class TestUnreadableInputs:
+    @staticmethod
+    def valid_argv(command, workdir, model_file):
+        tmp_path, _, train_file, emb_file = workdir
+        note = tmp_path / "note.txt"
+        note.write_text(FIGURE_TEXT, encoding="utf-8")
+        chunks = tmp_path / "chunks.tsv"
+        chunks.write_text(figure_chunk_records(), encoding="utf-8")
+        out = str(tmp_path / "out")
+        return {
+            "train": ["--train", str(train_file), "--embeddings", str(emb_file),
+                      "--out-dir", out, *TRAIN_FLAGS],
+            "predict": ["--model", str(model_file), "--input", str(note), "--out-dir", out],
+            "evaluate": ["--gold", str(train_file), "--pred", str(train_file)],
+            "deidentify": ["--input", str(note), "--chunks", str(chunks), "--out-dir", out],
+            "convert": ["--input", str(train_file), "--from", "tsv2", "--to", "conll4",
+                        "--out", str(tmp_path / "converted.txt")],
+        }[command]
+
+    @pytest.mark.parametrize("command,flag", TEXT_FILE_FLAGS)
+    def test_non_utf8_file_is_parse_error(self, workdir, model_file, command, flag, caplog):
+        bad = workdir[0] / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        argv = self.valid_argv(command, workdir, model_file)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        assert main([command, *argv]) == 3
+        assert f"{bad} is not UTF-8 text" in caplog.text or "at byte 0" in caplog.text
+
+    def test_non_utf8_policy_dictionary_is_parse_error(self, tmp_path, caplog):
+        (tmp_path / "names.txt").write_bytes(b"Pat\nS\xe9m\n")
+        policy = tmp_path / "policy.txt"
+        policy.write_text("Name = substitute names.txt\n", encoding="utf-8")
+        note = tmp_path / "note.txt"
+        note.write_text(FIGURE_TEXT, encoding="utf-8")
+        chunks = tmp_path / "chunks.tsv"
+        chunks.write_text(figure_chunk_records(), encoding="utf-8")
+        code = main(["deidentify", "--input", str(note), "--chunks", str(chunks),
+                     "--policy", str(policy), "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "line 1" in caplog.text and "at byte 5" in caplog.text
+
+    def test_newlines_read_as_path_read_text(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes("a\r\nb\rc\né".encode("utf-8"))
+        assert read_text(str(path)) == path.read_text(encoding="utf-8")
+
+
+class TestBadValues:
+    def test_config_value_is_parse_error(self, workdir, caplog):
+        tmp_path, _, train_file, emb_file = workdir
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("max_epochs = 1\ngrad_clip_norm = abc\n", encoding="utf-8")
+        code, _ = run_train(tmp_path, train_file, emb_file, extra=("--config", str(cfg)))
+        assert code == 3
+        assert "line 2" in caplog.text and "'abc'" in caplog.text
+
+    def test_config_boolean_is_parse_error(self, workdir, caplog):
+        tmp_path, _, train_file, emb_file = workdir
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("use_char_features = maybe\n", encoding="utf-8")
+        code, _ = run_train(tmp_path, train_file, emb_file, extra=("--config", str(cfg)))
+        assert code == 3
+        assert "line 1" in caplog.text
+
+    def test_grid_value_is_parse_error(self, workdir, caplog):
+        tmp_path, _, train_file, emb_file = workdir
+        grid = tmp_path / "grid.txt"
+        grid.write_text("# sizes\nlstm_size = 2,x\n", encoding="utf-8")
+        code, _ = run_train(tmp_path, train_file, emb_file, extra=("--grid", str(grid)))
+        assert code == 3
+        assert "line 2" in caplog.text and "'x'" in caplog.text

@@ -236,10 +236,12 @@ class TestSchema:
         assert not mask[schema.stop_index, :].any()
 
     def test_text_roundtrip(self):
-        schema = LabelSchema(["Heart Disease", "Age"], "IOB2")
-        again = LabelSchema.from_text(schema.to_text())
-        assert again.entity_types == schema.entity_types
-        assert again.scheme == schema.scheme
+        # a --schema file: one entity type per line, an optional scheme line
+        text = "# types\nscheme: IOB1\nHeart Disease\n\n  Age  \n"
+        schema = LabelSchema.from_text(text)
+        assert schema.entity_types == ["Heart Disease", "Age"]
+        assert schema.scheme == "IOB1"
+        assert LabelSchema.from_text("Age\n").scheme == "IOB2"
 
     def test_duplicate_types_rejected(self):
         with pytest.raises(ValidationError):

@@ -157,8 +157,8 @@ class TestGradients:
             em = rng.uniform(-2, 2, size=(n, t))
             tr = rng.uniform(-2, 2, size=(t + 2, t + 2))
             path = [int(i) for i in rng.integers(0, t, size=n)]
-            _, d_em, d_tr = crf.nll_and_gradients(em, tr, path)
-            for arr, grad in ((em, d_em), (tr, d_tr)):
+            _, d_em, d_tr = crf.nll_and_gradients_batch(em[None], tr, np.array([n]), np.array([path]))
+            for arr, grad in ((em, d_em[0]), (tr, d_tr)):
                 flat, gflat = arr.reshape(-1), grad.reshape(-1)
                 for i in rng.choice(flat.size, size=min(10, flat.size), replace=False):
                     old = flat[i]
@@ -175,8 +175,8 @@ class TestGradients:
         em = rng.uniform(-2, 2, size=(4, 3))
         tr = rng.uniform(-2, 2, size=(5, 5))
         path = [0, 2, 1, 1]
-        loss, _, _ = crf.nll_and_gradients(em, tr, path)
-        assert loss == pytest.approx(crf.nll(em, tr, path), abs=1e-12)
+        loss, _, _ = crf.nll_and_gradients_batch(em[None], tr, np.array([4]), np.array([path]))
+        assert loss[0] == pytest.approx(crf.nll(em, tr, path), abs=1e-12)
 
 
 class TestMask:
@@ -289,3 +289,25 @@ class TestRaggedBatch:
         for r, n in enumerate(lengths):
             np.testing.assert_array_equal(a[r, :n], b[r, :n])
             assert not a[r, n:].any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_nll_rows_match_single(self):
+        # a ragged batch: each row's loss is the oracle nll, its emission
+        # gradient is its one-row batch's and zero past its length whatever
+        # the padding holds, and the transition gradients sum over rows
+        rng = np.random.default_rng(66)
+        em, tr, lengths = self.ragged(rng, 12, 7, 4, integer=False)
+        gold = rng.integers(0, 4, size=em.shape[:2])
+        for r, n in enumerate(lengths):
+            em[r, n:] = 1e3
+        loss, d_em, d_tr = crf.nll_and_gradients_batch(em, tr, lengths, gold)
+        want_tr = np.zeros_like(tr)
+        for r, n in enumerate(lengths):
+            assert loss[r] == pytest.approx(crf.nll(em[r, :n], tr, gold[r, :n]), abs=1e-9)
+            one, d_one, d_tr_one = crf.nll_and_gradients_batch(
+                em[r : r + 1, :n], tr, lengths[r : r + 1], gold[r : r + 1, :n]
+            )
+            np.testing.assert_allclose(d_em[r, :n], d_one[0], rtol=0, atol=1e-12)
+            assert not d_em[r, n:].any()
+            want_tr += d_tr_one
+        np.testing.assert_allclose(d_tr, want_tr, rtol=0, atol=1e-12)

@@ -180,6 +180,10 @@ class TestPolicyFile:
         with pytest.raises(ParseError, match="line 1"):
             parse_policy_file("Name = redact\n")
 
+    def test_missing_mode(self):
+        with pytest.raises(ParseError, match="line 2: unknown mode ''"):
+            parse_policy_file("Date = mask\nName = \n")
+
     def test_default_inventory_masks_phipa_types(self):
         policy = DeidPolicy()
         for etype in ("age", "date", "name", "hospital", "street", "patient ID"):

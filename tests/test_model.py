@@ -6,7 +6,7 @@ import pytest
 from conftest import make_sentence, rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import LabelSchema, build_vocab, validate_iob
 from medner.errors import ValidationError
-from medner.nercore import crf, model as model_module
+from medner.nercore import crf, layers, model as model_module, training
 from medner.nercore.model import (
     TrainConfig,
     batch_nll,
@@ -33,16 +33,16 @@ class TestForward:
     def test_eval_mode_deterministic(self, tiny_model):
         model, corpus = tiny_model
         sent = corpus.sentences[0]
-        a, _ = model_forward(model, sent, train_mode=False)
-        b, _ = model_forward(model, sent, train_mode=False)
+        a = model_forward(model, sent, train_mode=False)
+        b = model_forward(model, sent, train_mode=False)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_dropout_train_equals_eval(self, tiny_model):
         model, corpus = tiny_model
         sent = corpus.sentences[1]
         assert model.config.dropout == 0.0
-        train, _ = model_forward(model, sent, train_mode=True, step=3, unit=1)
-        eval_, _ = model_forward(model, sent, train_mode=False)
+        train = model_forward(model, sent, train_mode=True, step=3, unit=1)
+        eval_ = model_forward(model, sent, train_mode=False)
         np.testing.assert_array_equal(train, eval_)
 
     def test_dropout_changes_train_mode_only(self, tiny_model):
@@ -52,18 +52,18 @@ class TestForward:
         dropped = dataclasses.replace(model, config=TrainConfig(**{
             **model.config.to_dict(), "dropout": 0.5}))
         sent = corpus.sentences[2]
-        eval_, _ = model_forward(dropped, sent, train_mode=False)
-        base, _ = model_forward(model, sent, train_mode=False)
+        eval_ = model_forward(dropped, sent, train_mode=False)
+        base = model_forward(model, sent, train_mode=False)
         np.testing.assert_array_equal(eval_, base)
-        train_a, _ = model_forward(dropped, sent, train_mode=True, step=0, unit=0)
-        train_b, _ = model_forward(dropped, sent, train_mode=True, step=0, unit=0)
+        train_a = model_forward(dropped, sent, train_mode=True, step=0, unit=0)
+        train_b = model_forward(dropped, sent, train_mode=True, step=0, unit=0)
         np.testing.assert_array_equal(train_a, train_b)
         assert not np.array_equal(train_a, eval_)
 
     def test_emission_shape(self, tiny_model):
         model, corpus = tiny_model
         for sent in corpus.sentences[:5]:
-            emissions, _ = model_forward(model, sent)
+            emissions = model_forward(model, sent)
             assert emissions.shape == (len(sent), model.schema.num_tags)
 
     def test_char_features_can_be_disabled(self, tiny_model):
@@ -74,7 +74,7 @@ class TestForward:
         cfg = tiny_config(use_char_features=False)
         model = init_model(cfg, corpus.schema, vocab, table)
         assert model.input_dim == 16
-        emissions, _ = model_forward(model, corpus.sentences[0])
+        emissions = model_forward(model, corpus.sentences[0])
         assert emissions.shape[1] == model.schema.num_tags
 
 
@@ -147,7 +147,7 @@ class TestGradients:
             total = 0.0
             trans = model.effective_transitions()
             for unit, sent in enumerate(batch):
-                em, _ = model_forward(model, sent, train_mode=True, step=step, unit=unit)
+                em = model_forward(model, sent, train_mode=True, step=step, unit=unit)
                 total += crf.nll(em, trans, gold_path(model, sent))
             return total
 
@@ -172,6 +172,69 @@ class TestGradients:
                     continue
                 err = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-3)
                 assert err < 1e-4, (name, i, fd, gflat[i])
+
+
+class TestBatchLayout:
+    """Training's padded buckets against one-sentence batches."""
+
+    @staticmethod
+    def close(a, b):
+        # relative to the largest magnitude, so near-zero entries do not
+        # make the bound meaningless
+        return np.abs(np.asarray(a) - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("budget", [model_module.BATCH_TOKENS, 12])
+    def test_batch_layout_does_not_matter(self, monkeypatch, budget):
+        rng = np.random.default_rng(34)
+        corpus = rule_corpus(rng, 9)
+        cfg = tiny_config(word_dim=8, char_dim=4, num_filters=3, lstm_size=5, dropout=0.3,
+                          train_word_delta=True)
+        model = init_model(cfg, corpus.schema, build_vocab(corpus), toy_table(rule_lexicon(), 8, rng))
+        batch = corpus.sentences + corpus.sentences[:2]
+        # one bucket per sentence: each sentence runs alone, under its own keys
+        monkeypatch.setattr(model_module, "BATCH_TOKENS", 1)
+        alone = batch_nll_and_grads(model, batch, train_mode=True, step=2)
+        monkeypatch.setattr(model_module, "BATCH_TOKENS", budget)
+        buckets = len(list(model_module._buckets(np.sort([len(s) for s in batch])[::-1])))
+        assert (buckets > 1) == (budget == 12)
+        loss, grads = batch_nll_and_grads(model, batch, train_mode=True, step=2)
+        assert self.close(loss, alone[0]) and self.close(grads.flat, alone[1].flat)
+        # ... and sums to the oracle's loss under the same dropout keys
+        trans = model.effective_transitions()
+        oracle = sum(
+            crf.nll(model_forward(model, sent, True, 2, unit), trans, gold_path(model, sent))
+            for unit, sent in enumerate(batch)
+        )
+        assert self.close(loss, oracle)
+        # without dropout, the batch is the sum of one-sentence batches
+        loss, grads = batch_nll_and_grads(model, batch, train_mode=False)
+        singles = [batch_nll_and_grads(model, [sent], train_mode=False) for sent in batch]
+        assert self.close(loss, sum(one[0] for one in singles))
+        assert self.close(grads.flat, sum(one[1].flat for one in singles))
+
+
+def test_training_and_tagging_reach_no_oracle(monkeypatch):
+    """fit, evaluate and tag run the batched network only: every
+    per-sentence routine kept for the tests raises when called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-sentence oracle ran outside the tests")
+
+    oracles = {
+        model_module: ("model_forward", "batch_nll", "bilstm_forward", "char_cnn_forward"),
+        layers: ("lstm_forward", "bilstm_forward", "char_cnn_forward"),
+        crf: ("viterbi", "marginals", "forward_backward", "log_partition", "nll"),
+    }
+    for module, names in oracles.items():
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    rng = np.random.default_rng(35)
+    corpus = rule_corpus(rng, 12)
+    cfg = tiny_config(max_epochs=2, batch_size=4, dropout=0.2, train_word_delta=True)
+    model = init_model(cfg, corpus.schema, build_vocab(corpus), toy_table(rule_lexicon(), 16, rng))
+    result = training.fit(model, corpus, corpus, cfg)
+    assert len(result.history) == 2
+    training.evaluate(model, corpus)
+    assert len(tag(model, corpus.sentences, marginals=True)) == len(corpus)
 
 
 class TestPredict:
@@ -231,7 +294,7 @@ def oracle_tag(model, sentence):
     if len(sentence) == 0:
         return [], np.zeros((0, model.schema.num_tags))
     trans = crf.apply_mask(model.transitions, model.schema.transition_mask())
-    emissions, _ = model_forward(model, sentence, train_mode=False)
+    emissions = model_forward(model, sentence, train_mode=False)
     path, _ = crf.viterbi(emissions, trans)
     return [model.schema.tags[i] for i in path], crf.marginals(emissions, trans)
 
