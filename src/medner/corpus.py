@@ -196,19 +196,25 @@ class LabelSchema:
 
     @classmethod
     def from_text(cls, text: str) -> "LabelSchema":
-        scheme = "IOB2"
+        """A schema file: one entity type per line, '#' comments, and an
+        optional `scheme: IOB2` line. Tags are IOB2 internally, so IOB1
+        input files are read with --scheme IOB1, not declared here."""
         types: list[str] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.lower().startswith("scheme:"):
-                scheme = line.split(":", 1)[1].strip()
+                if line.split(":", 1)[1].strip() != "IOB2":
+                    raise ParseError(
+                        f"{line!r}: schema files are IOB2 only; read IOB1 input "
+                        "files with --scheme IOB1", line=lineno,
+                    )
                 continue
             types.append(line)
         if not types:
             raise ParseError("schema file lists no entity types")
-        return cls(types, scheme)
+        return cls(types)
 
 
 @dataclass
@@ -470,7 +476,6 @@ def parse_conll(
     column_spec: ColumnSpec = CONLL4,
     schema: LabelSchema | None = None,
     input_scheme: str = "IOB2",
-    strict: bool = True,
     max_seq_length: int | None = None,
 ) -> Corpus:
     """Parse CoNLL-style annotated text into a Corpus (canonical IOB2).
@@ -478,9 +483,9 @@ def parse_conll(
     Blank lines separate sentences; lines starting with "-DOCSTART-" begin a
     new document. Character offsets are synthesized by joining tokens with
     single spaces, per sentence. IOB1 input is validated under IOB1 and
-    converted. Unknown tags raise SchemaError when strict, otherwise they are
-    replaced by 'O' with a warning. With `max_seq_length` set, longer
-    sentences are truncated with a warning; by default every token is kept.
+    converted. A malformed tag is a ParseError and a tag the schema lacks a
+    SchemaError. With `max_seq_length` set, longer sentences are truncated
+    with a warning; by default every token is kept.
     """
     _check_scheme(input_scheme)
     sentences: list[Sentence] = []
@@ -509,7 +514,7 @@ def parse_conll(
             bad = next(p for p in pending if p[1] is None)
             raise ParseError("mixed tagged/untagged lines in one sentence", line=bad[2])
         if has_tags:
-            tags = _clean_tags(tags, pending, known, strict, seen_types)
+            _check_tags(tags, pending, known, seen_types)
             if input_scheme == "IOB1":
                 tags = convert_scheme(tags, "IOB1", "IOB2")
         tokens = [
@@ -555,34 +560,24 @@ def parse_conll(
     return Corpus(sentences, schema)
 
 
-def _clean_tags(
+def _check_tags(
     tags: list[str | None],
     pending: list[tuple[str, str | None, int]],
     known: set[str] | None,
-    strict: bool,
     seen_types: set[str],
-) -> list[str]:
-    cleaned: list[str] = []
+) -> None:
+    """Reject a malformed tag or one the schema lacks; record the entity
+    types seen."""
     for i, tag in enumerate(tags):
         assert tag is not None
         try:
             _, etype = split_tag(tag)
         except ValidationError:
-            if strict:
-                raise ParseError(f"malformed tag {tag!r}", line=pending[i][2])
-            log.warning("replacing malformed tag %r with O", tag)
-            cleaned.append("O")
-            continue
+            raise ParseError(f"malformed tag {tag!r}", line=pending[i][2])
         if known is not None and tag not in known:
-            if strict:
-                raise SchemaError(f"line {pending[i][2]}: tag {tag!r} not in schema")
-            log.warning("replacing unknown tag %r with O", tag)
-            cleaned.append("O")
-            continue
+            raise SchemaError(f"line {pending[i][2]}: tag {tag!r} not in schema")
         if etype is not None:
             seen_types.add(etype)
-        cleaned.append(tag)
-    return cleaned
 
 
 def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4) -> str:

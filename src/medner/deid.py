@@ -29,12 +29,9 @@ DEFAULT_PROTECTED_TYPES = (
 )
 
 
-PLACEHOLDER_TEMPLATE = "<{}>"
-
-
-def placeholder(entity_type: str, template: str = PLACEHOLDER_TEMPLATE) -> str:
+def placeholder(entity_type: str) -> str:
     """Mask token for a type: upper-cased, spaces removed, angle brackets."""
-    return template.format(entity_type.upper().replace(" ", ""))
+    return "<" + entity_type.upper().replace(" ", "") + ">"
 
 
 def _norm(entity_type: str) -> str:
@@ -55,7 +52,6 @@ class DeidPolicy:
     )
     dictionaries: dict[str, list[str]] = field(default_factory=dict)
     seed: int = 42
-    placeholder_template: str = PLACEHOLDER_TEMPLATE
 
     def __post_init__(self):
         self.modes = {_norm(t): m for t, m in self.modes.items()}
@@ -74,7 +70,7 @@ class DeidPolicy:
     def replacement_for(self, entity_type: str, surface: str) -> str:
         mode = self.mode_for(entity_type)
         if mode == "mask":
-            return placeholder(entity_type, self.placeholder_template)
+            return placeholder(entity_type)
         if mode == "substitute":
             values = self.dictionaries[_norm(entity_type)]
             digest = hashlib.sha256(

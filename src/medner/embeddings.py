@@ -62,25 +62,21 @@ class EmbeddingTable:
 
 
 def load_embeddings(
-    path_or_text: str, expected_dimension: int, oov_policy: str = "lowercase_then_unk",
-    is_text: bool = False,
+    path: str, expected_dimension: int, oov_policy: str = "lowercase_then_unk"
 ) -> EmbeddingTable:
-    """Load `word v1 ... vd` lines into an EmbeddingTable.
+    """Load a file of `word v1 ... vd` lines into an EmbeddingTable.
 
     An optional first line "count dim" (two integers) is skipped. Duplicate
     words keep their first row. The unknown-word vector is the element-wise
     mean of all rows unless the file provides a literal "<unk>" row.
     """
-    if is_text:
-        text = path_or_text
-    else:
-        try:
-            with open(path_or_text, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
-            )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        )
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
@@ -120,7 +116,10 @@ def load_embeddings(
     if UNK_WORD in seen:
         unk = matrix[words.index(UNK_WORD)].copy()
     else:
-        unk = matrix.mean(axis=0)
+        with np.errstate(over="ignore"):  # finite rows near the float limit
+            unk = matrix.mean(axis=0)
+        if not np.all(np.isfinite(unk)):
+            raise ParseError("the mean of the vector rows overflows; add a <unk> row")
     return EmbeddingTable(expected_dimension, words, matrix, unk, oov_policy)
 
 

@@ -2,6 +2,10 @@
 with exact reverse-mode gradients, and Viterbi tagging with posterior
 marginals.
 
+param_shapes is the one place that names the trainable tensors and gives
+their shapes and order: ModelParams views its flat buffer by it, init_model
+fills those views, and load_model checks a container against it.
+
 Per token the network concatenates a static word vector (plus an optional
 trainable delta) with the char-CNN feature vector, applies inverted dropout,
 encodes with a BiLSTM, applies dropout again, and projects to bounded
@@ -19,6 +23,7 @@ the tests compare both against.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,17 +100,22 @@ class TrainConfig:
     def __post_init__(self):
         positive = (
             "word_dim", "char_dim", "kernel_width", "num_filters", "lstm_size",
-            "max_seq_length", "learning_rate", "batch_size",
-            "beta1", "beta2", "epsilon", "warmup_steps",
+            "max_seq_length", "learning_rate", "batch_size", "epsilon", "warmup_steps",
             "early_stopping_patience", "grad_clip_norm",
         )
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValidationError(f"{name} must be positive")
+        for name in ("learning_rate", "epsilon", "grad_clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.max_epochs < 0:
             raise ValidationError("max_epochs must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must lie in (0, 1)")
         if self.oov_policy not in OOV_POLICIES:
             raise ValidationError(f"unknown oov_policy {self.oov_policy!r}")
         if self.confidence_mode not in ("min", "geomean"):
@@ -120,43 +130,59 @@ class TrainConfig:
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
+def param_shapes(
+    config: TrainConfig, num_tags: int, num_chars: int, num_words: int
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trainable tensor, in the order they tile the
+    flat parameter buffer, which is also the optimizer's and the container's
+    order. word_delta is present only with config.train_word_delta."""
+    d_char, k, m = config.char_dim, config.kernel_width, config.num_filters
+    s, t = config.lstm_size, num_tags
+    d_in = config.word_dim + (m if config.use_char_features else 0)
+    shapes = {
+        "char_emb": (num_chars, d_char),
+        "char_filters": (m, k, d_char),
+        "char_bias": (m,),
+        "lstm_fwd_w": (4 * s, d_in),
+        "lstm_fwd_u": (4 * s, s),
+        "lstm_fwd_b": (4 * s,),
+        "lstm_bwd_w": (4 * s, d_in),
+        "lstm_bwd_u": (4 * s, s),
+        "lstm_bwd_b": (4 * s,),
+        "w_c": (t, 2 * s),
+        "b_c": (t,),
+        "transitions": (t + 2, t + 2),
+    }
+    if config.train_word_delta:
+        shapes["word_delta"] = (num_words, config.word_dim)
+    return shapes
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors plus the schema, vocab, and embedding table.
 
-    The trainable tensors are views of one flat buffer, so the optimizer,
-    gradient clipping and snapshots work on `flat` as a whole.
+    The trainable tensors are views of one flat buffer, laid out by
+    param_shapes, so the optimizer, gradient clipping and snapshots work on
+    `flat` as a whole. The views are bound as char_emb, char_filters,
+    char_bias, lstm_fwd and lstm_bwd (LstmParams), w_c, b_c, transitions and
+    word_delta (None without config.train_word_delta).
     """
 
     config: TrainConfig
     schema: LabelSchema
     vocab: Vocabulary
     embed: EmbeddingTable
-    char_emb: np.ndarray
-    char_filters: np.ndarray
-    char_bias: np.ndarray
-    lstm_fwd: LstmParams
-    lstm_bwd: LstmParams
-    w_c: np.ndarray
-    b_c: np.ndarray
-    transitions: np.ndarray
-    word_delta: np.ndarray | None = None
+    flat: np.ndarray = field(repr=False)
     transition_mask: np.ndarray | None = field(default=None, repr=False)
-    # every tensors() entry is a C-contiguous view of this 1-D float64
-    # buffer, in tensors() order: the layout save_model writes
-    flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        """Make every tensor a view of `flat`. A `flat` that the tensors already
-        tile (load_model's payload, dataclasses.replace) is kept; otherwise
-        they are copied into a new buffer."""
-        tensors = self.tensors()
-        if self._tiled_by(tensors):
-            return
-        self.flat = np.empty(sum(t.size for t in tensors.values()))
-        views = self.views(self.flat)
-        for name, t in tensors.items():
-            views[name][...] = t
+        size = sum(math.prod(shape) for shape in self.shapes().values())
+        if self.flat.shape != (size,):
+            raise ValidationError(
+                f"parameter buffer has shape {self.flat.shape}, the layout needs ({size},)"
+            )
+        views = self.tensors()
         self.char_emb = views["char_emb"]
         self.char_filters = views["char_filters"]
         self.char_bias = views["char_bias"]
@@ -167,48 +193,28 @@ class ModelParams:
         self.transitions = views["transitions"]
         self.word_delta = views.get("word_delta")
 
-    def _tiled_by(self, tensors: dict[str, np.ndarray]) -> bool:
-        flat = self.flat
-        if (flat is None or flat.ndim != 1 or flat.dtype != np.float64
-                or not flat.flags.c_contiguous
-                or flat.size != sum(t.size for t in tensors.values())):
-            return False
-        return all(
-            t.dtype == np.float64 and t.flags.c_contiguous and t.ctypes.data == v.ctypes.data
-            for t, v in zip(tensors.values(), self.views(flat).values())
-        )
-
     @property
     def input_dim(self) -> int:
         extra = self.config.num_filters if self.config.use_char_features else 0
         return self.embed.dimension + extra
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """param_shapes of this model's config, schema and vocabulary."""
+        return param_shapes(
+            self.config, self.schema.num_tags, self.vocab.num_chars, self.vocab.num_words
+        )
+
     def tensors(self) -> dict[str, np.ndarray]:
-        """Trainable tensors in a fixed order (optimizer and container order)."""
-        out = {
-            "char_emb": self.char_emb,
-            "char_filters": self.char_filters,
-            "char_bias": self.char_bias,
-            "lstm_fwd_w": self.lstm_fwd.w,
-            "lstm_fwd_u": self.lstm_fwd.u,
-            "lstm_fwd_b": self.lstm_fwd.b,
-            "lstm_bwd_w": self.lstm_bwd.w,
-            "lstm_bwd_u": self.lstm_bwd.u,
-            "lstm_bwd_b": self.lstm_bwd.b,
-            "w_c": self.w_c,
-            "b_c": self.b_c,
-            "transitions": self.transitions,
-        }
-        if self.word_delta is not None:
-            out["word_delta"] = self.word_delta
-        return out
+        """Trainable tensors by name, as views of `flat`, in layout order."""
+        return self.views(self.flat)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a buffer laid out as `flat`, by tensors() name and shape."""
+        """Views of a buffer laid out as `flat`, by tensor name and shape."""
         out, start = {}, 0
-        for name, t in self.tensors().items():
-            out[name] = flat[start : start + t.size].reshape(t.shape)
-            start += t.size
+        for name, shape in self.shapes().items():
+            size = math.prod(shape)
+            out[name] = flat[start : start + size].reshape(shape)
+            start += size
         return out
 
     def zero_grads(self) -> Gradients:
@@ -241,9 +247,9 @@ class Gradients(dict):
         self.flat = flat
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, out: np.ndarray) -> None:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
 
 
 def init_model(
@@ -253,43 +259,30 @@ def init_model(
     embed: EmbeddingTable,
     seed: int | None = None,
 ) -> ModelParams:
-    """Fresh parameters, packed into one flat buffer; deterministic for a
-    fixed seed."""
+    """Fresh parameters in one flat buffer; deterministic for a fixed seed.
+    Biases and word_delta start at zero, the LSTM forget-gate biases at one."""
     if embed.dimension != config.word_dim:
         raise ValidationError(
             f"embedding dimension {embed.dimension} does not match word_dim {config.word_dim}"
         )
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    d_char, k, m = config.char_dim, config.kernel_width, config.num_filters
-    s = config.lstm_size
-    t = schema.num_tags
-    d_in = config.word_dim + (m if config.use_char_features else 0)
-
-    char_emb = rng.uniform(-np.sqrt(3.0 / d_char), np.sqrt(3.0 / d_char), size=(vocab.num_chars, d_char))
-    char_filters = _glorot(rng, k * d_char, m, (m, k, d_char))
-    char_bias = np.zeros(m)
-
-    def make_lstm() -> LstmParams:
-        w = _glorot(rng, d_in, s, (4 * s, d_in))
-        u = _glorot(rng, s, s, (4 * s, s))
-        b = np.zeros(4 * s)
-        b[s : 2 * s] = 1.0  # forget-gate bias
-        return LstmParams(w, u, b)
-
-    lstm_fwd = make_lstm()
-    lstm_bwd = make_lstm()
-    w_c = _glorot(rng, 2 * s, t, (t, 2 * s))
-    b_c = np.zeros(t)
-    transitions = rng.uniform(-0.1, 0.1, size=(t + 2, t + 2))
-    word_delta = np.zeros((vocab.num_words, config.word_dim)) if config.train_word_delta else None
+    shapes = param_shapes(config, schema.num_tags, vocab.num_chars, vocab.num_words)
     mask = schema.transition_mask() if config.use_transition_mask else None
-
     model = ModelParams(
         config, schema, vocab, embed,
-        char_emb, char_filters, char_bias,
-        lstm_fwd, lstm_bwd, w_c, b_c, transitions,
-        word_delta, mask,
+        np.zeros(sum(math.prod(shape) for shape in shapes.values())), mask,
     )
+    # the draw order fixes what a seed gives, so it does not change
+    d_char, s = config.char_dim, config.lstm_size
+    limit = np.sqrt(3.0 / d_char)
+    model.char_emb[...] = rng.uniform(-limit, limit, size=model.char_emb.shape)
+    _glorot(rng, config.kernel_width * d_char, config.num_filters, model.char_filters)
+    for lstm in (model.lstm_fwd, model.lstm_bwd):
+        _glorot(rng, model.input_dim, s, lstm.w)
+        _glorot(rng, s, s, lstm.u)
+        lstm.b[s : 2 * s] = 1.0  # forget-gate bias
+    _glorot(rng, 2 * s, schema.num_tags, model.w_c)
+    model.transitions[...] = rng.uniform(-0.1, 0.1, size=model.transitions.shape)
     model.pin_masked_transitions()
     return model
 
@@ -571,10 +564,3 @@ def tag(
             index, ids = {}, []
     out += _tag_run(model, trans, list(index), ids, marginals)
     return out
-
-
-def predict(
-    model: ModelParams, sentence: Sentence | list[str]
-) -> tuple[list[str], np.ndarray]:
-    """Tags and marginals of one sentence: `tag` with marginals on."""
-    return tag(model, [sentence], marginals=True)[0]

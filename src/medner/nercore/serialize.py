@@ -8,7 +8,9 @@ Layout:
              C order, each with a sha256 checksum recorded in the directory
 
 The embedding table is stored inside the container so a loaded model predicts
-without external files, bit-identically to the saved one.
+without external files, bit-identically to the saved one. The trainable
+tensors come first, named and ordered as model.param_shapes lays out the flat
+parameter buffer; the embedding matrix and unknown-word vector follow.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from ..errors import (
     ChecksumError,
     ModelFormatError,
     ShapeMismatchError,
+    ValidationError,
     VersionMismatchError,
 )
-from .layers import LstmParams
-from .model import ModelParams, TrainConfig
+from .model import ModelParams, TrainConfig, param_shapes
 
 MAGIC = "mednermodel"
 FORMAT_VERSION = 1
@@ -73,31 +75,21 @@ def _check_json(value, kind, where: str) -> None:
         raise ModelFormatError(f"{where} is a {type(value).__name__}")
 
 
-def _expected_shapes(dims: dict) -> dict[str, tuple[int, ...]]:
-    """Tensor shapes by directory name, in save_model's order: the trainable
-    tensors in ModelParams.tensors() order, then the embedding table."""
-    s = dims["lstm_size"]
-    t = dims["num_tags"]
-    d_in = dims["input_dim"]
-    shapes = {
-        "char_emb": (dims["num_chars"], dims["char_dim"]),
-        "char_filters": (dims["num_filters"], dims["kernel_width"], dims["char_dim"]),
-        "char_bias": (dims["num_filters"],),
-        "lstm_fwd_w": (4 * s, d_in),
-        "lstm_fwd_u": (4 * s, s),
-        "lstm_fwd_b": (4 * s,),
-        "lstm_bwd_w": (4 * s, d_in),
-        "lstm_bwd_u": (4 * s, s),
-        "lstm_bwd_b": (4 * s,),
-        "w_c": (t, 2 * s),
-        "b_c": (t,),
-        "transitions": (t + 2, t + 2),
+def _dimensions(model: ModelParams) -> dict:
+    """The manifest's summary of the model's sizes."""
+    cfg = model.config
+    return {
+        "word_dim": model.embed.dimension,
+        "char_dim": cfg.char_dim,
+        "kernel_width": cfg.kernel_width,
+        "num_filters": cfg.num_filters,
+        "lstm_size": cfg.lstm_size,
+        "num_tags": model.schema.num_tags,
+        "num_chars": model.vocab.num_chars,
+        "num_words": model.vocab.num_words if model.word_delta is not None else None,
+        "input_dim": model.input_dim,
+        "embed_rows": len(model.embed),
     }
-    if dims.get("num_words") is not None:
-        shapes["word_delta"] = (dims["num_words"], dims["word_dim"])
-    shapes["embed_matrix"] = (dims["embed_rows"], dims["word_dim"])
-    shapes["embed_unk"] = (dims["word_dim"],)
-    return shapes
 
 
 def save_model(model: ModelParams, path: str) -> None:
@@ -120,22 +112,9 @@ def save_model(model: ModelParams, path: str) -> None:
         )
         payload.extend(blob)
 
-    cfg = model.config
-    dims = {
-        "word_dim": model.embed.dimension,
-        "char_dim": cfg.char_dim,
-        "kernel_width": cfg.kernel_width,
-        "num_filters": cfg.num_filters,
-        "lstm_size": cfg.lstm_size,
-        "num_tags": model.schema.num_tags,
-        "num_chars": model.vocab.num_chars,
-        "num_words": model.vocab.num_words if model.word_delta is not None else None,
-        "input_dim": model.input_dim,
-        "embed_rows": len(model.embed),
-    }
     manifest = {
         "format_version": FORMAT_VERSION,
-        "dimensions": dims,
+        "dimensions": _dimensions(model),
         "schema": {"entity_types": model.schema.entity_types, "scheme": model.schema.scheme},
         "vocab": {
             "words": model.vocab.word_list(),
@@ -147,7 +126,7 @@ def save_model(model: ModelParams, path: str) -> None:
             "words": model.embed.words,
             "oov_policy": model.embed.oov_policy,
         },
-        "config": cfg.to_dict(),
+        "config": model.config.to_dict(),
         "tensors": directory,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -167,6 +146,12 @@ def load_model(path: str) -> ModelParams:
     of a gapped or aliased directory could otherwise share memory, and the
     trainable tensors, which come first, are the model's flat parameter
     buffer only in that order.
+
+    No shape is taken from the manifest: each tensor must have the shape
+    param_shapes derives from the config, schema and vocabulary, and the
+    manifest's `dimensions` must equal what save_model writes for the loaded
+    model. Any disagreement, or a config, schema or vocabulary that does not
+    validate, raises a ModelFormatError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -200,8 +185,19 @@ def load_model(path: str) -> ModelParams:
         )
     _check_json(manifest, _MANIFEST_TYPES, "manifest")
 
-    dims = manifest["dimensions"]
-    expected = _expected_shapes(dims)
+    try:
+        config = TrainConfig.from_dict(manifest["config"])
+        schema = LabelSchema(manifest["schema"]["entity_types"], manifest["schema"]["scheme"])
+        vocab = Vocabulary.from_lists(
+            manifest["vocab"]["words"], manifest["vocab"]["chars"], manifest["vocab"]["min_count"]
+        )
+    except ValidationError as exc:
+        raise ModelFormatError(f"invalid manifest: {exc}")
+    words = manifest["embedding"]["words"]
+    expected = param_shapes(config, schema.num_tags, vocab.num_chars, vocab.num_words) | {
+        "embed_matrix": (len(words), config.word_dim),
+        "embed_unk": (config.word_dim,),
+    }
     order = list(expected)
     tensors: dict[str, np.ndarray] = {}
     end = 0
@@ -227,8 +223,8 @@ def load_model(path: str) -> ModelParams:
             raise ShapeMismatchError(f"tensor {name}: shape {shape} does not fit payload")
         if shape != expected[name]:
             raise ShapeMismatchError(
-                f"tensor {name}: shape {shape} does not match manifest dimensions "
-                f"{expected[name]}"
+                f"tensor {name}: shape {shape} does not match the {expected[name]} that "
+                "the config, schema and vocabulary give"
             )
         tensors[name] = blob.view("<f8").reshape(shape)
     if end != payload_len:
@@ -236,46 +232,19 @@ def load_model(path: str) -> ModelParams:
     if len(tensors) != len(order):
         raise ShapeMismatchError(f"container is missing tensors: {order[len(tensors):]}")
 
-    config = TrainConfig.from_dict(manifest["config"])
-    for key in ("word_dim", "char_dim", "kernel_width", "num_filters", "lstm_size"):
-        if dims[key] != getattr(config, key):
-            raise ShapeMismatchError(
-                f"manifest dimension {key}={dims[key]} disagrees with the config "
-                f"snapshot value {getattr(config, key)}"
-            )
-    schema = LabelSchema(
-        list(manifest["schema"]["entity_types"]), manifest["schema"]["scheme"]
-    )
-    if schema.num_tags != dims["num_tags"]:
-        raise ShapeMismatchError("schema tag count does not match manifest dimensions")
-    vocab = Vocabulary.from_lists(
-        list(manifest["vocab"]["words"]),
-        list(manifest["vocab"]["chars"]),
-        manifest["vocab"]["min_count"],
-    )
     embed = EmbeddingTable(
-        dims["word_dim"],
-        list(manifest["embedding"]["words"]),
-        tensors.pop("embed_matrix"),
-        tensors.pop("embed_unk"),
+        config.word_dim, words, tensors["embed_matrix"], tensors["embed_unk"],
         manifest["embedding"]["oov_policy"],
     )
     model = ModelParams(
-        config=config,
-        schema=schema,
-        vocab=vocab,
-        embed=embed,
-        char_emb=tensors["char_emb"],
-        char_filters=tensors["char_filters"],
-        char_bias=tensors["char_bias"],
-        lstm_fwd=LstmParams(tensors["lstm_fwd_w"], tensors["lstm_fwd_u"], tensors["lstm_fwd_b"]),
-        lstm_bwd=LstmParams(tensors["lstm_bwd_w"], tensors["lstm_bwd_u"], tensors["lstm_bwd_b"]),
-        w_c=tensors["w_c"],
-        b_c=tensors["b_c"],
-        transitions=tensors["transitions"],
-        word_delta=tensors.get("word_delta"),
-        transition_mask=schema.transition_mask() if config.use_transition_mask else None,
+        config, schema, vocab, embed,
         # the trainable tensors tile the payload up to the embedding matrix
-        flat=payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
+        payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
+        schema.transition_mask() if config.use_transition_mask else None,
     )
+    if manifest["dimensions"] != _dimensions(model):
+        raise ShapeMismatchError(
+            f"manifest dimensions {manifest['dimensions']} disagree with the "
+            f"{_dimensions(model)} of its config, schema, vocabulary and tensors"
+        )
     return model

@@ -25,7 +25,7 @@ from medner.deid import DeidPolicy, apply_policy, reverse
 from medner.embeddings import write_embeddings
 from medner.evaluation import Counts, entity_match_counts, macro_f1, micro_f1
 from medner.nercore import crf
-from medner.nercore.model import batch_nll, batch_nll_and_grads, init_model, predict
+from medner.nercore.model import batch_nll, batch_nll_and_grads, init_model, tag
 from medner.nercore.serialize import load_model, save_model
 from medner.nercore.training import fit, validation_micro_f1
 from test_crf import brute_force
@@ -150,7 +150,7 @@ def test_criterion_3_overfit():
     model = init_model(config, corpus.schema, vocab, table)
     result = fit(model, corpus, corpus, config)
     assert len(result.history) <= 200
-    exact = sum(predict(model, s)[0] == s.tags() for s in corpus.sentences)
+    exact = sum(tag(model, [s], marginals=True)[0][0] == s.tags() for s in corpus.sentences)
     assert exact == len(corpus.sentences), f"{exact}/{len(corpus.sentences)} exact"
     assert time.monotonic() - start < 60.0
 
@@ -229,8 +229,8 @@ def test_criterion_6_round_trips(tmp_path):
                                                       size=rng.integers(1, 7)))
             for _ in range(int(rng.integers(1, 9)))
         ]
-        tags_a, marg_a = predict(model, words)
-        tags_b, marg_b = predict(loaded, words)
+        tags_a, marg_a = tag(model, [words], marginals=True)[0]
+        tags_b, marg_b = tag(loaded, [words], marginals=True)[0]
         assert tags_a == tags_b
         np.testing.assert_array_equal(marg_a, marg_b)
 

@@ -511,6 +511,25 @@ class TestBadValues:
         assert code == 3
         assert "line 1" in caplog.text
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--beta1", "1"), ("--beta2", "1.5"), ("--learning-rate", "nan"),
+        ("--epsilon", "nan"), ("--grad-clip-norm", "inf"),
+    ])
+    def test_out_of_range_optimizer_value_exits_4(self, workdir, caplog, flag, value):
+        tmp_path, _, train_file, emb_file = workdir
+        code, _ = run_train(tmp_path, train_file, emb_file, extra=(flag, value))
+        assert code == 4
+        assert flag[2:].replace("-", "_") in caplog.text
+
+    def test_iob1_schema_file_is_parse_error(self, workdir, caplog):
+        tmp_path, corpus, train_file, emb_file = workdir
+        schema = tmp_path / "schema.txt"
+        schema.write_text("scheme: IOB1\n" + "\n".join(corpus.schema.entity_types) + "\n",
+                          encoding="utf-8")
+        code, _ = run_train(tmp_path, train_file, emb_file, extra=("--schema", str(schema)))
+        assert code == 3
+        assert "line 1" in caplog.text and "--scheme IOB1" in caplog.text
+
     def test_grid_value_is_parse_error(self, workdir, caplog):
         tmp_path, _, train_file, emb_file = workdir
         grid = tmp_path / "grid.txt"

@@ -174,11 +174,6 @@ class TestParseConll:
         with pytest.raises(SchemaError):
             parse_conll("fever\tB-Disease\n", TSV2, schema=schema)
 
-    def test_unknown_tag_lenient(self):
-        schema = LabelSchema(["Symptom"])
-        corpus = parse_conll("fever\tB-Disease\n", TSV2, schema=schema, strict=False)
-        assert corpus.sentences[0].tokens[0].tag == "O"
-
     def test_docstart_and_offsets(self):
         text = (
             "-DOCSTART- -X- -X- O\n\n"
@@ -237,11 +232,16 @@ class TestSchema:
 
     def test_text_roundtrip(self):
         # a --schema file: one entity type per line, an optional scheme line
-        text = "# types\nscheme: IOB1\nHeart Disease\n\n  Age  \n"
+        text = "# types\nscheme: IOB2\nHeart Disease\n\n  Age  \n"
         schema = LabelSchema.from_text(text)
         assert schema.entity_types == ["Heart Disease", "Age"]
-        assert schema.scheme == "IOB1"
+        assert schema.scheme == "IOB2"
         assert LabelSchema.from_text("Age\n").scheme == "IOB2"
+
+    @pytest.mark.parametrize("scheme", ["IOB1", "BIOES"])
+    def test_non_iob2_scheme_line_rejected(self, scheme):
+        with pytest.raises(ParseError, match="line 2.*--scheme IOB1"):
+            LabelSchema.from_text(f"Age\nscheme: {scheme}\nName\n")
 
     def test_duplicate_types_rejected(self):
         with pytest.raises(ValidationError):

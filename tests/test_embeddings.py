@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,11 @@ from medner.errors import MednerError, ParseError
 
 
 def load_text(text, dim, policy="lowercase_then_unk"):
-    return load_embeddings(text, dim, policy, is_text=True)
+    """load_embeddings on a file that holds `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vecs.txt"
+        path.write_text(text, encoding="utf-8")
+        return load_embeddings(str(path), dim, policy)
 
 
 class TestLoad:
@@ -39,6 +46,11 @@ class TestLoad:
     def test_non_finite_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
             load_text("a nan 1.0", 2)
+
+    def test_overflowing_mean_rejected(self):
+        with pytest.raises(ParseError, match="<unk> row"):
+            load_text("a 8.98846567431158e+307\nb 8.98846567431158e+307", 1)
+        assert load_text("<unk> 0.0\na 8.98846567431158e+307\nb 9e307", 1).unk_vector == 0.0
 
     def test_explicit_unk_row(self):
         table = load_text("<unk> 7.0 8.0\na 1.0 2.0", 2)

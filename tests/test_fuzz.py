@@ -10,6 +10,7 @@ bytes that need not be UTF-8. Each property runs about 100 examples.
 
 import argparse
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 
@@ -126,8 +127,15 @@ def test_config_file(contents):
     result = write_then(contents, parse)
     if result is not None:
         config, min_confidence, _ = result
-        assert 0.0 <= config.dropout < 1.0
+        assert_config_in_range(config)
         assert min_confidence is None or isinstance(min_confidence, float)
+
+
+def assert_config_in_range(config):
+    assert 0.0 <= config.dropout < 1.0
+    assert 0.0 < config.beta1 < 1.0 and 0.0 < config.beta2 < 1.0
+    for name in ("learning_rate", "epsilon", "grad_clip_norm"):
+        assert 0.0 < getattr(config, name) < math.inf, name
 
 
 @EXAMPLES
@@ -138,4 +146,6 @@ def test_grid_file(contents):
         assert name in FIELDS
         # grid_search builds each point this way (and rejects an empty list)
         for value in values:
-            parsed_or_rejected(lambda: dataclasses.replace(TrainConfig(), **{name: value}))
+            config = parsed_or_rejected(lambda: dataclasses.replace(TrainConfig(), **{name: value}))
+            if config is not None:
+                assert_config_in_range(config)

@@ -14,7 +14,6 @@ from medner.nercore.model import (
     gold_path,
     init_model,
     model_forward,
-    predict,
     tag,
 )
 
@@ -240,14 +239,14 @@ def test_training_and_tagging_reach_no_oracle(monkeypatch):
 class TestPredict:
     def test_empty_input(self, tiny_model):
         model, _ = tiny_model
-        tags, marg = predict(model, [])
+        tags, marg = tag(model, [[]], marginals=True)[0]
         assert tags == []
         assert marg.shape == (0, model.schema.num_tags)
 
     def test_output_contract(self, tiny_model):
         model, corpus = tiny_model
         for sent in corpus.sentences[:5]:
-            tags, marg = predict(model, sent)
+            tags, marg = tag(model, [sent], marginals=True)[0]
             assert len(tags) == len(sent)
             assert all(t in model.schema.tags for t in tags)
             assert marg.shape == (len(sent), model.schema.num_tags)
@@ -259,7 +258,7 @@ class TestPredict:
         tagged = tag(model, sentences, marginals=False)
         assert len(tagged) == len(sentences)
         for sent, (tags, marg) in zip(sentences, tagged):
-            assert tags == predict(model, sent)[0]
+            assert tags == tag(model, [sent], marginals=True)[0][0]
             assert marg is None
 
     def test_mask_guarantees_valid_iob(self, tiny_model):
@@ -272,7 +271,7 @@ class TestPredict:
                 "".join(alphabet[j] for j in rng.integers(0, len(alphabet), size=rng.integers(1, 6)))
                 for _ in range(n)
             ]
-            tags, _ = predict(model, words)
+            tags, _ = tag(model, [words], marginals=True)[0]
             assert validate_iob(tags, "IOB2") == []
 
     def test_mask_applied_even_when_training_unmasked(self):
@@ -285,7 +284,7 @@ class TestPredict:
         model = init_model(cfg, corpus.schema, vocab, table)
         assert model.transition_mask is None
         for sent in corpus.sentences:
-            tags, _ = predict(model, sent)
+            tags, _ = tag(model, [sent], marginals=True)[0]
             assert validate_iob(tags, "IOB2") == []
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from medner.errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
-from medner.nercore.model import predict
+from medner.nercore.model import tag
 from medner.nercore.serialize import load_model, save_model
 
 
@@ -75,6 +76,23 @@ def _negative_dimensions(manifest):
     return manifest
 
 
+def _vocab_longer_than_char_emb(manifest):
+    """One more vocabulary character than char_emb has rows."""
+    manifest["vocab"]["chars"].append("\u2603")
+    return manifest
+
+
+def _dimensions_disagree(manifest):
+    """A dimensions block that no longer matches the tensors it describes."""
+    manifest["dimensions"]["embed_rows"] += 1
+    return manifest
+
+
+def _config_out_of_range(manifest):
+    manifest["config"]["dropout"] = 2.0
+    return manifest
+
+
 MALFORMED_MANIFESTS = {
     "no_dimensions": lambda m: {k: v for k, v in m.items() if k != "dimensions"},
     "json_list": lambda m: [m],
@@ -82,6 +100,9 @@ MALFORMED_MANIFESTS = {
     "aliased_tensors": _aliased_tensors,
     "gapped_tensors": _gapped_tensors,
     "negative_dimensions": _negative_dimensions,
+    "vocab_longer_than_char_emb": _vocab_longer_than_char_emb,
+    "config_out_of_range": _config_out_of_range,
+    "dimensions_disagree": _dimensions_disagree,
 }
 
 
@@ -145,8 +166,8 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         for _ in range(100):
             words = [random_word(rng) for _ in range(int(rng.integers(1, 9)))]
-            tags_a, marg_a = predict(model, words)
-            tags_b, marg_b = predict(loaded, words)
+            tags_a, marg_a = tag(model, [words], marginals=True)[0]
+            tags_b, marg_b = tag(loaded, [words], marginals=True)[0]
             assert tags_a == tags_b
             np.testing.assert_array_equal(marg_a, marg_b)
 
@@ -166,6 +187,27 @@ class TestRoundTrip:
         other = tmp_path / "again.medner"
         save_model(model, str(other))
         assert path.read_bytes() == other.read_bytes()
+
+
+class TestFormatV1:
+    """A committed container, saved by the format-v1 code of commit a6fc81d
+    (word_dim 8, char_dim 4, 4 filters, LSTM 8, trainable word delta), with
+    the tags that code gave five sentences. It guards the format against
+    changes to the code that writes and reads it."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_tags_unchanged(self):
+        model = load_model(str(self.DATA / "tiny_v1.medner"))
+        expected = json.loads((self.DATA / "tiny_v1_tags.json").read_text(encoding="utf-8"))
+        tagged = tag(model, [e["words"] for e in expected], marginals=False)
+        assert [tags for tags, _ in tagged] == [e["tags"] for e in expected]
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        path = self.DATA / "tiny_v1.medner"
+        again = tmp_path / "again.medner"
+        save_model(load_model(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestZeroCopyLoad:

@@ -8,7 +8,7 @@ from conftest import rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import Corpus, build_vocab
 from medner.errors import NumericError, ValidationError
 from medner.nercore import crf, training
-from medner.nercore.model import batch_nll_and_grads, init_model, predict
+from medner.nercore.model import batch_nll_and_grads, init_model, tag
 from medner.nercore.serialize import load_model, save_model
 from medner.nercore.training import (
     FitResult,
@@ -102,7 +102,7 @@ class TestAdam:
             size=6, warmup_steps=20, dropout=0.2, train_word_delta=True,
         )
         assert model.transition_mask is not None and not model.transition_mask.all()
-        oracle = dataclasses.replace(model, flat=None)  # a copy of every tensor
+        oracle = dataclasses.replace(model, flat=model.flat.copy())  # a copy of every tensor
         assert not np.shares_memory(oracle.flat, model.flat)
         state = training.TrainState.for_model(model)
         m = {k: np.zeros_like(t) for k, t in oracle.tensors().items()}
@@ -155,16 +155,19 @@ class TestFlatStore:
         # the flat buffer is the payload's own prefix: loading stays zero-copy
         assert loaded.flat.base is loaded.embed.matrix.base
 
-    def test_replaced_tensor_is_packed(self):
+    def test_replaced_buffer_is_viewed(self):
         model, _, _ = fresh_setup()
         before = model.flat.copy()
-        other = dataclasses.replace(model, w_c=np.ones_like(model.w_c))
+        other = dataclasses.replace(model, flat=np.ones_like(model.flat))
         assert_flat_store(other)
         assert not np.shares_memory(other.flat, model.flat)
-        assert np.all(other.w_c == 1.0) and np.all(other.views(other.flat)["w_c"] == 1.0)
+        assert np.all(other.w_c == 1.0) and np.all(other.lstm_bwd.u == 1.0)
         np.testing.assert_array_equal(model.flat, before)
         same = dataclasses.replace(model, config=dataclasses.replace(model.config, seed=7))
-        assert same.flat is model.flat and same.lstm_fwd.u is model.lstm_fwd.u
+        assert same.flat is model.flat
+        assert same.lstm_fwd.u.ctypes.data == model.lstm_fwd.u.ctypes.data
+        with pytest.raises(ValidationError):
+            dataclasses.replace(model, flat=model.flat[:-1])
 
     def test_write_through_field_shows_in_buffer(self, tmp_path):
         model, _, _ = fresh_setup()
@@ -236,7 +239,7 @@ class TestFit:
             warmup_steps=1, early_stopping_patience=1000, dropout=0.0,
         )
         result = fit(model, corpus, corpus, config)
-        exact = sum(predict(model, s)[0] == s.tags() for s in corpus.sentences)
+        exact = sum(tag(model, [s], marginals=True)[0][0] == s.tags() for s in corpus.sentences)
         assert exact == len(corpus)
         assert any(r.val_micro_f1 == 1.0 for r in result.history)
 
