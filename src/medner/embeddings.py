@@ -69,50 +69,76 @@ def load_embeddings(
     An optional first line "count dim" (two integers) is skipped. Duplicate
     words keep their first row. The unknown-word vector is the element-wise
     mean of all rows unless the file provides a literal "<unk>" row.
+
+    A value is a decimal or exponent number, `inf`/`infinity` or `nan`
+    (case-insensitive, optionally signed) in ASCII, as Python's float()
+    reads it, whitespace around it allowed; float() also takes underscores
+    and non-ASCII digits, which are rejected here. The first faulty line is
+    reported, whatever its fault: a wrong number of values, a value that is
+    not a number, or one that is not finite.
+
+    One pass over the lines checks their structure, one np.loadtxt call
+    converts every value (its C reader rounds as float() does) and one
+    isfinite pass checks the table.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
         )
-    words: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    lines = text.splitlines()
     start = 0
     if lines:
         first = lines[0].split()
         if len(first) == 2 and all(_is_int(p) for p in first):
             start = 1
-    for lineno in range(start, len(lines)):
-        line = lines[lineno]
-        if not line.strip():
+    rows: list[str] = []  # the vector lines, right-stripped
+    linenos: list[int] = []
+    words: list[str] = []
+    keep: list[int] = []  # the row of each word's first occurrence
+    seen: set[str] = set()
+    fault = None  # the first line with a wrong value count or a \x1f among its values
+    for lineno in range(start + 1, len(lines) + 1):
+        line = lines[lineno - 1].rstrip()
+        if not line:
             continue
-        parts = line.rstrip().split(" ")
-        word = parts[0]
-        values = parts[1:]
-        if len(values) != expected_dimension:
-            raise ParseError(
-                f"expected {expected_dimension} values for {word!r}, found {len(values)}",
-                line=lineno + 1,
+        space = line.find(" ")
+        word = line if space < 0 else line[:space]
+        found = line.count(" ")
+        if found != expected_dimension:
+            fault = ParseError(
+                f"expected {expected_dimension} values for {word!r}, found {found}", lineno
             )
-        try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"non-numeric value in row for {word!r}", line=lineno + 1)
-        if not np.all(np.isfinite(vec)):
-            raise ParseError(f"non-finite value in row for {word!r}", line=lineno + 1)
+            break
+        # loadtxt skips \x1f around a value as whitespace; float() does not
+        if line.find("\x1f", space) >= 0:
+            fault = ParseError(f"non-numeric value in row for {word!r}", lineno)
+            break
         if word in seen:
             log.warning("duplicate embedding row for %r: keeping the first", word)
-            continue
-        seen.add(word)
-        words.append(word)
-        rows.append(vec)
+        else:
+            seen.add(word)
+            words.append(word)
+            keep.append(len(rows))
+        rows.append(line)
+        linenos.append(lineno)
     if not rows:
-        raise ParseError("embedding file contains no vector rows")
-    matrix = np.stack(rows)
+        raise fault or ParseError("embedding file contains no vector rows")
+    try:
+        matrix = _parse_values(rows, expected_dimension)
+    except ValueError:
+        for row, lineno in zip(rows, linenos):  # find the first faulty row
+            _check_row(row, lineno, expected_dimension)
+        raise
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        _check_row(rows[bad], linenos[bad], expected_dimension)
+    if fault is not None:
+        raise fault
+    if len(keep) < len(rows):
+        matrix = matrix[keep]
     if UNK_WORD in seen:
         unk = matrix[words.index(UNK_WORD)].copy()
     else:
@@ -121,6 +147,24 @@ def load_embeddings(
         if not np.all(np.isfinite(unk)):
             raise ParseError("the mean of the vector rows overflows; add a <unk> row")
     return EmbeddingTable(expected_dimension, words, matrix, unk, oov_policy)
+
+
+def _parse_values(rows: list[str], dimension: int) -> np.ndarray:
+    """The values of `word v1 ... vd` rows as a (len(rows), d) float64 array;
+    ValueError if any is not a number."""
+    return np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None,
+                      usecols=range(1, dimension + 1), ndmin=2)
+
+
+def _check_row(row: str, lineno: int, dimension: int) -> None:
+    """Raise the ParseError of a row whose values are not all finite numbers."""
+    word = row.partition(" ")[0]
+    try:
+        values = _parse_values([row], dimension)
+    except ValueError:
+        raise ParseError(f"non-numeric value in row for {word!r}", lineno)
+    if not np.isfinite(values).all():
+        raise ParseError(f"non-finite value in row for {word!r}", lineno)
 
 
 def _is_int(s: str) -> bool:

@@ -359,9 +359,12 @@ def batch_nll_and_grads(
     batch: list[Sentence],
     train_mode: bool = True,
     step: int = 0,
+    grads: Gradients | None = None,
 ) -> tuple[float, Gradients]:
     """Summed CRF loss of the batch and its exact gradients, through the
-    network `tag` runs.
+    network `tag` runs. The gradients accumulate into `grads` when given
+    (training reuses one buffer and zeroes it before each step), else into a
+    fresh zeroed buffer; the masked transitions' entries are set to zero.
 
     The word features run once per distinct surface. Over buckets of
     length-sorted sentences of at most BATCH_TOKENS padded positions, each
@@ -374,7 +377,8 @@ def batch_nll_and_grads(
     under the same keys whatever the bucket layout.
     """
     cfg = model.config
-    grads = model.zero_grads()
+    if grads is None:
+        grads = model.zero_grads()
     trans = model.effective_transitions()
     fwd, bwd = model.lstm_fwd, model.lstm_bwd
     gold = [gold_path(model, sent) for sent in batch]

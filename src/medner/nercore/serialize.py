@@ -28,6 +28,7 @@ from ..embeddings import EmbeddingTable
 from ..errors import (
     ChecksumError,
     ModelFormatError,
+    NumericError,
     ShapeMismatchError,
     ValidationError,
     VersionMismatchError,
@@ -150,8 +151,9 @@ def load_model(path: str) -> ModelParams:
     No shape is taken from the manifest: each tensor must have the shape
     param_shapes derives from the config, schema and vocabulary, and the
     manifest's `dimensions` must equal what save_model writes for the loaded
-    model. Any disagreement, or a config, schema or vocabulary that does not
-    validate, raises a ModelFormatError.
+    model. Any disagreement, a config, schema or vocabulary that does not
+    validate, or a trainable tensor that is not finite raises a
+    ModelFormatError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -247,4 +249,8 @@ def load_model(path: str) -> ModelParams:
             f"manifest dimensions {manifest['dimensions']} disagree with the "
             f"{_dimensions(model)} of its config, schema, vocabulary and tensors"
         )
+    try:
+        model.assert_finite()  # checksums vouch for the bytes, not their values
+    except NumericError as exc:
+        raise ModelFormatError(str(exc))
     return model

@@ -19,6 +19,11 @@ from .model import ModelParams, TrainConfig, batch_nll_and_grads, tag
 
 log = logging.getLogger(__name__)
 
+# Elements per block of adam_step's sweep: the block's slices of the
+# parameters, gradient, both moments and the scratch array (5 x 256 KB) stay
+# in a core's L2 cache through the update's ten operations.
+ADAM_BLOCK = 32_768
+
 
 @dataclass
 class TrainState:
@@ -26,7 +31,7 @@ class TrainState:
 
     m and v are flat, laid out as the model's parameter buffer, and hold the
     scaled moments m / (1 - beta1) and v / (1 - beta2) (see adam_step);
-    scratch is adam_step's work array.
+    scratch is adam_step's work array, one block long.
     """
 
     m: np.ndarray
@@ -40,7 +45,7 @@ class TrainState:
     @classmethod
     def for_model(cls, model: ModelParams) -> "TrainState":
         n = model.flat.size
-        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(n))
+        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(min(n, ADAM_BLOCK)))
 
 
 @dataclass
@@ -89,7 +94,14 @@ def adam_step(
     same update is theta -= alpha * M / (sqrt(V) + eps_t) with
     alpha = lr * c1 / c2, eps_t = eps / c2, c1 = (1 - b1) / (1 - b1^t) and
     c2 = sqrt((1 - b2) / (1 - b2^t)): equal in real arithmetic, in ten
-    in-place whole-buffer operations.
+    in-place operations.
+
+    The operations run block by block, ADAM_BLOCK elements at a time, so each
+    block's data stays in cache from the first operation to the last; every
+    element sees the same operations in the same order as in a whole-buffer
+    sweep, so the result does not depend on the block size. Each updated
+    block is checked to be finite while still in cache: a non-finite one
+    raises NumericError naming its tensor (ModelParams.assert_finite).
     """
     state.step += 1
     t = state.step
@@ -97,17 +109,23 @@ def adam_step(
     b1, b2 = config.beta1, config.beta2
     c2 = math.sqrt((1.0 - b2) / (1.0 - b2**t))
     alpha = lr * (1.0 - b1) / (1.0 - b1**t) / c2
-    m, v, tmp = state.m, state.v, state.scratch
-    m *= b1
-    m += grad
-    np.multiply(grad, grad, out=tmp)
-    v *= b2
-    v += tmp
-    np.sqrt(v, out=tmp)
-    tmp += config.epsilon / c2
-    np.divide(m, tmp, out=tmp)
-    tmp *= alpha
-    model.flat -= tmp
+    eps = config.epsilon / c2
+    for lo in range(0, grad.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        g, m, v, theta = grad[lo:hi], state.m[lo:hi], state.v[lo:hi], model.flat[lo:hi]
+        tmp = state.scratch[: g.size]
+        m *= b1
+        m += g
+        np.multiply(g, g, out=tmp)
+        v *= b2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= alpha
+        theta -= tmp
+        if not np.isfinite(theta).all():
+            model.assert_finite()
     model.pin_masked_transitions()
     return lr
 
@@ -159,6 +177,7 @@ def fit(
             raise ValidationError(f"{sent.doc_id}[{sent.sent_index}] is untagged")
 
     state = TrainState.for_model(model)
+    grads = model.zero_grads()
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochRecord] = []
     best_flat: np.ndarray | None = None
@@ -169,14 +188,15 @@ def fit(
         lr = warmup_lr(cfg.learning_rate, state.step + 1, cfg.warmup_steps)
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_corpus.sentences[i] for i in order[lo : lo + cfg.batch_size]]
-            loss, grads = batch_nll_and_grads(model, batch, train_mode=True, step=state.step)
+            grads.flat.fill(0.0)
+            loss, _ = batch_nll_and_grads(model, batch, train_mode=True, step=state.step,
+                                          grads=grads)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {state.step}"
                 )
             clip_gradients(grads.flat, cfg.grad_clip_norm)
             lr = adam_step(model, grads.flat, state, cfg)
-            model.assert_finite()
             epoch_loss += loss
 
         metric = validation_micro_f1(model, val_corpus)

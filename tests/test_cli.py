@@ -373,6 +373,21 @@ class TestDeidentify:
             text = (out / "deidentified.txt").read_text(encoding="utf-8")
             assert "<DOSAGE>" in text
 
+    def test_non_finite_model_exits_4(self, model_file, tmp_path, caplog):
+        # the checksums match the NaN, so only the load's finiteness check sees it
+        model = load_model(str(model_file))
+        model.w_c[0, 0] = np.nan
+        bad = tmp_path / "nan.medner"
+        save_model(model, str(bad))
+        inp = tmp_path / "note.txt"
+        inp.write_text("patient took 250mg daily.", encoding="utf-8")
+        out = tmp_path / "deid"
+        code = main(["deidentify", "--input", str(inp), "--model", str(bad),
+                     "--out-dir", str(out)])
+        assert code == 4
+        assert "tensor w_c contains non-finite values" in caplog.text
+        assert not (out / "deidentified.txt").exists()
+
 
 class TestConvert:
     def test_conll4_tsv2_roundtrip(self, tmp_path):

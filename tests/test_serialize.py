@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -130,6 +131,16 @@ def _reordered_tensors(data: bytes) -> bytes:
     return join_container(manifest, b + a + payload[len(a) + len(b) :])
 
 
+def _non_finite_tensor(data: bytes) -> bytes:
+    """A NaN in w_c's first entry, its checksum updated to match."""
+    manifest, payload = split_container(data)
+    entry = next(e for e in manifest["tensors"] if e["name"] == "w_c")
+    start = entry["offset"]
+    blob = np.float64(np.nan).tobytes() + payload[start + 8 : start + entry["nbytes"]]
+    entry["sha256"] = hashlib.sha256(blob).hexdigest()
+    return join_container(manifest, payload[:start] + blob + payload[start + entry["nbytes"] :])
+
+
 # Whole-file corruptions that no manifest edit expresses.
 MALFORMED_CONTAINERS = {
     "appended_bytes": lambda data: data + bytes(8),
@@ -137,6 +148,7 @@ MALFORMED_CONTAINERS = {
     "huge_manifest_length": lambda data: replace_header(data, b"mednermodel 1 99999999999\n"),
     "repeated_tensor": _repeated_tensor,
     "reordered_tensors": _reordered_tensors,
+    "non_finite_tensor": _non_finite_tensor,
 }
 
 

@@ -96,6 +96,18 @@ class TestClip:
 
 class TestAdam:
     def test_matches_per_tensor_oracle(self):
+        model = self.check_against_oracle()
+        assert model.flat.size <= training.ADAM_BLOCK  # one block
+
+    def test_small_blocks_match_per_tensor_oracle(self, monkeypatch):
+        # the test model fits in one default block; 7-element blocks make the
+        # sweep cross every tensor boundary and end in a ragged block
+        monkeypatch.setattr(training, "ADAM_BLOCK", 7)
+        model = self.check_against_oracle()
+        assert model.flat.size > 100 * 7 and model.flat.size % 7 != 0
+
+    @staticmethod
+    def check_against_oracle():
         # 60 steps across a 20-step warmup, real gradients at three scales,
         # with the transition mask and a trainable word delta
         model, corpus, config = fresh_setup(
@@ -125,6 +137,18 @@ class TestAdam:
         masked = ~model.transition_mask
         assert np.all(model.transitions[masked] == crf.MASK_SCORE)
         assert np.all(model.transitions[~masked] != crf.MASK_SCORE)
+        return model
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_non_finite_update_names_tensor(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(training, "ADAM_BLOCK", block)
+        model, corpus, config = fresh_setup(size=3)
+        state = training.TrainState.for_model(model)
+        _, grads = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        grads["lstm_bwd_u"][2, 1] = np.nan
+        with pytest.raises(NumericError, match="tensor lstm_bwd_u contains non-finite"):
+            training.adam_step(model, grads.flat, state, config)
 
     def test_steps_in_place(self):
         model, corpus, config = fresh_setup(size=3)
@@ -185,6 +209,33 @@ class TestFlatStore:
         assert_tiles(grads, grads.flat)
         assert [(k, g.shape) for k, g in grads.items()] == [
             (k, t.shape) for k, t in model.tensors().items()]
+
+    def test_fit_reuses_one_gradient_buffer(self, monkeypatch):
+        model, corpus, config = fresh_setup(size=6)
+        config = dataclasses.replace(config, max_epochs=2, batch_size=2)
+        given = []
+
+        def recording(*args, grads, **kwargs):
+            assert not grads.flat.any()  # zeroed before every step
+            given.append(grads.flat.ctypes.data)
+            return batch_nll_and_grads(*args, grads=grads, **kwargs)
+
+        monkeypatch.setattr(training, "batch_nll_and_grads", recording)
+        fit(model, corpus, corpus, config)
+        assert len(given) == 6 and len(set(given)) == 1
+
+    def test_gradient_buffers(self):
+        model, corpus, _ = fresh_setup(size=3)
+        first, rest = corpus.sentences[:1], corpus.sentences[1:]
+        _, a = batch_nll_and_grads(model, first, train_mode=False)
+        _, b = batch_nll_and_grads(model, rest, train_mode=False)
+        # without a buffer every call returns its own
+        assert not np.shares_memory(a.flat, b.flat)
+        # with one, the gradients accumulate into it
+        _, c = batch_nll_and_grads(model, rest, train_mode=False, grads=a)
+        assert c is a
+        _, both = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        np.testing.assert_allclose(a.flat, both.flat, rtol=1e-12, atol=1e-15)
 
     def test_fit_restoring_an_earlier_epoch(self, monkeypatch):
         model, corpus, config = fresh_setup(size=6)
