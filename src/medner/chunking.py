@@ -11,6 +11,9 @@ import numpy as np
 from .corpus import LabelSchema, Sentence, iob_spans, validate_iob
 from .errors import ParseError, ValidationError
 
+# how decode_chunks aggregates a chunk's token marginals into its confidence
+CONFIDENCE_MODES = ("min", "geomean")
+
 
 @dataclass
 class Chunk:
@@ -65,7 +68,7 @@ def decode_chunks(
     if violations:
         idx, reason = violations[0]
         raise ValidationError(f"invalid IOB2 sequence at index {idx}: {reason}")
-    if confidence_mode not in ("min", "geomean"):
+    if confidence_mode not in CONFIDENCE_MODES:
         raise ValidationError(f"unknown confidence_mode {confidence_mode!r}")
 
     probs: np.ndarray | None = None
@@ -104,28 +107,6 @@ def decode_chunks(
             )
         )
     return chunks
-
-
-def chunks_to_tags(chunks: list[Chunk], sentence_length: int) -> list[str]:
-    """Exact inverse of decode_chunks on span/type information."""
-    ordered = sorted(chunks, key=lambda c: c.span[:2])
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.span[0] <= prev.span[1]:
-            raise ValidationError(
-                f"chunks overlap: {prev.entity_type}@{prev.token_span} and "
-                f"{cur.entity_type}@{cur.token_span}"
-            )
-    tags = ["O"] * sentence_length
-    for chunk in ordered:
-        first, last, etype = chunk.span
-        if first < 0 or last >= sentence_length:
-            raise ValidationError(
-                f"chunk {etype}@{chunk.token_span} outside sentence of length {sentence_length}"
-            )
-        tags[first] = f"B-{etype}"
-        for i in range(first + 1, last + 1):
-            tags[i] = f"I-{etype}"
-    return tags
 
 
 RECORD_HEADER = "# sent\tbegin\tend\tsurface\tentity\tconfidence"

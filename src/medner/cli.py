@@ -33,7 +33,7 @@ from .corpus import (
     tokenize,
     write_conll,
 )
-from .embeddings import load_embeddings
+from .embeddings import OOV_POLICIES, load_embeddings
 from .errors import (
     ModelFormatError,
     NumericError,
@@ -155,38 +155,27 @@ class Options:
         return TrainConfig(**kwargs)
 
 
+# what a TrainConfig field's flag has beyond --<field-name> and its type
+_FLAG_EXTRAS = {
+    "word_dim": {"help": "word embedding dimension (must match the table)"},
+    "max_seq_length": {"help": "truncate longer --train sentences; other inputs keep every token"},
+    "early_stopping_patience": {"aliases": ("--patience",)},
+    "oov_policy": {"choices": OOV_POLICIES},
+    "confidence_mode": {"choices": chunking.CONFIDENCE_MODES},
+}
+
+
 def add_train_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field, in field order."""
     group = parser.add_argument_group("model and training options")
-    group.add_argument("--word-dim", dest="word_dim", type=int,
-                       help="word embedding dimension (must match the table)")
-    group.add_argument("--char-dim", dest="char_dim", type=int)
-    group.add_argument("--kernel-width", dest="kernel_width", type=int)
-    group.add_argument("--num-filters", dest="num_filters", type=int)
-    group.add_argument("--lstm-size", dest="lstm_size", type=int)
-    group.add_argument("--use-char-features", dest="use_char_features",
-                       action=argparse.BooleanOptionalAction)
-    group.add_argument("--train-word-delta", dest="train_word_delta",
-                       action=argparse.BooleanOptionalAction)
-    group.add_argument("--max-seq-length", dest="max_seq_length", type=int,
-                       help="truncate longer --train sentences; other inputs keep every token")
-    group.add_argument("--use-transition-mask", dest="use_transition_mask",
-                       action=argparse.BooleanOptionalAction)
-    group.add_argument("--learning-rate", dest="learning_rate", type=float)
-    group.add_argument("--batch-size", dest="batch_size", type=int)
-    group.add_argument("--max-epochs", dest="max_epochs", type=int)
-    group.add_argument("--dropout", dest="dropout", type=float)
-    group.add_argument("--beta1", dest="beta1", type=float)
-    group.add_argument("--beta2", dest="beta2", type=float)
-    group.add_argument("--epsilon", dest="epsilon", type=float)
-    group.add_argument("--warmup-steps", dest="warmup_steps", type=int)
-    group.add_argument("--early-stopping-patience", "--patience",
-                       dest="early_stopping_patience", type=int)
-    group.add_argument("--grad-clip-norm", dest="grad_clip_norm", type=float)
-    group.add_argument("--seed", dest="seed", type=int)
-    group.add_argument("--oov-policy", dest="oov_policy",
-                       choices=("zero", "unk_row", "lowercase_then_unk"))
-    group.add_argument("--confidence-mode", dest="confidence_mode",
-                       choices=("min", "geomean"))
+    for name, kind in _CONFIG_FIELDS.items():
+        extra = dict(_FLAG_EXTRAS.get(name, {}))
+        flags = ["--" + name.replace("_", "-"), *extra.pop("aliases", ())]
+        if kind == "bool":
+            extra["action"] = argparse.BooleanOptionalAction
+        elif kind != "str":
+            extra["type"] = {"int": int, "float": float}[kind]
+        group.add_argument(*flags, dest=name, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -173,12 +173,3 @@ def _is_int(s: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def write_embeddings(table: EmbeddingTable, path: str) -> None:
-    """Emit the text format read by load_embeddings, round-trip exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.words)} {table.dimension}\n")
-        for word, row in zip(table.words, table.matrix):
-            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
-

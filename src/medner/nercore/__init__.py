@@ -2,8 +2,8 @@
 model serialization.
 
 Re-exported here are the entry points; everything else lives in the
-submodules, among it the per-sentence routines (model.model_forward,
-layers.lstm_forward, crf.viterbi, ...) that the tests use as oracles.
+submodules. Each layer has one batched implementation; the per-sentence
+oracles the tests check them against are in tests/oracles.py.
 """
 
 from . import crf, layers, model, serialize, training

@@ -1,11 +1,11 @@
-"""Neural building blocks: batched layers with hand-written backward passes,
-and the per-sentence forward routines that tests use as their oracles.
+"""Neural building blocks: batched layers with hand-written backward passes.
 
 Everything is 64-bit numpy. The batched layers run over sentences sorted by
 length, longest first, and padded to a common length; each forward returns
 what its backward needs as plain arrays, and each backward accumulates
 parameter gradients into caller-supplied arrays, so gradients over several
-batches are plain sums.
+batches are plain sums. The tests check each forward against a
+per-sentence oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -15,35 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # the tanh form is stable at both extremes and needs no boolean masks
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 # ---------------------------------------------------------------------------
 # Character CNN: embed chars, convolve width-K windows, ReLU, max-pool.
-
-def char_cnn_forward(
-    char_emb: np.ndarray,
-    filters: np.ndarray,
-    bias: np.ndarray,
-    char_idx: list[int],
-    pad_index: int = 0,
-) -> np.ndarray:
-    """Per-word character feature vector of length M (number of filters);
-    the oracle of char_cnn_batch.
-
-    Words shorter than the kernel width are padded with the PAD character.
-    Each filter slides over all width-K windows; the max of the ReLU-activated
-    responses is the filter's output.
-    """
-    m, k, d = filters.shape
-    idx = list(char_idx) + [pad_index] * (k - len(char_idx))
-    x = char_emb[np.asarray(idx, dtype=np.intp)]  # (L, d)
-    p = len(idx) - k + 1
-    pre = sum((x[j : j + p] @ filters[:, j, :].T for j in range(k)), bias)
-    return np.maximum(pre, 0.0).max(axis=0)
-
 
 def char_cnn_batch(
     char_emb: np.ndarray,
@@ -51,15 +24,15 @@ def char_cnn_batch(
     bias: np.ndarray,
     char_idx: list[list[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """char_cnn_forward over many words at once: the features (W, M), and
-    the characters of each filter's winning window (W, M, K) for
-    char_cnn_batch_backward.
+    """Character feature vectors of many words at once, (W, M) for M
+    filters, and the characters of each filter's winning window (W, M, K)
+    for char_cnn_batch_backward. Each filter slides over all width-K windows
+    of a word; the max of the ReLU-activated responses is its output.
 
     Words are padded with PAD (index 0) to a common length of at least the
-    kernel width, as char_cnn_forward pads a short word. Every character's
-    response to each filter column is looked up from one (chars, M, K)
-    product, and windows past a word's own last window are masked out of the
-    max-pool.
+    kernel width. Every character's response to each filter column is looked
+    up from one (chars, M, K) product, and windows past a word's own last
+    window are masked out of the max-pool.
     """
     m, k, d = filters.shape
     lens = np.array([max(len(c), k) for c in char_idx])
@@ -114,25 +87,6 @@ class LstmParams:
         return self.w.shape[0] // 4
 
 
-def lstm_forward(params: LstmParams, xs: np.ndarray) -> np.ndarray:
-    """Hidden states (N, S) of the recurrence run left to right, one
-    position at a time; the oracle of lstm_batch."""
-    s = params.state_size
-    h, c, hs = np.zeros(s), np.zeros(s), np.empty((len(xs), s))
-    for t, x in enumerate(xs):
-        z = params.w @ x + params.u @ h + params.b
-        i, f, g, o = sigmoid(z[:s]), sigmoid(z[s : 2 * s]), np.tanh(z[2 * s : 3 * s]), sigmoid(z[3 * s :])
-        c = f * c + i * g
-        h = hs[t] = o * np.tanh(c)
-    return hs
-
-
-def bilstm_forward(fwd: LstmParams, bwd: LstmParams, xs: np.ndarray) -> np.ndarray:
-    """Forward and reversed-input hidden states per position, (N, 2S); the
-    oracle of bilstm_batch."""
-    return np.concatenate([lstm_forward(fwd, xs), lstm_forward(bwd, xs[::-1])[::-1]], axis=1)
-
-
 def _gate_affine(s: int) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) for _gates over gate columns i|f|g|o of state size s."""
     # per gate column, z -> scale * z before the tanh and a -> scale * a + shift
@@ -146,8 +100,8 @@ def _gate_affine(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gates(z: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Activate pre-activations (..., 4S) in place: sigmoid for i, f and o,
-    tanh for g, all in one tanh. sigmoid(z) = 0.5 * (1 + tanh(z / 2)) with
-    exact halvings, so i, f and o are bit for bit what sigmoid() gives."""
+    tanh for g, all in one tanh: sigmoid(z) = 0.5 * (1 + tanh(z / 2)), with
+    exact halvings."""
     z *= scale
     np.tanh(z, out=z)
     z *= scale
@@ -159,7 +113,7 @@ def lstm_batch(
     u: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, out: np.ndarray,
     reverse: bool = False,
 ) -> np.ndarray:
-    """lstm_forward over a batch of rows, into out (B, N, S).
+    """The LSTM recurrence over a batch of rows, into out (B, N, S).
 
     zx holds the input projections `x @ w.T + b` of distinct inputs, and tok
     (B, N) picks the input at each position of each row, of which the first
@@ -264,8 +218,9 @@ def bilstm_batch(
     fwd_u: np.ndarray, bwd_u: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
     tok: np.ndarray, lens: np.ndarray,
 ) -> np.ndarray:
-    """bilstm_forward over a length-sorted batch (see lstm_batch), (B, N, 2S);
-    zero past each row's length."""
+    """Forward and reversed-input hidden states per position of a
+    length-sorted batch (see lstm_batch), (B, N, 2S); zero past each row's
+    length."""
     s = fwd_u.shape[1]
     h = np.zeros(tok.shape + (2 * s,))
     lstm_batch(fwd_u, zx_fwd, tok, lens, h[:, :, :s])

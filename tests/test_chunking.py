@@ -4,12 +4,11 @@ import pytest
 from conftest import make_sentence, valid_iob2_sequences
 from medner.chunking import (
     Chunk,
-    chunks_to_tags,
     decode_chunks,
     parse_chunk_records,
     write_chunk_records,
 )
-from medner.corpus import LabelSchema
+from medner.corpus import LabelSchema, spans_to_iob
 from medner.errors import ParseError, ValidationError
 
 
@@ -67,19 +66,23 @@ class TestDecode:
 
 
 class TestChunksToTags:
+    """Chunks back to tags is corpus.spans_to_iob over the chunks' spans."""
+
     def test_empty(self):
-        assert chunks_to_tags([], 3) == ["O", "O", "O"]
+        assert spans_to_iob([], 3) == ["O", "O", "O"]
 
     def test_overlap_rejected(self):
         a = Chunk("X", (0, 1), 0, 2, "a b", 1.0)
         b = Chunk("Y", (1, 2), 2, 4, "b c", 1.0)
         with pytest.raises(ValidationError, match="overlap"):
-            chunks_to_tags([a, b], 3)
+            spans_to_iob([a.span, b.span], 3)
 
     def test_out_of_bounds_rejected(self):
         c = Chunk("X", (2, 4), 0, 1, "a", 1.0)
-        with pytest.raises(ValidationError):
-            chunks_to_tags([c], 3)
+        with pytest.raises(ValidationError, match="out of bounds"):
+            spans_to_iob([c.span], 3)
+        with pytest.raises(ValidationError, match="out of bounds"):
+            spans_to_iob([(-1, 0, "X")], 3)
 
     def test_exhaustive_roundtrip(self):
         # decode -> encode is the identity on every valid IOB2 sequence of
@@ -88,7 +91,7 @@ class TestChunksToTags:
         for seq in valid_iob2_sequences(6, ["A", "B", "C"]):
             sent = make_sentence([f"w{i}" for i in range(len(seq))])
             chunks = decode_chunks(sent, seq)
-            assert chunks_to_tags(chunks, len(seq)) == seq
+            assert spans_to_iob([c.span for c in chunks], len(seq)) == seq
             lengths.add(len(seq))
         assert lengths == {1, 2, 3, 4, 5, 6}
 

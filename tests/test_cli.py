@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FILLERS, make_sentence, rule_corpus, rule_lexicon, toy_table
+from conftest import FILLERS, make_sentence, rule_corpus, rule_lexicon, toy_table, write_embeddings
 from medner.chunking import Chunk, write_chunk_records
 from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
-from medner.embeddings import write_embeddings
 from medner.nercore.serialize import load_model, save_model
 
 

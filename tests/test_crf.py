@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from medner.nercore import crf
+from oracles import log_partition, marginals, nll, score_sequence, viterbi
 
 
 def brute_force(emissions, transitions):
@@ -42,23 +43,23 @@ class TestTrivialCases:
     def test_logz_two_equal_paths(self):
         em = np.zeros((1, 2))
         tr = np.zeros((4, 4))
-        assert crf.log_partition(em, tr) == pytest.approx(math.log(2), abs=1e-12)
+        assert log_partition(em, tr) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_logz_four_equal_paths(self):
         em = np.zeros((2, 2))
         tr = np.zeros((4, 4))
-        assert crf.log_partition(em, tr) == pytest.approx(math.log(4), abs=1e-12)
+        assert log_partition(em, tr) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_score_single_term(self):
         em = np.array([[3.0, -1.0]])
         tr = np.zeros((4, 4))
-        assert crf.score_sequence(em, tr, [0]) == pytest.approx(3.0)
+        assert score_sequence(em, tr, [0]) == pytest.approx(3.0)
 
     def test_score_all_zero(self):
         em = np.zeros((3, 2))
         tr = np.zeros((4, 4))
         for path in itertools.product(range(2), repeat=3):
-            assert crf.score_sequence(em, tr, list(path)) == 0.0
+            assert score_sequence(em, tr, list(path)) == 0.0
 
     def test_score_hand_summed(self):
         rng = np.random.default_rng(0)
@@ -68,41 +69,41 @@ class TestTrivialCases:
         by_hand = (
             tr[3, 2] + em[0, 2] + tr[2, 0] + em[1, 0] + tr[0, 1] + em[2, 1] + tr[1, 4]
         )
-        assert crf.score_sequence(em, tr, path) == pytest.approx(by_hand, abs=1e-12)
+        assert score_sequence(em, tr, path) == pytest.approx(by_hand, abs=1e-12)
 
     def test_viterbi_tie_break_all_zero(self):
         em = np.zeros((4, 3))
         tr = np.zeros((5, 5))
-        path, score = crf.viterbi(em, tr)
+        path, score = viterbi(em, tr)
         assert path == [0, 0, 0, 0]
         assert score == 0.0
 
     def test_viterbi_decoupled(self):
         em = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         tr = np.zeros((5, 5))
-        path, score = crf.viterbi(em, tr)
+        path, score = viterbi(em, tr)
         assert path == [1, 0, 2]
         assert score == pytest.approx(6.0)
 
     def test_marginals_uniform(self):
         em = np.zeros((3, 2))
         tr = np.zeros((4, 4))
-        np.testing.assert_allclose(crf.marginals(em, tr), 0.5, atol=1e-12)
+        np.testing.assert_allclose(marginals(em, tr), 0.5, atol=1e-12)
 
     def test_marginals_softmax(self):
         em = np.array([[math.log(3.0), 0.0]])
         tr = np.zeros((4, 4))
-        np.testing.assert_allclose(crf.marginals(em, tr), [[0.75, 0.25]], atol=1e-12)
+        np.testing.assert_allclose(marginals(em, tr), [[0.75, 0.25]], atol=1e-12)
 
     def test_nll_two_tags(self):
         em = np.zeros((1, 2))
         tr = np.zeros((4, 4))
-        assert crf.nll(em, tr, [0]) == pytest.approx(math.log(2), abs=1e-12)
+        assert nll(em, tr, [0]) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_nll_dominant_gold_path(self):
         em = np.array([[50.0, -50.0], [50.0, -50.0]])
         tr = np.zeros((4, 4))
-        assert crf.nll(em, tr, [0, 0]) == pytest.approx(0.0, abs=1e-10)
+        assert nll(em, tr, [0, 0]) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestOracleAgreement:
@@ -114,11 +115,11 @@ class TestOracleAgreement:
             em = rng.uniform(-2, 2, size=(n, t))
             tr = rng.uniform(-2, 2, size=(t + 2, t + 2))
             log_z_b, path_b, score_b, marg_b = brute_force(em, tr)
-            assert crf.log_partition(em, tr) == pytest.approx(log_z_b, abs=1e-9)
-            path, score = crf.viterbi(em, tr)
+            assert log_partition(em, tr) == pytest.approx(log_z_b, abs=1e-9)
+            path, score = viterbi(em, tr)
             assert path == path_b
             assert score == pytest.approx(score_b, abs=1e-9)
-            marg = crf.marginals(em, tr)
+            marg = marginals(em, tr)
             np.testing.assert_allclose(marg, marg_b, atol=1e-9)
             np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-12)
 
@@ -130,7 +131,7 @@ class TestOracleAgreement:
             em = rng.integers(-1, 2, size=(n, t)).astype(float)
             tr = rng.integers(-1, 2, size=(t + 2, t + 2)).astype(float)
             _, path_b, _, _ = brute_force(em, tr)
-            path, _ = crf.viterbi(em, tr)
+            path, _ = viterbi(em, tr)
             assert path == path_b
 
     def test_gold_probability_in_unit_interval(self):
@@ -141,7 +142,7 @@ class TestOracleAgreement:
             em = rng.uniform(-5, 5, size=(n, t))
             tr = rng.uniform(-5, 5, size=(t + 2, t + 2))
             path = [int(i) for i in rng.integers(0, t, size=n)]
-            loss = crf.nll(em, tr, path)
+            loss = nll(em, tr, path)
             p = math.exp(-loss)
             assert 0.0 < p <= 1.0 + 1e-12
             assert loss >= -1e-12
@@ -163,9 +164,9 @@ class TestGradients:
                 for i in rng.choice(flat.size, size=min(10, flat.size), replace=False):
                     old = flat[i]
                     flat[i] = old + h
-                    up = crf.nll(em, tr, path)
+                    up = nll(em, tr, path)
                     flat[i] = old - h
-                    down = crf.nll(em, tr, path)
+                    down = nll(em, tr, path)
                     flat[i] = old
                     fd = (up - down) / (2 * h)
                     assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-3) < 1e-5
@@ -176,7 +177,7 @@ class TestGradients:
         tr = rng.uniform(-2, 2, size=(5, 5))
         path = [0, 2, 1, 1]
         loss, _, _ = crf.nll_and_gradients_batch(em[None], tr, np.array([4]), np.array([path]))
-        assert loss[0] == pytest.approx(crf.nll(em, tr, path), abs=1e-12)
+        assert loss[0] == pytest.approx(nll(em, tr, path), abs=1e-12)
 
 
 class TestMask:
@@ -197,7 +198,7 @@ class TestMask:
         for _ in range(100):
             em = rng.uniform(-3, 3, size=(5, t))
             tr = crf.apply_mask(rng.uniform(-1, 1, size=(t + 2, t + 2)), mask)
-            path, _ = crf.viterbi(em, tr)
+            path, _ = viterbi(em, tr)
             assert (0, 1) not in set(zip(path, path[1:]))
 
 
@@ -208,7 +209,7 @@ class TestBatchViterbi:
         tr = rng.uniform(-2, 2, size=(7, 7))
         paths = crf.viterbi_batch(em, tr)
         for i in range(16):
-            single, _ = crf.viterbi(em[i], tr)
+            single, _ = viterbi(em[i], tr)
             assert list(paths[i]) == single
 
 
@@ -237,7 +238,7 @@ class TestRaggedBatch:
             paths = crf.viterbi_batch(em, tr, lengths)
             assert paths.shape == (40, 9)
             for r, n in enumerate(lengths):
-                single, _ = crf.viterbi(em[r, :n], tr)
+                single, _ = viterbi(em[r, :n], tr)
                 assert list(paths[r, :n]) == single
 
     def test_integer_scores_tie_and_break_alike(self):
@@ -250,7 +251,7 @@ class TestRaggedBatch:
         for r, n in enumerate(lengths):
             _, best, best_score, _ = brute_force(em[r, :n], tr)
             assert list(paths[r, :n]) == best
-            scores = [crf.score_sequence(em[r, :n], tr, p)
+            scores = [score_sequence(em[r, :n], tr, p)
                       for p in itertools.product(range(3), repeat=n)]
             tied += scores.count(best_score) > 1
         assert tied > 0
@@ -271,7 +272,7 @@ class TestRaggedBatch:
             assert marg.shape == em.shape
             for r, n in enumerate(lengths):
                 np.testing.assert_allclose(
-                    marg[r, :n], crf.marginals(em[r, :n], tr), rtol=0, atol=1e-10
+                    marg[r, :n], marginals(em[r, :n], tr), rtol=0, atol=1e-10
                 )
 
     @pytest.mark.filterwarnings("error")
@@ -303,7 +304,7 @@ class TestRaggedBatch:
         loss, d_em, d_tr = crf.nll_and_gradients_batch(em, tr, lengths, gold)
         want_tr = np.zeros_like(tr)
         for r, n in enumerate(lengths):
-            assert loss[r] == pytest.approx(crf.nll(em[r, :n], tr, gold[r, :n]), abs=1e-9)
+            assert loss[r] == pytest.approx(nll(em[r, :n], tr, gold[r, :n]), abs=1e-9)
             one, d_one, d_tr_one = crf.nll_and_gradients_batch(
                 em[r : r + 1, :n], tr, lengths[r : r + 1], gold[r : r + 1, :n]
             )

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_embeddings
 from medner.cli import main
-from medner.embeddings import UNK_WORD, EmbeddingTable, _is_int, load_embeddings, write_embeddings
+from medner.embeddings import UNK_WORD, EmbeddingTable, _is_int, load_embeddings
 from medner.errors import MednerError, ParseError
 
 

@@ -7,16 +7,13 @@ from medner.nercore.layers import (
     LstmParams,
     bilstm_batch,
     bilstm_batch_backward,
-    bilstm_forward,
     char_cnn_batch,
     char_cnn_batch_backward,
-    char_cnn_forward,
     dropout_mask,
     emission_scores,
     lstm_batch,
-    lstm_forward,
-    sigmoid,
 )
+from oracles import bilstm_forward, char_cnn_forward, lstm_forward, sigmoid
 
 
 class TestCharCnn:

@@ -6,16 +6,15 @@ import pytest
 from conftest import make_sentence, rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import LabelSchema, build_vocab, validate_iob
 from medner.errors import ValidationError
-from medner.nercore import crf, layers, model as model_module, training
+from medner.nercore import crf, model as model_module
 from medner.nercore.model import (
     TrainConfig,
-    batch_nll,
     batch_nll_and_grads,
     gold_path,
     init_model,
-    model_forward,
     tag,
 )
+from oracles import batch_nll, marginals, model_forward, nll, viterbi
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +140,11 @@ class TestGradients:
         batch = corpus.sentences
 
         def loss_at(step):
-            from medner.nercore import crf
-
             total = 0.0
             trans = model.effective_transitions()
             for unit, sent in enumerate(batch):
                 em = model_forward(model, sent, train_mode=True, step=step, unit=unit)
-                total += crf.nll(em, trans, gold_path(model, sent))
+                total += nll(em, trans, gold_path(model, sent))
             return total
 
         _, grads = batch_nll_and_grads(model, batch, train_mode=True, step=5)
@@ -201,7 +198,7 @@ class TestBatchLayout:
         # ... and sums to the oracle's loss under the same dropout keys
         trans = model.effective_transitions()
         oracle = sum(
-            crf.nll(model_forward(model, sent, True, 2, unit), trans, gold_path(model, sent))
+            nll(model_forward(model, sent, True, 2, unit), trans, gold_path(model, sent))
             for unit, sent in enumerate(batch)
         )
         assert self.close(loss, oracle)
@@ -210,30 +207,6 @@ class TestBatchLayout:
         singles = [batch_nll_and_grads(model, [sent], train_mode=False) for sent in batch]
         assert self.close(loss, sum(one[0] for one in singles))
         assert self.close(grads.flat, sum(one[1].flat for one in singles))
-
-
-def test_training_and_tagging_reach_no_oracle(monkeypatch):
-    """fit, evaluate and tag run the batched network only: every
-    per-sentence routine kept for the tests raises when called."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a per-sentence oracle ran outside the tests")
-
-    oracles = {
-        model_module: ("model_forward", "batch_nll", "bilstm_forward", "char_cnn_forward"),
-        layers: ("lstm_forward", "bilstm_forward", "char_cnn_forward"),
-        crf: ("viterbi", "marginals", "forward_backward", "log_partition", "nll"),
-    }
-    for module, names in oracles.items():
-        for name in names:
-            monkeypatch.setattr(module, name, forbidden)
-    rng = np.random.default_rng(35)
-    corpus = rule_corpus(rng, 12)
-    cfg = tiny_config(max_epochs=2, batch_size=4, dropout=0.2, train_word_delta=True)
-    model = init_model(cfg, corpus.schema, build_vocab(corpus), toy_table(rule_lexicon(), 16, rng))
-    result = training.fit(model, corpus, corpus, cfg)
-    assert len(result.history) == 2
-    training.evaluate(model, corpus)
-    assert len(tag(model, corpus.sentences, marginals=True)) == len(corpus)
 
 
 class TestPredict:
@@ -294,8 +267,8 @@ def oracle_tag(model, sentence):
         return [], np.zeros((0, model.schema.num_tags))
     trans = crf.apply_mask(model.transitions, model.schema.transition_mask())
     emissions = model_forward(model, sentence, train_mode=False)
-    path, _ = crf.viterbi(emissions, trans)
-    return [model.schema.tags[i] for i in path], crf.marginals(emissions, trans)
+    path, _ = viterbi(emissions, trans)
+    return [model.schema.tags[i] for i in path], marginals(emissions, trans)
 
 
 def awkward_sentences(corpus, rng):

@@ -380,7 +380,7 @@ class TestValidationMetric:
         def no_marginals(*_args):
             raise AssertionError("scoring must not compute marginals")
 
-        monkeypatch.setattr(crf, "marginals", no_marginals)
+        monkeypatch.setattr(crf, "marginals_batch", no_marginals)
         assert validation_micro_f1(model, corpus) == expected
         report = evaluate(model, corpus)
         assert report.micro_f1 == expected
