@@ -1,5 +1,7 @@
 """Turn tag sequences into entity chunks with character offsets and
-confidence scores, and read and write them as chunk records.
+confidence scores, and read and write them as chunk records. Confidences
+come from the posterior marginal matrix that `tag` returns; chunks decoded
+without one, as from a gold corpus, have confidence 1.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ def decode_chunks(
 ) -> list[Chunk]:
     """Maximal B-X (I-X)* runs become chunks (input must be valid IOB2).
 
-    Chunk confidence aggregates each token's posterior probability of its
-    assigned tag: the minimum by default (a chunk is wrong if any token is),
-    or the geometric mean. `marginals` may be the full (N, num_tags) matrix
-    (requires `schema`) or a length-N vector of assigned-tag probabilities;
-    without it every confidence is 1.
+    `marginals` is the (N, num_tags) posterior matrix that `tag` returns,
+    with columns in `schema`'s tag order. A chunk's confidence aggregates
+    each token's probability of its assigned tag: the minimum by default (a
+    chunk is wrong if any token is), or the geometric mean. Without
+    marginals every confidence is 1.
     """
     if len(tag_sequence) != len(sentence):
         raise ValidationError("tag sequence length does not match sentence")
@@ -68,23 +70,11 @@ def decode_chunks(
     if violations:
         idx, reason = violations[0]
         raise ValidationError(f"invalid IOB2 sequence at index {idx}: {reason}")
-    if confidence_mode not in CONFIDENCE_MODES:
-        raise ValidationError(f"unknown confidence_mode {confidence_mode!r}")
 
     probs: np.ndarray | None = None
     if marginals is not None:
-        marginals = np.asarray(marginals, dtype=np.float64)
-        if marginals.ndim == 2:
-            if schema is None:
-                raise ValidationError("matrix marginals require a schema")
-            cols = [schema.tag_to_index[t] for t in tag_sequence]
-            probs = marginals[np.arange(len(tag_sequence)), cols]
-        elif marginals.ndim == 1:
-            probs = marginals
-        else:
-            raise ValidationError("marginals must be a vector or a matrix")
-        if probs.shape[0] != len(tag_sequence):
-            raise ValidationError("marginals length does not match sentence")
+        cols = [schema.tag_to_index[t] for t in tag_sequence]
+        probs = marginals[np.arange(len(tag_sequence)), cols]
 
     chunks = []
     for first, last, etype in iob_spans(tag_sequence, "IOB2"):

@@ -3,7 +3,9 @@ train, predict, evaluate, deidentify, convert.
 
 Options resolve in three layers: built-in defaults, then a flat key=value
 config file (--config), then command-line flags. Every TrainConfig field is
-available under its own name in both the file and the flag set.
+available under its own name in both the file and the flag set. A config
+file key must name an option of some subcommand; any other key is a parse
+error, so a misspelt setting is not silently ignored.
 
 Exit codes: 0 success, 1 failed --min-micro-f1 gate, 2 usage, 3 parse
 errors, 4 validation/schema/model-format errors, 5 numeric failures.
@@ -68,7 +70,9 @@ def read_text(path: str) -> str:
 
 
 def read_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """key -> (value, line number) of a flat key=value file."""
+    """key -> (value, line number) of a flat key=value file. A key that is
+    no subcommand's option name raises ParseError with its line."""
+    known = _option_names()
     values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -77,8 +81,16 @@ def read_config_file(path: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ParseError("expected key=value", line=lineno)
         key, value = (p.strip() for p in line.split("=", 1))
+        if key not in known:
+            raise ParseError(f"unknown key {key!r}: no subcommand has this option", line=lineno)
         values[key] = (value, lineno)
     return values
+
+
+def _option_names() -> set[str]:
+    """The option names (argparse dests) of every subcommand."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
 
 
 def _coerce(value: str, kind: str, lineno: int):
@@ -135,8 +147,8 @@ class Options:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
         return value
 
-    def corpus_format(self, name: str = "format"):
-        fmt = self.get(name, "tsv2")
+    def corpus_format(self):
+        fmt = self.get("format", "tsv2")
         if fmt not in FORMATS:
             raise UsageError(f"unknown corpus format {fmt!r}, expected one of {sorted(FORMATS)}")
         return fmt
@@ -329,7 +341,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if grid_path:
         grid = _read_grid_file(grid_path)
         result = grid_search(grid, train_corpus, val_corpus, config, build_model)
-        config = result.best_config
+        fit_result = result.best
         (out / "grid_results.json").write_text(
             json.dumps(
                 [
@@ -341,9 +353,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             ) + "\n",
             encoding="utf-8",
         )
-    model = build_model(config)
-    fit_result = fit(model, train_corpus, val_corpus, config)
+    else:
+        fit_result = fit(build_model(config), train_corpus, val_corpus)
 
+    model = fit_result.model
     save_model(model, str(out / "model.medner"))
     (out / "metrics.log").write_text(
         "\n".join(fit_result.log_lines()) + ("\n" if fit_result.history else ""),
@@ -450,8 +463,8 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
     opts = Options(args)
     chunks_path = opts.get("chunks")
     model_path = opts.get("model")
-    if chunks_path is None and model_path is None:
-        raise UsageError("one of --chunks or --model is required")
+    if (chunks_path is None) == (model_path is None):
+        raise UsageError("exactly one of --chunks or --model is required")
     out = _out_dir(opts.require("out_dir"))
     input_path = opts.require("input")
     text = read_text(input_path)

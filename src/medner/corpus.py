@@ -74,9 +74,6 @@ class Token:
                 f"token {self.surface!r} does not span [{self.begin}, {self.end}]"
             )
 
-    def with_tag(self, tag: str | None) -> "Token":
-        return Token(self.surface, self.begin, self.end, tag)
-
 
 @dataclass
 class Sentence:
@@ -113,13 +110,10 @@ class Sentence:
             raise ValidationError("sentence has no tags")
         return [t.tag for t in self.tokens]  # type: ignore[misc]
 
-    def with_tags(self, tags: list[str] | None) -> "Sentence":
-        if tags is not None and len(tags) != len(self.tokens):
+    def with_tags(self, tags: list[str]) -> "Sentence":
+        if len(tags) != len(self.tokens):
             raise ValidationError("tag sequence length does not match sentence")
-        new = [
-            t.with_tag(tags[i] if tags is not None else None)
-            for i, t in enumerate(self.tokens)
-        ]
+        new = [Token(t.surface, t.begin, t.end, tag) for t, tag in zip(self.tokens, tags)]
         return Sentence(new, self.doc_id, self.sent_index)
 
 
@@ -448,11 +442,11 @@ def convert_scheme(tag_sequence: list[str], from_scheme: str, to_scheme: str) ->
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Which whitespace-separated column holds the token and which the tag."""
+    """How many columns a line has, which holds the token and which the tag."""
 
     token_col: int
-    tag_col: int | None
-    n_cols: int | None = None
+    tag_col: int
+    n_cols: int
     sep: str | None = None  # None splits on runs of whitespace
 
 
@@ -489,7 +483,7 @@ def parse_conll(
     """
     _check_scheme(input_scheme)
     sentences: list[Sentence] = []
-    pending: list[tuple[str, str | None, int]] = []  # surface, tag, line number
+    pending: list[tuple[str, str, int]] = []  # surface, tag, line number
     doc_index = 0
     doc_has_content = False
     sent_index = 0
@@ -508,18 +502,12 @@ def parse_conll(
             pending = pending[:max_seq_length]
         surfaces = [p[0] for p in pending]
         tags = [p[1] for p in pending]
-        offsets = synthesize_offsets(surfaces)
-        has_tags = any(t is not None for t in tags)
-        if has_tags and not all(t is not None for t in tags):
-            bad = next(p for p in pending if p[1] is None)
-            raise ParseError("mixed tagged/untagged lines in one sentence", line=bad[2])
-        if has_tags:
-            _check_tags(tags, pending, known, seen_types)
-            if input_scheme == "IOB1":
-                tags = convert_scheme(tags, "IOB1", "IOB2")
+        _check_tags(tags, pending, known, seen_types)
+        if input_scheme == "IOB1":
+            tags = convert_scheme(tags, "IOB1", "IOB2")
         tokens = [
-            Token(s, b, e, tags[i] if has_tags else None)
-            for i, (s, (b, e)) in enumerate(zip(surfaces, offsets))
+            Token(s, b, e, tag)
+            for s, (b, e), tag in zip(surfaces, synthesize_offsets(surfaces), tags)
         ]
         sentences.append(Sentence(tokens, f"doc{doc_index}", sent_index))
         sent_index += 1
@@ -539,18 +527,15 @@ def parse_conll(
                 doc_has_content = False
             continue
         parts = line.split(column_spec.sep)
-        if column_spec.n_cols is not None and len(parts) != column_spec.n_cols:
+        if len(parts) != column_spec.n_cols:
             raise ParseError(
                 f"expected {column_spec.n_cols} columns, found {len(parts)}", line=lineno
             )
-        max_col = max(column_spec.token_col, column_spec.tag_col or 0)
-        if max_col >= len(parts):
-            raise ParseError(f"missing column {max_col}", line=lineno)
         surface = parts[column_spec.token_col].strip()
         if not surface:
             raise ParseError("empty token column", line=lineno)
-        tag = parts[column_spec.tag_col].strip() if column_spec.tag_col is not None else None
-        if tag == "":
+        tag = parts[column_spec.tag_col].strip()
+        if not tag:
             raise ParseError("empty tag column", line=lineno)
         pending.append((surface, tag, lineno))
     flush()
@@ -561,15 +546,14 @@ def parse_conll(
 
 
 def _check_tags(
-    tags: list[str | None],
-    pending: list[tuple[str, str | None, int]],
+    tags: list[str],
+    pending: list[tuple[str, str, int]],
     known: set[str] | None,
     seen_types: set[str],
 ) -> None:
     """Reject a malformed tag or one the schema lacks; record the entity
     types seen."""
     for i, tag in enumerate(tags):
-        assert tag is not None
         try:
             _, etype = split_tag(tag)
         except ValidationError:
@@ -591,13 +575,10 @@ def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4) -> str:
             lines.append("")
         prev_doc = sent.doc_id
         for token in sent.tokens:
-            tag = token.tag if token.tag is not None else "O"
             if column_spec.n_cols == 4:
-                lines.append(f"{token.surface} {filler} {filler} {tag}")
-            elif column_spec.sep == "\t":
-                lines.append(f"{token.surface}\t{tag}")
+                lines.append(f"{token.surface} {filler} {filler} {token.tag}")
             else:
-                lines.append(f"{token.surface} {tag}")
+                lines.append(f"{token.surface}\t{token.tag}")
         lines.append("")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -195,25 +195,3 @@ def apply_policy(text: str, chunks: list[Chunk], policy: DeidPolicy) -> DeidResu
         replacements.append(Replacement(c.begin, c.end, original, c.entity_type, replacement))
     replacements.reverse()
     return DeidResult(out, replacements)
-
-
-def reverse(result: DeidResult) -> str:
-    """Reconstruct the original text exactly from the replacement log."""
-    out = result.text
-    delta = 0
-    pieces: list[str] = []
-    cursor = 0
-    for r in result.replacements:
-        start = r.begin + delta
-        end = start + len(r.replacement)
-        if start < cursor or end > len(out) or out[start:end] != r.replacement:
-            raise ValidationError(
-                f"replacement log inconsistent at [{r.begin}, {r.end}]: "
-                f"expected {r.replacement!r}"
-            )
-        pieces.append(out[cursor:start])
-        pieces.append(r.original)
-        cursor = end
-        delta += len(r.replacement) - (r.end - r.begin + 1)
-    pieces.append(out[cursor:])
-    return "".join(pieces)

@@ -91,13 +91,10 @@ def token_accuracy(gold_tags: list[str], pred_tags: list[str]) -> float:
     return hits / len(gold_tags)
 
 
-def tag_report(
-    gold_tags: list[str], pred_tags: list[str], include_o: bool = False
-) -> dict[str, Counts]:
+def tag_report(gold_tags: list[str], pred_tags: list[str]) -> dict[str, Counts]:
     """Token-level multi-class P/R/F1 per IOB tag (B-/I- scored separately).
 
-    'O' is excluded unless requested, so two all-O sequences yield an empty
-    report.
+    'O' is excluded, so two all-O sequences yield an empty report.
     """
     if len(gold_tags) != len(pred_tags):
         raise ValidationError(
@@ -111,12 +108,12 @@ def tag_report(
     for g, p in zip(gold_tags, pred_tags):
         split_tag(g), split_tag(p)  # reject malformed tags
         if g == p:
-            if g != "O" or include_o:
+            if g != "O":
                 bucket(g).tp += 1
             continue
-        if p != "O" or include_o:
+        if p != "O":
             bucket(p).fp += 1
-        if g != "O" or include_o:
+        if g != "O":
             bucket(g).fn += 1
     return counts
 

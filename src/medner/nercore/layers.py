@@ -82,10 +82,6 @@ class LstmParams:
     u: np.ndarray  # (4S, S) recurrent weights
     b: np.ndarray  # (4S,)
 
-    @property
-    def state_size(self) -> int:
-        return self.w.shape[0] // 4
-
 
 def _gate_affine(s: int) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) for _gates over gate columns i|f|g|o of state size s."""

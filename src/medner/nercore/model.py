@@ -15,8 +15,10 @@ Training (`batch_nll_and_grads`) and inference (`tag`) run one batched
 implementation of every layer: word features once per distinct surface,
 then the BiLSTM, emissions and CRF over buckets of length-sorted sentences.
 Inference has no dropout, so `tag` projects the features once per surface;
-training projects them per token after dropout. The tests compare both
-against a per-sentence oracle of the network (tests/oracles.py).
+training projects them per token after dropout. Training has no separate
+evaluation mode: it applies model.config's dropout, and a model whose
+dropout is 0 trains without. The tests compare both against a per-sentence
+oracle of the network (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -255,15 +257,14 @@ def init_model(
     schema: LabelSchema,
     vocab: Vocabulary,
     embed: EmbeddingTable,
-    seed: int | None = None,
 ) -> ModelParams:
-    """Fresh parameters in one flat buffer; deterministic for a fixed seed.
-    Biases and word_delta start at zero, the LSTM forget-gate biases at one."""
+    """Fresh parameters in one flat buffer, drawn from config.seed. Biases
+    and word_delta start at zero, the LSTM forget-gate biases at one."""
     if embed.dimension != config.word_dim:
         raise ValidationError(
             f"embedding dimension {embed.dimension} does not match word_dim {config.word_dim}"
         )
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     shapes = param_shapes(config, schema.num_tags, vocab.num_chars, vocab.num_words)
     mask = schema.transition_mask() if config.use_transition_mask else None
     model = ModelParams(
@@ -311,14 +312,14 @@ def gold_path(model: ModelParams, sentence: Sentence) -> list[int]:
 def batch_nll_and_grads(
     model: ModelParams,
     batch: list[Sentence],
-    train_mode: bool = True,
     step: int = 0,
     grads: Gradients | None = None,
 ) -> tuple[float, Gradients]:
     """Summed CRF loss of the batch and its exact gradients, through the
-    network `tag` runs. The gradients accumulate into `grads` when given
-    (training reuses one buffer and zeroes it before each step), else into a
-    fresh zeroed buffer; the masked transitions' entries are set to zero.
+    network `tag` runs, with model.config's dropout (none at 0). The
+    gradients accumulate into `grads` when given (training reuses one buffer
+    and zeroes it before each step), else into a fresh zeroed buffer; the
+    masked transitions' entries are set to zero.
 
     The word features run once per distinct surface. Over buckets of
     length-sorted sentences of at most BATCH_TOKENS padded positions, each
@@ -342,7 +343,7 @@ def batch_nll_and_grads(
     words = list(index)
     feats, windows = _word_features(model, words)
     d_feats = np.zeros_like(feats)
-    rate = cfg.dropout if train_mode else 0.0
+    rate = cfg.dropout
     lens = np.array([len(i) for i in ids], dtype=np.intp)
     order = np.argsort(-lens, kind="stable")
     total = 0.0

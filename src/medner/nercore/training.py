@@ -1,5 +1,9 @@
 """Mini-batch Adam training with linear warmup, gradient clipping, and
 entity-F1 early stopping; plus grid search over hyperparameter candidates.
+
+Every training setting is read from the model's own config, the one that
+save_model writes into the container: a model is built with its settings,
+then fit. A dropout of 0 trains without dropout.
 """
 
 from __future__ import annotations
@@ -79,14 +83,9 @@ def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
     return total
 
 
-def adam_step(
-    model: ModelParams,
-    grad: np.ndarray,
-    state: TrainState,
-    config: TrainConfig,
-) -> float:
-    """One Adam update with warmup on the flat parameter buffer; returns the
-    learning rate used.
+def adam_step(model: ModelParams, grad: np.ndarray, state: TrainState) -> float:
+    """One Adam update with warmup on the flat parameter buffer, with the
+    model config's optimizer settings; returns the learning rate used.
 
     Adam's update is theta -= lr * m_hat / (sqrt(v_hat) + eps) with
     m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t). In the moments scaled
@@ -103,6 +102,7 @@ def adam_step(
     block is checked to be finite while still in cache: a non-finite one
     raises NumericError naming its tensor (ModelParams.assert_finite).
     """
+    config = model.config
     state.step += 1
     t = state.step
     lr = warmup_lr(config.learning_rate, t, config.warmup_steps)
@@ -152,29 +152,22 @@ class FitResult:
         return [r.to_line() for r in self.history]
 
 
-def fit(
-    model: ModelParams,
-    train_corpus: Corpus,
-    val_corpus: Corpus,
-    config: TrainConfig | None = None,
-) -> FitResult:
-    """Train with mini-batch Adam; keep the best-validation-epoch parameters.
+def fit(model: ModelParams, train_corpus: Corpus, val_corpus: Corpus) -> FitResult:
+    """Train with mini-batch Adam under model.config; keep the
+    best-validation-epoch parameters.
 
     Deterministic for a fixed seed: epoch shuffles come from one seeded
     generator, dropout from the counter-based stream keyed by each
     sentence's position in its batch, and each batch runs in a fixed layout
     of length-sorted buckets (see batch_nll_and_grads).
     """
-    cfg = model.config if config is None else config
+    cfg = model.config
     if len(train_corpus) == 0:
         raise ValidationError("training corpus is empty")
     if train_corpus.schema.tags != model.schema.tags:
         raise ValidationError("training corpus schema does not match the model schema")
     if val_corpus.schema.tags != model.schema.tags:
         raise ValidationError("validation corpus schema does not match the model schema")
-    for sent in itertools.chain(train_corpus.sentences, val_corpus.sentences):
-        if not sent.is_tagged:
-            raise ValidationError(f"{sent.doc_id}[{sent.sent_index}] is untagged")
 
     state = TrainState.for_model(model)
     grads = model.zero_grads()
@@ -189,14 +182,13 @@ def fit(
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_corpus.sentences[i] for i in order[lo : lo + cfg.batch_size]]
             grads.flat.fill(0.0)
-            loss, _ = batch_nll_and_grads(model, batch, train_mode=True, step=state.step,
-                                          grads=grads)
+            loss, _ = batch_nll_and_grads(model, batch, step=state.step, grads=grads)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {state.step}"
                 )
             clip_gradients(grads.flat, cfg.grad_clip_norm)
-            lr = adam_step(model, grads.flat, state, cfg)
+            lr = adam_step(model, grads.flat, state)
             epoch_loss += loss
 
         metric = validation_micro_f1(model, val_corpus)
@@ -230,7 +222,7 @@ class GridRun:
 
 @dataclass
 class GridResult:
-    best_config: TrainConfig
+    best: FitResult
     runs: list[GridRun]
 
 
@@ -241,25 +233,25 @@ def grid_search(
     base_config: TrainConfig,
     build_model,
 ) -> GridResult:
-    """Train one model per grid point; pick the best validation micro-F1.
+    """Train one model per grid point; keep the fit with the best validation
+    micro-F1.
 
     Ties break toward the lower learning rate, then the smaller model, then
-    grid order. `build_model(config)` must return a fresh ModelParams.
+    grid order. `build_model(config)` must return a fresh ModelParams. Only
+    the winning run's model is kept in memory.
     """
     names = sorted(config_grid)
     if not names or any(not config_grid[n] for n in names):
         raise ValidationError("config grid is empty")
     runs: list[GridRun] = []
+    best, best_rank = None, None
     for values in itertools.product(*(config_grid[n] for n in names)):
         cfg = dataclasses.replace(base_config, **dict(zip(names, values)))
-        model = build_model(cfg)
-        result = fit(model, train_corpus, val_corpus, cfg)
+        result = fit(build_model(cfg), train_corpus, val_corpus)
         score = max((r.val_micro_f1 for r in result.history), default=0.0)
-        runs.append(GridRun(cfg, score, model.num_parameters()))
+        runs.append(GridRun(cfg, score, result.model.num_parameters()))
         log.info("grid point %s -> val_micro_f1=%.4f", dict(zip(names, values)), score)
-    best = min(
-        range(len(runs)),
-        key=lambda i: (-runs[i].val_micro_f1, runs[i].config.learning_rate,
-                       runs[i].num_parameters, i),
-    )
-    return GridResult(runs[best].config, runs)
+        rank = (-score, cfg.learning_rate, runs[-1].num_parameters)
+        if best is None or rank < best_rank:  # strict: the earlier point wins a tie
+            best, best_rank = result, rank
+    return GridResult(best, runs)

@@ -127,6 +127,6 @@ def trained_tiny_model():
     config = tiny_config(max_epochs=60, batch_size=10, learning_rate=5e-3,
                          early_stopping_patience=60)
     model = init_model(config, corpus.schema, vocab, table)
-    result = fit(model, corpus, corpus, config)
+    result = fit(model, corpus, corpus)
     assert result.history[-1].val_micro_f1 > 0.9, "fixture model failed to overfit"
     return model, corpus, table

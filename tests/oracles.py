@@ -1,4 +1,5 @@
-"""Per-sentence reference implementations of the tagger's layers and CRF.
+"""Per-sentence reference implementations of the tagger's layers and CRF,
+and the inverse of de-identification.
 
 The package runs every layer as one batched path over buckets of
 length-sorted sentences. These routines compute the same quantities for one
@@ -19,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from medner.corpus import Sentence
+from medner.deid import DeidResult
+from medner.errors import ValidationError
 from medner.nercore.crf import logsumexp
 from medner.nercore.layers import LstmParams, dropout_mask, emission_scores
 from medner.nercore.model import DROP_HIDDEN, DROP_INPUT, ModelParams, gold_path
@@ -58,7 +61,7 @@ def char_cnn_forward(
 def lstm_forward(params: LstmParams, xs: np.ndarray) -> np.ndarray:
     """Hidden states (N, S) of the recurrence run left to right, one
     position at a time; the oracle of lstm_batch."""
-    s = params.state_size
+    s = params.u.shape[1]
     h, c, hs = np.zeros(s), np.zeros(s), np.empty((len(xs), s))
     for t, x in enumerate(xs):
         z = params.w @ x + params.u @ h + params.b
@@ -203,3 +206,29 @@ def batch_nll(model: ModelParams, batch: list[Sentence]) -> float:
     for sent in batch:
         total += nll(model_forward(model, sent), trans, gold_path(model, sent))
     return total
+
+
+# ---------------------------------------------------------------------------
+# De-identification: the replacement log makes apply_policy exactly
+# reversible; the tests check it with this inverse.
+
+def reverse(result: DeidResult) -> str:
+    """Reconstruct the original text exactly from the replacement log."""
+    out = result.text
+    delta = 0
+    pieces: list[str] = []
+    cursor = 0
+    for r in result.replacements:
+        start = r.begin + delta
+        end = start + len(r.replacement)
+        if start < cursor or end > len(out) or out[start:end] != r.replacement:
+            raise ValidationError(
+                f"replacement log inconsistent at [{r.begin}, {r.end}]: "
+                f"expected {r.replacement!r}"
+            )
+        pieces.append(out[cursor:start])
+        pieces.append(r.original)
+        cursor = end
+        delta += len(r.replacement) - (r.end - r.begin + 1)
+    pieces.append(out[cursor:])
+    return "".join(pieces)

@@ -22,13 +22,13 @@ from conftest import (
 from medner.chunking import Chunk, decode_chunks
 from medner.cli import main
 from medner.corpus import TSV2, build_vocab, spans_to_iob, write_conll
-from medner.deid import DeidPolicy, apply_policy, reverse
+from medner.deid import DeidPolicy, apply_policy
 from medner.evaluation import Counts, entity_match_counts, macro_f1, micro_f1
 from medner.nercore import crf
 from medner.nercore.model import batch_nll_and_grads, init_model, tag
 from medner.nercore.serialize import load_model, save_model
 from medner.nercore.training import fit, validation_micro_f1
-from oracles import batch_nll, log_partition, marginals, viterbi
+from oracles import batch_nll, log_partition, marginals, reverse, viterbi
 from test_crf import brute_force
 from test_evaluation import brute_force_counts, brute_force_micro
 
@@ -91,7 +91,7 @@ def test_criterion_2_gradient_check():
     )
     model = init_model(config, corpus.schema, vocab, table)
     batch = corpus.sentences
-    _, grads = batch_nll_and_grads(model, batch, train_mode=False)
+    _, grads = batch_nll_and_grads(model, batch)
 
     step = 1e-5
     tensors = model.tensors()
@@ -149,7 +149,7 @@ def test_criterion_3_overfit():
         warmup_steps=1, early_stopping_patience=1000, seed=42,
     )
     model = init_model(config, corpus.schema, vocab, table)
-    result = fit(model, corpus, corpus, config)
+    result = fit(model, corpus, corpus)
     assert len(result.history) <= 200
     exact = sum(tag(model, [s], marginals=True)[0][0] == s.tags() for s in corpus.sentences)
     assert exact == len(corpus.sentences), f"{exact}/{len(corpus.sentences)} exact"
@@ -170,7 +170,7 @@ def test_criterion_4_learnability():
         warmup_steps=20, early_stopping_patience=25, seed=42,
     )
     model = init_model(config, train.schema, vocab, table)
-    fit(model, train, test, config)
+    fit(model, train, test)
     f1 = validation_micro_f1(model, test)
     assert f1 >= 0.95, f"held-out micro-F1 {f1:.4f}"
     assert time.monotonic() - start < 300.0

@@ -11,6 +11,16 @@ from medner.chunking import (
 from medner.corpus import LabelSchema, spans_to_iob
 from medner.errors import ParseError, ValidationError
 
+SYMPTOM = LabelSchema(["Symptom"])
+
+
+def tag_marginals(probs, tags, schema):
+    """A marginal matrix, as `tag` returns it, whose column of each token's
+    tag holds that token's entry of probs."""
+    marg = np.zeros((len(tags), schema.num_tags))
+    marg[np.arange(len(tags)), [schema.tag_to_index[t] for t in tags]] = probs
+    return marg
+
 
 class TestDecode:
     def test_all_outside(self):
@@ -28,13 +38,15 @@ class TestDecode:
 
     def test_min_confidence_rule(self):
         sent = make_sentence(["severe", "cough"])
-        (chunk,) = decode_chunks(sent, ["B-Symptom", "I-Symptom"], np.array([0.9, 0.8]))
+        tags = ["B-Symptom", "I-Symptom"]
+        (chunk,) = decode_chunks(sent, tags, tag_marginals([0.9, 0.8], tags, SYMPTOM), SYMPTOM)
         assert chunk.confidence == pytest.approx(0.8)
 
     def test_geometric_mean_mode(self):
         sent = make_sentence(["severe", "cough"])
+        tags = ["B-Symptom", "I-Symptom"]
         (chunk,) = decode_chunks(
-            sent, ["B-Symptom", "I-Symptom"], np.array([0.9, 0.4]),
+            sent, tags, tag_marginals([0.9, 0.4], tags, SYMPTOM), SYMPTOM,
             confidence_mode="geomean",
         )
         assert chunk.confidence == pytest.approx(np.sqrt(0.36))
@@ -54,14 +66,15 @@ class TestDecode:
     def test_confidence_monotone_in_marginals(self):
         sent = make_sentence(["a", "b", "c"])
         tags = ["B-X", "I-X", "O"]
+        schema = LabelSchema(["X"])
         rng = np.random.default_rng(0)
         for _ in range(100):
             probs = rng.uniform(0.1, 0.9, size=3)
-            (before,) = decode_chunks(sent, tags, probs)
+            (before,) = decode_chunks(sent, tags, tag_marginals(probs, tags, schema), schema)
             bumped = probs.copy()
             j = int(rng.integers(0, 2))
             bumped[j] = min(1.0, bumped[j] + rng.uniform(0, 0.1))
-            (after,) = decode_chunks(sent, tags, bumped)
+            (after,) = decode_chunks(sent, tags, tag_marginals(bumped, tags, schema), schema)
             assert after.confidence >= before.confidence - 1e-12
 
 

@@ -387,6 +387,18 @@ class TestDeidentify:
         assert "tensor w_c contains non-finite values" in caplog.text
         assert not (out / "deidentified.txt").exists()
 
+    def test_chunks_and_model_is_usage_error(self, model_file, tmp_path, caplog):
+        inp = tmp_path / "notes.txt"
+        inp.write_text(FIGURE_TEXT, encoding="utf-8")
+        spans = tmp_path / "gold_chunks.tsv"
+        spans.write_text(figure_chunk_records(), encoding="utf-8")
+        out = tmp_path / "deid"
+        code = main(["deidentify", "--input", str(inp), "--chunks", str(spans),
+                     "--model", str(model_file), "--out-dir", str(out)])
+        assert code == 2
+        assert "exactly one of --chunks or --model" in caplog.text
+        assert not out.exists()
+
 
 class TestConvert:
     def test_conll4_tsv2_roundtrip(self, tmp_path):
@@ -516,6 +528,24 @@ class TestBadValues:
         code, _ = run_train(tmp_path, train_file, emb_file, extra=("--config", str(cfg)))
         assert code == 3
         assert "line 2" in caplog.text and "'abc'" in caplog.text
+
+    def test_config_typo_is_parse_error(self, workdir, caplog):
+        tmp_path, _, train_file, emb_file = workdir
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("lstm_size = 12\nmax_epocs = 1\n", encoding="utf-8")
+        code, out = run_train(tmp_path, train_file, emb_file, extra=("--config", str(cfg)))
+        assert code == 3
+        assert "line 2" in caplog.text and "'max_epocs'" in caplog.text
+        assert not (out / "model.medner").exists()
+
+    def test_config_key_of_another_subcommand_accepted(self, workdir):
+        tmp_path, _, train_file, emb_file = workdir
+        cfg = tmp_path / "run.conf"
+        # predict's options: train reads neither
+        cfg.write_text("model = unused.medner\nmin_confidence = 0.5\n", encoding="utf-8")
+        code, out = run_train(tmp_path, train_file, emb_file, extra=("--config", str(cfg)))
+        assert code == 0
+        assert (out / "model.medner").exists()
 
     def test_config_boolean_is_parse_error(self, workdir, caplog):
         tmp_path, _, train_file, emb_file = workdir

@@ -9,9 +9,9 @@ from medner.deid import (
     apply_policy,
     parse_policy_file,
     placeholder,
-    reverse,
 )
 from medner.errors import ParseError, ValidationError
+from oracles import reverse
 
 
 def chunk(etype, begin, end, sent=0):

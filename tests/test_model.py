@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -90,7 +91,7 @@ class TestGradients:
         )
         model = init_model(cfg, corpus.schema, vocab, table)
         batch = corpus.sentences
-        _, grads = batch_nll_and_grads(model, batch, train_mode=False)
+        _, grads = batch_nll_and_grads(model, batch)
         h = 1e-5
         tensors = model.tensors()
         for name, arr in tensors.items():
@@ -110,7 +111,7 @@ class TestGradients:
     def test_unused_char_gradient_zero(self, tiny_model):
         model, corpus = tiny_model
         batch = corpus.sentences[:4]
-        _, grads = batch_nll_and_grads(model, batch, train_mode=False)
+        _, grads = batch_nll_and_grads(model, batch)
         used = set()
         for sent in batch:
             for token in sent.tokens:
@@ -123,8 +124,8 @@ class TestGradients:
     def test_duplicated_batch_doubles_gradients(self, tiny_model):
         model, corpus = tiny_model
         batch = corpus.sentences[:3]
-        loss, grads = batch_nll_and_grads(model, batch, train_mode=False)
-        loss2, grads2 = batch_nll_and_grads(model, batch + batch, train_mode=False)
+        loss, grads = batch_nll_and_grads(model, batch)
+        loss2, grads2 = batch_nll_and_grads(model, batch + batch)
         assert loss2 == pytest.approx(2 * loss, rel=1e-12)
         for name in grads:
             np.testing.assert_allclose(grads2[name], 2 * grads[name], atol=1e-12)
@@ -147,7 +148,7 @@ class TestGradients:
                 total += nll(em, trans, gold_path(model, sent))
             return total
 
-        _, grads = batch_nll_and_grads(model, batch, train_mode=True, step=5)
+        _, grads = batch_nll_and_grads(model, batch, step=5)
         h = 1e-5
         tensors = model.tensors()
         for name in ("char_filters", "lstm_fwd_w", "w_c", "transitions"):
@@ -189,11 +190,11 @@ class TestBatchLayout:
         batch = corpus.sentences + corpus.sentences[:2]
         # one bucket per sentence: each sentence runs alone, under its own keys
         monkeypatch.setattr(model_module, "BATCH_TOKENS", 1)
-        alone = batch_nll_and_grads(model, batch, train_mode=True, step=2)
+        alone = batch_nll_and_grads(model, batch, step=2)
         monkeypatch.setattr(model_module, "BATCH_TOKENS", budget)
         buckets = len(list(model_module._buckets(np.sort([len(s) for s in batch])[::-1])))
         assert (buckets > 1) == (budget == 12)
-        loss, grads = batch_nll_and_grads(model, batch, train_mode=True, step=2)
+        loss, grads = batch_nll_and_grads(model, batch, step=2)
         assert self.close(loss, alone[0]) and self.close(grads.flat, alone[1].flat)
         # ... and sums to the oracle's loss under the same dropout keys
         trans = model.effective_transitions()
@@ -203,8 +204,9 @@ class TestBatchLayout:
         )
         assert self.close(loss, oracle)
         # without dropout, the batch is the sum of one-sentence batches
-        loss, grads = batch_nll_and_grads(model, batch, train_mode=False)
-        singles = [batch_nll_and_grads(model, [sent], train_mode=False) for sent in batch]
+        model = dataclasses.replace(model, config=dataclasses.replace(cfg, dropout=0.0))
+        loss, grads = batch_nll_and_grads(model, batch)
+        singles = [batch_nll_and_grads(model, [sent]) for sent in batch]
         assert self.close(loss, sum(one[0] for one in singles))
         assert self.close(grads.flat, sum(one[1].flat for one in singles))
 

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from conftest import rule_corpus, rule_lexicon, tiny_config, toy_table
-from medner.corpus import Corpus, build_vocab
+from conftest import rule_corpus, rule_lexicon, tiny_config, toy_table, write_embeddings
+from medner import cli
+from medner.corpus import TSV2, Corpus, build_vocab, write_conll
 from medner.errors import NumericError, ValidationError
 from medner.nercore import crf, training
 from medner.nercore.model import batch_nll_and_grads, init_model, tag
@@ -122,10 +124,10 @@ class TestAdam:
         b1, b2 = config.beta1, config.beta2
         for step in range(1, 61):
             batch = [corpus.sentences[step % len(corpus)]]
-            _, grads = batch_nll_and_grads(model, batch, train_mode=True, step=step)
+            _, grads = batch_nll_and_grads(model, batch, step=step)
             grads.flat *= (1e-3, 1.0, 30.0)[step % 3]
             lr_oracle = oracle_adam_step(oracle, grads, m, v, step, config)
-            assert training.adam_step(model, grads.flat, state, config) == lr_oracle
+            assert training.adam_step(model, grads.flat, state) == lr_oracle
             if step in (1, 20, 60):
                 pairs = [(model.tensors(), oracle.tensors())]
                 pairs += [(model.views(state.m * (1.0 - b1)), m),
@@ -143,23 +145,23 @@ class TestAdam:
     def test_non_finite_update_names_tensor(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(training, "ADAM_BLOCK", block)
-        model, corpus, config = fresh_setup(size=3)
+        model, corpus, _ = fresh_setup(size=3)
         state = training.TrainState.for_model(model)
-        _, grads = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        _, grads = batch_nll_and_grads(model, corpus.sentences)
         grads["lstm_bwd_u"][2, 1] = np.nan
         with pytest.raises(NumericError, match="tensor lstm_bwd_u contains non-finite"):
-            training.adam_step(model, grads.flat, state, config)
+            training.adam_step(model, grads.flat, state)
 
     def test_steps_in_place(self):
-        model, corpus, config = fresh_setup(size=3)
+        model, corpus, _ = fresh_setup(size=3)
         state = training.TrainState.for_model(model)
 
         def addresses():
             return [b.ctypes.data for b in (model.flat, state.m, state.v, state.scratch)]
 
         before = addresses()
-        _, grads = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
-        training.adam_step(model, grads.flat, state, config)
+        _, grads = batch_nll_and_grads(model, corpus.sentences)
+        training.adam_step(model, grads.flat, state)
         assert addresses() == before
         assert_flat_store(model)
 
@@ -205,14 +207,13 @@ class TestFlatStore:
 
     def test_gradients_share_one_buffer(self):
         model, corpus, _ = fresh_setup(size=3)
-        _, grads = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        _, grads = batch_nll_and_grads(model, corpus.sentences)
         assert_tiles(grads, grads.flat)
         assert [(k, g.shape) for k, g in grads.items()] == [
             (k, t.shape) for k, t in model.tensors().items()]
 
     def test_fit_reuses_one_gradient_buffer(self, monkeypatch):
-        model, corpus, config = fresh_setup(size=6)
-        config = dataclasses.replace(config, max_epochs=2, batch_size=2)
+        model, corpus, _ = fresh_setup(size=6, max_epochs=2, batch_size=2)
         given = []
 
         def recording(*args, grads, **kwargs):
@@ -221,60 +222,58 @@ class TestFlatStore:
             return batch_nll_and_grads(*args, grads=grads, **kwargs)
 
         monkeypatch.setattr(training, "batch_nll_and_grads", recording)
-        fit(model, corpus, corpus, config)
+        fit(model, corpus, corpus)
         assert len(given) == 6 and len(set(given)) == 1
 
     def test_gradient_buffers(self):
         model, corpus, _ = fresh_setup(size=3)
         first, rest = corpus.sentences[:1], corpus.sentences[1:]
-        _, a = batch_nll_and_grads(model, first, train_mode=False)
-        _, b = batch_nll_and_grads(model, rest, train_mode=False)
+        _, a = batch_nll_and_grads(model, first)
+        _, b = batch_nll_and_grads(model, rest)
         # without a buffer every call returns its own
         assert not np.shares_memory(a.flat, b.flat)
         # with one, the gradients accumulate into it
-        _, c = batch_nll_and_grads(model, rest, train_mode=False, grads=a)
+        _, c = batch_nll_and_grads(model, rest, grads=a)
         assert c is a
-        _, both = batch_nll_and_grads(model, corpus.sentences, train_mode=False)
+        _, both = batch_nll_and_grads(model, corpus.sentences)
         np.testing.assert_allclose(a.flat, both.flat, rtol=1e-12, atol=1e-15)
 
     def test_fit_restoring_an_earlier_epoch(self, monkeypatch):
-        model, corpus, config = fresh_setup(size=6)
-        config = dataclasses.replace(config, max_epochs=3, early_stopping_patience=10)
+        model, corpus, _ = fresh_setup(size=6, max_epochs=3, early_stopping_patience=10)
         metrics = iter([0.9, 0.1, 0.1])
         flat = model.flat
         monkeypatch.setattr(training, "validation_micro_f1", lambda m, c: next(metrics))
-        fit(model, corpus, corpus, config)
+        fit(model, corpus, corpus)
         assert model.flat is flat
         assert_flat_store(model)
 
 
 class TestFit:
     def test_empty_train_rejected(self):
-        model, corpus, config = fresh_setup()
+        model, corpus, _ = fresh_setup()
         empty = Corpus([], corpus.schema)
         with pytest.raises(ValidationError):
-            fit(model, empty, corpus, config)
+            fit(model, empty, corpus)
 
     def test_patience_stops_after_two_epochs(self, monkeypatch):
-        model, corpus, config = fresh_setup()
-        config = dataclasses.replace(config, max_epochs=50, early_stopping_patience=1)
+        model, corpus, _ = fresh_setup(max_epochs=50, early_stopping_patience=1)
         monkeypatch.setattr(training, "validation_micro_f1", lambda m, c: 0.5)
-        result = fit(model, corpus, corpus, config)
+        result = fit(model, corpus, corpus)
         assert len(result.history) == 2
 
     def test_non_finite_loss_aborts(self):
-        model, corpus, config = fresh_setup()
+        model, corpus, _ = fresh_setup(max_epochs=1)
         model.w_c[0, 0] = np.nan
         with pytest.raises(NumericError):
-            fit(model, corpus, corpus, dataclasses.replace(config, max_epochs=1))
+            fit(model, corpus, corpus)
 
     def test_same_seed_bit_identical(self):
         runs = []
         for _ in range(2):
-            model, corpus, config = fresh_setup(
+            model, corpus, _ = fresh_setup(
                 seed=23, size=8, max_epochs=4, dropout=0.3, batch_size=4
             )
-            result = fit(model, corpus, corpus, config)
+            result = fit(model, corpus, corpus)
             runs.append((model, result))
         (m1, r1), (m2, r2) = runs
         assert r1.log_lines() == r2.log_lines()
@@ -284,20 +283,19 @@ class TestFit:
     def test_overfit_ten_sentences(self):
         # lr 1e-3, batch 10, <= 200 epochs; the acceptance suite repeats this
         # with the full timing gate
-        model, corpus, config = fresh_setup(
+        model, corpus, _ = fresh_setup(
             seed=42, size=10,
             learning_rate=1e-3, batch_size=10, max_epochs=200,
             warmup_steps=1, early_stopping_patience=1000, dropout=0.0,
         )
-        result = fit(model, corpus, corpus, config)
+        result = fit(model, corpus, corpus)
         exact = sum(tag(model, [s], marginals=True)[0][0] == s.tags() for s in corpus.sentences)
         assert exact == len(corpus)
         assert any(r.val_micro_f1 == 1.0 for r in result.history)
 
     def test_best_epoch_parameters_kept(self, monkeypatch):
         # metric sequence 0.2, 0.9, 0.1, ... -> parameters must come from epoch 2
-        model, corpus, config = fresh_setup(size=6)
-        config = dataclasses.replace(config, max_epochs=4, early_stopping_patience=10)
+        model, corpus, _ = fresh_setup(size=6, max_epochs=4, early_stopping_patience=10)
         metrics = iter([0.2, 0.9, 0.1, 0.1])
         snapshots = []
 
@@ -306,7 +304,7 @@ class TestFit:
             return next(metrics)
 
         monkeypatch.setattr(training, "validation_micro_f1", fake_metric)
-        fit(model, corpus, corpus, config)
+        fit(model, corpus, corpus)
         best = snapshots[1]
         for name, tensor in model.tensors().items():
             np.testing.assert_array_equal(tensor, best[name], err_msg=name)
@@ -320,7 +318,7 @@ class TestGridSearch:
             return init_model(cfg, corpus.schema, model.vocab, model.embed)
 
         result = grid_search({"learning_rate": [3e-3]}, corpus, corpus, config, build)
-        assert result.best_config.learning_rate == 3e-3
+        assert result.best.model.config.learning_rate == 3e-3
         assert len(result.runs) == 1
 
     def test_zero_epoch_config_loses(self):
@@ -330,7 +328,7 @@ class TestGridSearch:
             return init_model(cfg, corpus.schema, model.vocab, model.embed)
 
         result = grid_search({"max_epochs": [0, 25]}, corpus, corpus, config, build)
-        assert result.best_config.max_epochs == 25
+        assert result.best.model.config.max_epochs == 25
 
     def test_empty_grid_rejected(self):
         model, corpus, config = fresh_setup(size=4)
@@ -355,26 +353,65 @@ class TestGridSearch:
             for s in grid["lstm_size"]:
                 cfg = dataclasses.replace(config, learning_rate=lr, lstm_size=s)
                 m = build(cfg)
-                r = fit(m, corpus, corpus, cfg)
+                r = fit(m, corpus, corpus)
                 score = max((x.val_micro_f1 for x in r.history), default=0.0)
                 rerun.append((cfg, score, m.num_parameters()))
         best = max(rerun, key=lambda item: (item[1], -item[0].learning_rate, -item[2]))
-        assert result.best_config.learning_rate == best[0].learning_rate
-        assert result.best_config.lstm_size == best[0].lstm_size
+        assert result.best.model.config.learning_rate == best[0].learning_rate
+        assert result.best.model.config.lstm_size == best[0].lstm_size
+
+
+    def test_train_saves_the_winning_fit(self, tmp_path, monkeypatch):
+        # `medner train --grid` fits each grid point once and saves the
+        # winner's model and log, without fitting the winner again
+        rng = np.random.default_rng(5)
+        corpus = rule_corpus(rng, 12)
+        (tmp_path / "train.tsv").write_text(write_conll(corpus, TSV2), encoding="utf-8")
+        write_embeddings(toy_table(rule_lexicon(), 16, rng), str(tmp_path / "vectors.txt"))
+        (tmp_path / "grid.txt").write_text("learning_rate = 1e-2, 1e-3, 3e-3\n",
+                                           encoding="utf-8")
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(training, "fit", recording)
+        monkeypatch.setattr(cli, "fit", recording)
+        out = tmp_path / "out"
+        code = cli.main([
+            "train", "--train", str(tmp_path / "train.tsv"), "--val", str(tmp_path / "train.tsv"),
+            "--embeddings", str(tmp_path / "vectors.txt"), "--grid", str(tmp_path / "grid.txt"),
+            "--out-dir", str(out), "--embed-dim", "16", "--char-dim", "8", "--num-filters", "8",
+            "--lstm-size", "8", "--batch-size", "4", "--max-epochs", "2", "--dropout", "0.1",
+            "--warmup-steps", "2",
+        ])
+        assert code == 0
+        assert len(fits) == 3
+        runs = json.loads((out / "grid_results.json").read_text(encoding="utf-8"))
+        winner = min(range(3), key=lambda i: (-runs[i]["val_micro_f1"],
+                                              runs[i]["config"]["learning_rate"],
+                                              runs[i]["num_parameters"], i))
+        best = fits[winner]
+        assert best.model.config.to_dict() == runs[winner]["config"]
+        save_model(best.model, str(tmp_path / "winner.medner"))
+        assert (out / "model.medner").read_bytes() == (tmp_path / "winner.medner").read_bytes()
+        assert (out / "metrics.log").read_text(encoding="utf-8") == "".join(
+            line + "\n" for line in best.log_lines())
 
 
 class TestValidationMetric:
     def test_perfect_predictions_score_one(self):
-        model, corpus, config = fresh_setup(
+        model, corpus, _ = fresh_setup(
             seed=42, size=10, learning_rate=1e-3, batch_size=10,
             max_epochs=200, warmup_steps=1, early_stopping_patience=1000,
         )
-        fit(model, corpus, corpus, config)
+        fit(model, corpus, corpus)
         assert validation_micro_f1(model, corpus) == pytest.approx(1.0)
 
     def test_scoring_computes_no_marginals(self, monkeypatch):
-        model, corpus, config = fresh_setup(size=6, max_epochs=1)
-        fit(model, corpus, corpus, config)
+        model, corpus, _ = fresh_setup(size=6, max_epochs=1)
+        fit(model, corpus, corpus)
         expected = validation_micro_f1(model, corpus)
 
         def no_marginals(*_args):
@@ -387,8 +424,8 @@ class TestValidationMetric:
         assert 0.0 <= report.token_accuracy <= 1.0
 
     def test_metrics_log_fields(self):
-        model, corpus, config = fresh_setup(size=5, max_epochs=2)
-        result = fit(model, corpus, corpus, config)
+        model, corpus, _ = fresh_setup(size=5, max_epochs=2)
+        result = fit(model, corpus, corpus)
         assert isinstance(result, FitResult)
         for line in result.log_lines():
             assert line.startswith("epoch=")
