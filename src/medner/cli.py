@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -414,6 +415,9 @@ def _tag_chunks(model: ModelParams, sentences: list[Sentence]) -> list[chunking.
 
 def cmd_predict(args: argparse.Namespace) -> int:
     opts = Options(args)
+    min_confidence = opts.get("min_confidence", 0.0)
+    if not 0.0 <= min_confidence <= 1.0:  # NaN too: no chunk would pass it
+        raise ValidationError(f"min_confidence must lie in [0, 1], got {min_confidence}")
     model = load_model(opts.require("model"))
     out = _out_dir(opts.require("out_dir"))
     text = read_text(opts.require("input"))
@@ -425,7 +429,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         _check_known_types(model, corpus.entity_types_present())
         sentences = corpus.sentences
     chunks = _tag_chunks(model, sentences)
-    min_confidence = opts.get("min_confidence", 0.0)
     chunks = [c for c in chunks if c.confidence >= min_confidence]
     (out / "chunks.tsv").write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
     log.info("%d chunks written to %s", len(chunks), out / "chunks.tsv")
@@ -438,6 +441,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model_path = opts.get("model")
     if (pred_path is None) == (model_path is None):
         raise UsageError("exactly one of --pred or --model is required")
+    gate = opts.get("min_micro_f1")
+    if gate is not None and not math.isfinite(gate):  # F1 < NaN never holds
+        raise ValidationError(f"min_micro_f1 must be finite, got {gate}")
     fmt = opts.corpus_format()
     scheme = opts.scheme()
     gold = _load_corpus(opts.require("gold"), fmt, scheme, None)
@@ -452,7 +458,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = opts.get("out_dir")
     if out_dir:
         _write_report(_out_dir(out_dir), report)
-    gate = opts.get("min_micro_f1")
     if gate is not None and report.micro_f1 < gate:
         log.error("micro-F1 %.4f below gate %.4f", report.micro_f1, gate)
         return EXIT_GATE

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -471,19 +472,34 @@ def _tag_run(
     x, _ = _word_features(model, words)
     zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
     zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
-    for bucket in _buckets(lens[order]):
-        rows = order[bucket]
-        blens = lens[rows]
-        h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd,
-                         _padded(ids, rows, blens), blens)
-        emissions = emission_scores(model.w_c, model.b_c, h)
-        paths = crf.viterbi_batch(emissions, trans, blens)
-        marg = crf.marginals_batch(emissions, trans, blens) if marginals else None
-        for r, s in enumerate(rows):
-            out[s] = (
-                [model.schema.tags[i] for i in paths[r, : blens[r]]],
-                marg[r, : blens[r]] if marg is not None else None,
-            )
+    buckets = list(_buckets(lens[order]))
+    pending = iter(buckets)  # shared by both threads; a list iterator's next is atomic
+
+    def run() -> None:
+        for bucket in pending:
+            rows = order[bucket]
+            blens = lens[rows]
+            # the hidden states are most of a bucket's memory: free them before
+            # the CRF, not when the next bucket replaces them
+            h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd,
+                             _padded(ids, rows, blens), blens)
+            emissions = emission_scores(model.w_c, model.b_c, h)
+            del h
+            paths = crf.viterbi_batch(emissions, trans, blens)
+            marg = crf.marginals_batch(emissions, trans, blens) if marginals else None
+            for r, s in enumerate(rows):
+                out[s] = (
+                    [model.schema.tags[i] for i in paths[r, : blens[r]]],
+                    marg[r, : blens[r]] if marg is not None else None,
+                )
+
+    # the caller and one worker take buckets until none are left; leaving the
+    # block joins the worker, and result() re-raises what it raised
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(run) if len(buckets) > 1 else None
+        run()
+    if worker is not None:
+        worker.result()
     return out
 
 
@@ -504,10 +520,17 @@ def tag(
     - non-empty sentences are sorted by length, longest first, and cut into
       buckets of at most BATCH_TOKENS padded positions, in which the BiLSTM,
       the emissions, Viterbi and (only when asked) the marginals run over
-      all rows at once, each row to its own length.
+      all rows at once, each row to its own length;
+    - a run of two or more buckets is tagged on two threads, the caller's
+      and one worker started for the run, each taking the next bucket until
+      none are left. A bucket writes only its own sentences' results, so
+      they are bitwise those of one thread. numpy releases the GIL in the
+      products and elementwise passes, so the threads use two cores when
+      each BLAS call runs on one thread (OPENBLAS_NUM_THREADS=1).
 
-    So working memory is bounded whatever the number of sentences, and a
-    sentence's tags do not depend on the other sentences in the call.
+    So working memory is that of at most two buckets whatever the number of
+    sentences, and a sentence's tags do not depend on the other sentences in
+    the call.
     """
     # the schema mask applies at prediction even when training ran unmasked
     trans = crf.apply_mask(model.transitions, model.schema.transition_mask())

@@ -581,3 +581,27 @@ class TestBadValues:
         code, _ = run_train(tmp_path, train_file, emb_file, extra=("--grid", str(grid)))
         assert code == 3
         assert "line 2" in caplog.text and "'x'" in caplog.text
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("predict", "min_confidence", "nan"),
+        ("predict", "min_confidence", "1.5"),
+        ("predict", "min_confidence", "-0.1"),
+        ("evaluate", "min_micro_f1", "nan"),
+        ("evaluate", "min_micro_f1", "-inf"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_threshold_out_of_range_exits_4(
+        self, workdir, model_file, caplog, command, option, value, source
+    ):
+        # no chunk passes `confidence >= nan` or `>= 1.5`, and `f1 < nan` never
+        # fails the gate: each would exit 0 having silently done nothing
+        argv = TestUnreadableInputs.valid_argv(command, workdir, model_file)
+        if source == "flag":
+            argv.append(f"--{option.replace('_', '-')}={value}")  # -inf is no flag
+        else:
+            cfg = workdir[0] / "run.conf"
+            cfg.write_text(f"{option} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main([command, *argv]) == 4
+        assert option in caplog.text
+        assert not (workdir[0] / "out").exists()

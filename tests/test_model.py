@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -273,6 +277,28 @@ def oracle_tag(model, sentence):
     return [model.schema.tags[i] for i in path], marginals(emissions, trans)
 
 
+class InlineExecutor:
+    """Stands in for concurrent.futures.ThreadPoolExecutor: runs each
+    submitted call at once, on the caller's thread."""
+
+    submitted = 0
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn):
+        InlineExecutor.submitted += 1
+        future = Future()
+        future.set_result(fn())
+        return future
+
+
 def awkward_sentences(corpus, rng):
     """Sentence objects and word lists mixed: empty and one-token sentences,
     words shorter than a kernel, repeated surfaces, characters the vocabulary
@@ -329,6 +355,72 @@ class TestBatchedTag:
             want_tags, want_marg = oracle_tag(model, sent)
             assert tags == want_tags
             np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
+
+    def test_worker_changes_no_bit(self, tiny_model, monkeypatch):
+        # the same call with the worker replaced by a stand-in that runs the
+        # submitted loop inline, so the caller's thread tags every bucket
+        model, corpus = tiny_model
+        monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
+        monkeypatch.setattr(model_module, "CACHE_SURFACES", 7)
+        sentences = awkward_sentences(corpus, np.random.default_rng(42))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads interleave within every bucket
+        try:
+            threaded = tag(model, sentences, marginals=True)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "submitted", 0)
+        inline = tag(model, sentences, marginals=True)
+        assert InlineExecutor.submitted > 0
+        for (tags, marg), (want_tags, want_marg) in zip(threaded, inline, strict=True):
+            assert tags == want_tags
+            assert np.array_equal(marg, want_marg)
+
+    def test_error_in_a_bucket_reaches_the_caller(self, tiny_model, monkeypatch):
+        model, corpus = tiny_model
+        monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
+        monkeypatch.setattr(model_module, "CACHE_SURFACES", 7)
+        sentences = awkward_sentences(corpus, np.random.default_rng(42))
+        first = tag(model, sentences, marginals=True)
+        calls = itertools.count()
+        viterbi_batch = crf.viterbi_batch
+
+        def fails_second(*args):
+            if next(calls) == 1:  # a bucket of the second run, which has two
+                raise RuntimeError("injected")
+            return viterbi_batch(*args)
+
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(crf, "viterbi_batch", fails_second)
+            with pytest.raises(RuntimeError, match="injected"):
+                tag(model, sentences, marginals=True)
+        assert threading.active_count() == threads
+        again = tag(model, sentences, marginals=True)
+        for (tags, marg), (want_tags, want_marg) in zip(again, first, strict=True):
+            assert tags == want_tags
+            assert np.array_equal(marg, want_marg)
+
+    def test_worker_error_reaches_the_caller(self, tiny_model, monkeypatch):
+        # two buckets of one row each; the caller's bucket waits until the
+        # worker has taken the other one and failed on it
+        model, corpus = tiny_model
+        monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
+        sentences = [corpus.sentences[0], ["fever"] * 7]
+        worker_failed = threading.Event()
+        viterbi_batch = crf.viterbi_batch
+
+        def fails_on_worker(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert worker_failed.wait(timeout=30)
+                return viterbi_batch(*args)
+            worker_failed.set()
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(crf, "viterbi_batch", fails_on_worker)
+        with pytest.raises(RuntimeError, match="injected"):
+            tag(model, sentences, marginals=False)
 
     def test_batch_invariance(self, tiny_model):
         model, _ = tiny_model
