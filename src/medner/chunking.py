@@ -77,7 +77,7 @@ def decode_chunks(
         probs = marginals[np.arange(len(tag_sequence)), cols]
 
     chunks = []
-    for first, last, etype in iob_spans(tag_sequence, "IOB2"):
+    for first, last, etype in iob_spans(tag_sequence):
         if probs is None:
             confidence = 1.0
         elif confidence_mode == "min":

@@ -25,11 +25,11 @@ from . import chunking, deid, evaluation
 from .corpus import (
     DEFAULT_ABBREVIATIONS,
     FORMATS,
+    SCHEMES,
     Corpus,
     LabelSchema,
     Sentence,
     build_vocab,
-    convert_scheme,
     parse_conll,
     sentence_split,
     split_corpus,
@@ -148,17 +148,13 @@ class Options:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
         return value
 
-    def corpus_format(self):
-        fmt = self.get("format", "tsv2")
-        if fmt not in FORMATS:
-            raise UsageError(f"unknown corpus format {fmt!r}, expected one of {sorted(FORMATS)}")
-        return fmt
-
-    def scheme(self):
-        scheme = self.get("scheme", "IOB2")
-        if scheme not in ("IOB1", "IOB2"):
-            raise UsageError(f"unknown scheme {scheme!r}")
-        return scheme
+    def choice(self, name: str, default: str, choices) -> str:
+        """get(name, default), which must be one of `choices`: the check a
+        flag's argparse choices make, applied to a config-file value too."""
+        value = self.get(name, default)
+        if value not in choices:
+            raise UsageError(f"unknown {name} {value!r}, expected one of {sorted(choices)}")
+        return value
 
     def train_config(self) -> TrainConfig:
         defaults = TrainConfig()
@@ -170,7 +166,8 @@ class Options:
 
 # what a TrainConfig field's flag has beyond --<field-name> and its type
 _FLAG_EXTRAS = {
-    "word_dim": {"help": "word embedding dimension (must match the table)"},
+    "word_dim": {"aliases": ("--embed-dim",),
+                 "help": "word embedding dimension (must match the table)"},
     "max_seq_length": {"help": "truncate longer --train sentences; other inputs keep every token"},
     "early_stopping_patience": {"aliases": ("--patience",)},
     "oov_policy": {"choices": OOV_POLICIES},
@@ -213,12 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--train", help="training corpus file")
     p_train.add_argument("--val", help="validation corpus; default splits --train 70:15:15")
     p_train.add_argument("--format", choices=sorted(FORMATS))
-    p_train.add_argument("--scheme", choices=("IOB1", "IOB2"),
+    p_train.add_argument("--scheme", choices=SCHEMES,
                          help="tagging scheme of the input files (default IOB2)")
     p_train.add_argument("--schema", help="schema file (entity types + scheme line)")
     p_train.add_argument("--embeddings", help="word vector text file")
-    p_train.add_argument("--embed-dim", dest="word_dim", type=int,
-                         help="expected embedding dimension")
     p_train.add_argument("--min-count", type=int)
     p_train.add_argument("--grid", help="grid file: key = v1,v2,... per line")
     p_train.add_argument("--out-dir")
@@ -229,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--config")
     p_predict.add_argument("--model")
     p_predict.add_argument("--input")
-    p_predict.add_argument("--input-format", choices=("raw", "tsv2", "conll4"))
+    p_predict.add_argument("--input-format", choices=("raw", *FORMATS))
     p_predict.add_argument("--min-confidence", type=float)
     p_predict.add_argument("--abbreviations", help="extra abbreviation file, one per line")
     p_predict.add_argument("--out-dir")
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", help="tagged corpus of predictions")
     p_eval.add_argument("--model", help="predict on the fly instead of --pred")
     p_eval.add_argument("--format", choices=sorted(FORMATS))
-    p_eval.add_argument("--scheme", choices=("IOB1", "IOB2"))
+    p_eval.add_argument("--scheme", choices=SCHEMES)
     p_eval.add_argument("--min-micro-f1", type=float,
                         help="exit 1 when entity micro-F1 falls below this gate")
     p_eval.add_argument("--out-dir")
@@ -264,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("conll4", "tsv2", "chunk-records"))
     p_convert.add_argument("--to", dest="to_format", required=True,
                            choices=("conll4", "tsv2", "chunk-records"))
-    p_convert.add_argument("--from-scheme", choices=("IOB1", "IOB2"), default="IOB2")
-    p_convert.add_argument("--to-scheme", choices=("IOB1", "IOB2"), default="IOB2")
+    p_convert.add_argument("--from-scheme", choices=SCHEMES, default="IOB2")
+    p_convert.add_argument("--to-scheme", choices=SCHEMES, default="IOB2")
     p_convert.add_argument("--out", required=True)
     p_convert.set_defaults(func=cmd_convert)
 
@@ -312,8 +307,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     opts = Options(args)
     config = opts.train_config()
     out = _out_dir(opts.require("out_dir"))
-    fmt = opts.corpus_format()
-    scheme = opts.scheme()
+    fmt = opts.choice("format", "tsv2", FORMATS)
+    scheme = opts.choice("scheme", "IOB2", SCHEMES)
 
     schema = None
     schema_path = opts.get("schema")
@@ -418,10 +413,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     min_confidence = opts.get("min_confidence", 0.0)
     if not 0.0 <= min_confidence <= 1.0:  # NaN too: no chunk would pass it
         raise ValidationError(f"min_confidence must lie in [0, 1], got {min_confidence}")
+    input_format = opts.choice("input_format", "raw", ("raw", *FORMATS))
     model = load_model(opts.require("model"))
     out = _out_dir(opts.require("out_dir"))
     text = read_text(opts.require("input"))
-    input_format = opts.get("input_format", "raw")
     if input_format == "raw":
         sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
     else:
@@ -444,8 +439,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gate = opts.get("min_micro_f1")
     if gate is not None and not math.isfinite(gate):  # F1 < NaN never holds
         raise ValidationError(f"min_micro_f1 must be finite, got {gate}")
-    fmt = opts.corpus_format()
-    scheme = opts.scheme()
+    fmt = opts.choice("format", "tsv2", FORMATS)
+    scheme = opts.choice("scheme", "IOB2", SCHEMES)
     gold = _load_corpus(opts.require("gold"), fmt, scheme, None)
     if model_path:
         model = load_model(model_path)
@@ -518,13 +513,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
             chunks.extend(chunking.decode_chunks(sent, sent.tags()))
         out_path.write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
         return EXIT_OK
-    if args.to_scheme == "IOB1":
-        schema = LabelSchema(corpus.schema.entity_types, "IOB1")
-        sentences = [
-            s.with_tags(convert_scheme(s.tags(), "IOB2", "IOB1")) for s in corpus.sentences
-        ]
-        corpus = Corpus(sentences, schema)
-    out_path.write_text(write_conll(corpus, FORMATS[args.to_format]), encoding="utf-8")
+    out_path.write_text(
+        write_conll(corpus, FORMATS[args.to_format], args.to_scheme), encoding="utf-8"
+    )
     return EXIT_OK
 
 

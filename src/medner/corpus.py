@@ -1,9 +1,12 @@
 """Corpus ingestion: sentence splitting, tokenization, CoNLL parsing, IOB
 tag handling, vocabularies, and deterministic data splits.
 
-Character offsets are 0-based with inclusive begin/end throughout. The
-package-internal tagging scheme is IOB2; IOB1 is handled on import/export
-only (see ``convert_scheme``).
+Character offsets are 0-based with inclusive begin/end throughout. Tags are
+IOB2 everywhere inside the package. IOB1 exists only at the file boundary:
+``parse_conll(input_scheme="IOB1")`` reads it and ``write_conll(...,
+scheme="IOB1")`` writes it. ``follows`` is the one rule for which tag may
+come after which; ``validate_iob`` and ``LabelSchema.transition_mask`` both
+apply it.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     if len(tag) > 2 and tag[1] == "-" and tag[0] in ("B", "I"):
         return tag[0], tag[2:]
     raise ValidationError(f"malformed IOB tag {tag!r}")
+
+
+def follows(prev: tuple[str, str | None], cur: tuple[str, str | None], guarded: str = "I") -> bool:
+    """Whether tag `cur` may come right after tag `prev`, both as split_tag
+    gives them; ('O', None) stands before a sentence's first tag. A tag with
+    the `guarded` prefix must follow a tag of its own entity type, and any
+    other tag may follow anything. The default is IOB2's rule."""
+    prefix, etype = cur
+    return prefix != guarded or prev[1] == etype
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,7 @@ class Sentence:
 
 @dataclass
 class LabelSchema:
-    """Entity type inventory plus the derived IOB tag set and transition mask.
+    """Entity type inventory plus the derived IOB2 tag set and transition mask.
 
     Tag order is fixed: 'O' first, then 'B-t', 'I-t' for each entity type in
     declaration order. The transition mask appends virtual START and STOP
@@ -127,12 +139,10 @@ class LabelSchema:
     """
 
     entity_types: list[str]
-    scheme: str = "IOB2"
     tags: list[str] = field(init=False)
     tag_to_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        _check_scheme(self.scheme)
         if len(set(self.entity_types)) != len(self.entity_types):
             raise ValidationError("duplicate entity types in schema")
         for t in self.entity_types:
@@ -157,35 +167,17 @@ class LabelSchema:
         return self.num_tags + 1
 
     def transition_mask(self) -> np.ndarray:
-        """Boolean (num_tags+2)^2 matrix of legal transitions under the scheme.
+        """Boolean (num_tags+2)^2 matrix of the transitions `follows` allows.
 
         Row = source tag, column = target tag. START never receives, STOP
         never emits.
         """
         n = self.num_tags
-        start, stop = self.start_index, self.stop_index
         mask = np.zeros((n + 2, n + 2), dtype=bool)
         infos = [split_tag(t) for t in self.tags]
-
-        def legal(src: tuple[str, str | None], dst: tuple[str, str | None]) -> bool:
-            dprefix, dtype = dst
-            sprefix, stype = src
-            if self.scheme == "IOB2":
-                if dprefix == "I":
-                    return sprefix in ("B", "I") and stype == dtype
-                return True  # O and B-X reachable from anything
-            # IOB1: I-X may start a chunk anywhere; B-X only splits two
-            # adjacent chunks of type X.
-            if dprefix == "B":
-                return sprefix in ("B", "I") and stype == dtype
-            return True
-
-        for i, src in enumerate(infos):
-            for j, dst in enumerate(infos):
-                mask[i, j] = legal(src, dst)
-            mask[i, stop] = True
-        for j, dst in enumerate(infos):
-            mask[start, j] = legal(("O", None), dst)
+        for i, src in enumerate([*infos, ("O", None)]):  # row n is START
+            mask[i, :n] = [follows(src, dst) for dst in infos]
+        mask[:n, self.stop_index] = True
         return mask
 
     @classmethod
@@ -227,12 +219,11 @@ class Corpus:
                 raise SchemaError(
                     f"{sent.doc_id}[{sent.sent_index}]: tags not in schema: {sorted(set(bad))}"
                 )
-            violations = validate_iob(tags, self.schema.scheme)
+            violations = validate_iob(tags, "IOB2")
             if violations:
                 idx, reason = violations[0]
                 raise ValidationError(
-                    f"{sent.doc_id}[{sent.sent_index}]: invalid {self.schema.scheme} at "
-                    f"token {idx}: {reason}"
+                    f"{sent.doc_id}[{sent.sent_index}]: invalid IOB2 at token {idx}: {reason}"
                 )
 
     def __len__(self) -> int:
@@ -352,32 +343,27 @@ def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
 def validate_iob(tag_sequence: list[str], scheme: str) -> list[tuple[int, str]]:
     """Return (index, reason) pairs for every scheme violation; [] if valid."""
     _check_scheme(scheme)
+    guarded = "I" if scheme == "IOB2" else "B"  # IOB1's B-X only splits two X chunks
     violations: list[tuple[int, str]] = []
-    prev: tuple[str, str | None] | None = None
+    prev: tuple[str, str | None] = ("O", None)
     for i, tag in enumerate(tag_sequence):
         try:
-            prefix, etype = split_tag(tag)
+            cur = split_tag(tag)
         except ValidationError as exc:
             violations.append((i, str(exc)))
-            prev = None
-            continue
-        if scheme == "IOB2":
-            if prefix == "I" and not (prev is not None and prev[0] in ("B", "I") and prev[1] == etype):
-                violations.append((i, f"I-{etype} must follow B-{etype} or I-{etype}"))
-        else:  # IOB1
-            if prefix == "B" and not (prev is not None and prev[0] in ("B", "I") and prev[1] == etype):
-                violations.append((i, f"B-{etype} must follow a chunk of type {etype}"))
-        prev = (prefix, etype)
+            cur = ("O", None)
+        if not follows(prev, cur, guarded):
+            violations.append((i, f"{tag} must follow B-{cur[1]} or I-{cur[1]}"))
+        prev = cur
     return violations
 
 
-def iob_spans(tag_sequence: list[str], scheme: str = "IOB2") -> list[tuple[int, int, str]]:
+def iob_spans(tag_sequence: list[str]) -> list[tuple[int, int, str]]:
     """Extract (start, end, type) chunk spans (end inclusive).
 
-    Assumes the sequence is valid under `scheme`; callers that cannot
-    guarantee that should run validate_iob first.
+    One walk serves both schemes. Assumes the sequence is valid under one of
+    them; callers that cannot guarantee that should run validate_iob first.
     """
-    _check_scheme(scheme)
     spans: list[tuple[int, int, str]] = []
     open_start: int | None = None
     open_type: str | None = None
@@ -430,13 +416,11 @@ def spans_to_iob(
 
 def convert_scheme(tag_sequence: list[str], from_scheme: str, to_scheme: str) -> list[str]:
     """Re-express a tag sequence in another scheme, preserving the chunk set."""
-    _check_scheme(from_scheme)
-    _check_scheme(to_scheme)
     violations = validate_iob(tag_sequence, from_scheme)
     if violations:
         idx, reason = violations[0]
         raise ValidationError(f"invalid {from_scheme} sequence at index {idx}: {reason}")
-    spans = iob_spans(tag_sequence, from_scheme)
+    spans = iob_spans(tag_sequence)
     return spans_to_iob(spans, len(tag_sequence), to_scheme)
 
 
@@ -474,12 +458,15 @@ def parse_conll(
 ) -> Corpus:
     """Parse CoNLL-style annotated text into a Corpus (canonical IOB2).
 
-    Blank lines separate sentences; lines starting with "-DOCSTART-" begin a
-    new document. Character offsets are synthesized by joining tokens with
-    single spaces, per sentence. IOB1 input is validated under IOB1 and
-    converted. A malformed tag is a ParseError and a tag the schema lacks a
-    SchemaError. With `max_seq_length` set, longer sentences are truncated
-    with a warning; by default every token is kept.
+    Blank lines separate sentences; lines starting with "-DOCSTART-", even
+    after an indent, begin a new document (so no token that write_conll
+    writes reads back as one). Character offsets are synthesized by joining
+    tokens with single spaces, per sentence. Each sentence is validated under
+    `input_scheme`, and IOB1 input is converted to IOB2. A malformed tag is
+    a ParseError, a tag the schema lacks a SchemaError, and a tag sequence
+    the scheme forbids a ValidationError; each names its line. With
+    `max_seq_length` set, longer sentences are truncated with a warning; by
+    default every token is kept.
     """
     _check_scheme(input_scheme)
     sentences: list[Sentence] = []
@@ -503,8 +490,12 @@ def parse_conll(
         surfaces = [p[0] for p in pending]
         tags = [p[1] for p in pending]
         _check_tags(tags, pending, known, seen_types)
+        violations = validate_iob(tags, input_scheme)
+        if violations:
+            idx, reason = violations[0]
+            raise ValidationError(f"line {pending[idx][2]}: invalid {input_scheme}: {reason}")
         if input_scheme == "IOB1":
-            tags = convert_scheme(tags, "IOB1", "IOB2")
+            tags = spans_to_iob(iob_spans(tags), len(tags))
         tokens = [
             Token(s, b, e, tag)
             for s, (b, e), tag in zip(surfaces, synthesize_offsets(surfaces), tags)
@@ -519,7 +510,7 @@ def parse_conll(
         if not line.strip():
             flush()
             continue
-        if line.startswith("-DOCSTART-"):
+        if line.lstrip().startswith("-DOCSTART-"):
             flush()
             if doc_has_content:
                 doc_index += 1
@@ -541,7 +532,7 @@ def parse_conll(
     flush()
 
     if schema is None:
-        schema = LabelSchema(sorted(seen_types), "IOB2")
+        schema = LabelSchema(sorted(seen_types))
     return Corpus(sentences, schema)
 
 
@@ -564,8 +555,10 @@ def _check_tags(
             seen_types.add(etype)
 
 
-def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4) -> str:
-    """Serialize a Corpus back to CoNLL text (inverse of parse_conll)."""
+def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4, scheme: str = "IOB2") -> str:
+    """Serialize a Corpus to CoNLL text with its tags in `scheme` (inverse
+    of parse_conll with that input_scheme)."""
+    _check_scheme(scheme)
     lines: list[str] = []
     filler = "-X-"
     prev_doc: str | None = None
@@ -574,11 +567,11 @@ def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4) -> str:
             lines.append("-DOCSTART-")
             lines.append("")
         prev_doc = sent.doc_id
-        for token in sent.tokens:
+        for token, tag in zip(sent.tokens, convert_scheme(sent.tags(), "IOB2", scheme)):
             if column_spec.n_cols == 4:
-                lines.append(f"{token.surface} {filler} {filler} {token.tag}")
+                lines.append(f"{token.surface} {filler} {filler} {tag}")
             else:
-                lines.append(f"{token.surface}\t{token.tag}")
+                lines.append(f"{token.surface}\t{tag}")
         lines.append("")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -162,8 +162,8 @@ class EvalReport:
         gold_tags = [s.tags() for s in gold]
         pred_tags = [s.tags() for s in pred]
         return cls.build(
-            [iob_spans(t, "IOB2") for t in gold_tags],
-            [iob_spans(t, "IOB2") for t in pred_tags],
+            [iob_spans(t) for t in gold_tags],
+            [iob_spans(t) for t in pred_tags],
             [t for tags in gold_tags for t in tags],
             [t for tags in pred_tags for t in tags],
         )

@@ -3,7 +3,8 @@
 Layout:
     line 1   ``mednermodel <version> <manifest_nbytes>\\n``
     bytes    JSON manifest (dimensions, schema, vocab, embedding words,
-             config snapshot, tensor directory)
+             config snapshot, tensor directory); the schema's ``scheme``
+             is always "IOB2", the only scheme a model tags in
     bytes    tensors concatenated in directory order, little-endian float64,
              C order, each with a sha256 checksum recorded in the directory
 
@@ -116,7 +117,7 @@ def save_model(model: ModelParams, path: str) -> None:
     manifest = {
         "format_version": FORMAT_VERSION,
         "dimensions": _dimensions(model),
-        "schema": {"entity_types": model.schema.entity_types, "scheme": model.schema.scheme},
+        "schema": {"entity_types": model.schema.entity_types, "scheme": "IOB2"},
         "vocab": {
             "words": model.vocab.word_list(),
             "chars": model.vocab.char_list(),
@@ -152,8 +153,8 @@ def load_model(path: str) -> ModelParams:
     param_shapes derives from the config, schema and vocabulary, and the
     manifest's `dimensions` must equal what save_model writes for the loaded
     model. Any disagreement, a config, schema or vocabulary that does not
-    validate, or a trainable tensor that is not finite raises a
-    ModelFormatError.
+    validate, a scheme other than IOB2, or a trainable tensor that is not
+    finite raises a ModelFormatError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -186,10 +187,14 @@ def load_model(path: str) -> ModelParams:
             f"manifest format_version {manifest.get('format_version')!r} unsupported"
         )
     _check_json(manifest, _MANIFEST_TYPES, "manifest")
+    if manifest["schema"]["scheme"] != "IOB2":
+        raise ModelFormatError(
+            f"manifest scheme {manifest['schema']['scheme']!r}: models tag in IOB2 only"
+        )
 
     try:
         config = TrainConfig.from_dict(manifest["config"])
-        schema = LabelSchema(manifest["schema"]["entity_types"], manifest["schema"]["scheme"])
+        schema = LabelSchema(manifest["schema"]["entity_types"])
         vocab = Vocabulary.from_lists(
             manifest["vocab"]["words"], manifest["vocab"]["chars"], manifest["vocab"]["min_count"]
         )

@@ -433,6 +433,16 @@ class TestConvert:
         converted = parse_conll(out.read_text(), TSV2)
         assert converted.sentences[0].tags() == ["B-X", "I-X", "B-X"]
 
+    def test_iob2_to_iob1_same_chunks(self, tmp_path):
+        src = tmp_path / "iob2.tsv"
+        src.write_text("a\tB-X\nb\tI-X\nc\tB-X\nd\tB-Y\n\n", encoding="utf-8")
+        out = tmp_path / "iob1.conll4"
+        assert main(["convert", "--input", str(src), "--from", "tsv2", "--to", "conll4",
+                     "--to-scheme", "IOB1", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "a -X- -X- I-X\nb -X- -X- I-X\nc -X- -X- B-X\nd -X- -X- I-Y\n\n"
+        )
+
     def test_to_chunk_records(self, tmp_path):
         src = tmp_path / "src.tsv"
         src.write_text("fever\tB-Symptom\n\n", encoding="utf-8")
@@ -581,6 +591,19 @@ class TestBadValues:
         code, _ = run_train(tmp_path, train_file, emb_file, extra=("--grid", str(grid)))
         assert code == 3
         assert "line 2" in caplog.text and "'x'" in caplog.text
+
+    @pytest.mark.parametrize("command,option", [
+        ("evaluate", "format"), ("evaluate", "scheme"), ("predict", "input_format"),
+    ])
+    def test_config_value_outside_choices_exits_2(
+        self, workdir, model_file, caplog, command, option
+    ):
+        argv = TestUnreadableInputs.valid_argv(command, workdir, model_file)
+        cfg = workdir[0] / "run.conf"
+        cfg.write_text(f"{option} = bogus\n", encoding="utf-8")
+        assert main([command, *argv, "--config", str(cfg)]) == 2
+        assert f"unknown {option} 'bogus'" in caplog.text
+        assert not (workdir[0] / "out").exists()
 
     @pytest.mark.parametrize("command,option,value", [
         ("predict", "min_confidence", "nan"),

@@ -108,10 +108,9 @@ class TestIobValidation:
     def test_malformed_tag(self):
         assert [v[0] for v in validate_iob(["B-X", "XYZ"], "IOB2")] == [1]
 
-    @pytest.mark.parametrize("scheme", ["IOB1", "IOB2"])
-    def test_agrees_with_transition_mask(self, scheme):
+    def test_agrees_with_transition_mask(self):
         # validate_iob accepts exactly the sequences the schema mask accepts
-        schema = LabelSchema(["A", "B"], scheme)
+        schema = LabelSchema(["A", "B"])
         mask = schema.transition_mask()
         rng = np.random.default_rng(5)
         for _ in range(500):
@@ -122,7 +121,7 @@ class TestIobValidation:
             pairs += list(zip(path, path[1:]))
             pairs.append((path[-1], schema.stop_index))
             accepted = all(mask[a, b] for a, b in pairs)
-            assert (validate_iob(seq, scheme) == []) == accepted
+            assert (validate_iob(seq, "IOB2") == []) == accepted
 
 
 class TestConvertScheme:
@@ -145,10 +144,10 @@ class TestConvertScheme:
         # all valid IOB2 sequences of length <= 6 over <= 3 types
         count = 0
         for seq in valid_iob2_sequences(6, ["A", "B", "C"]):
-            spans = iob_spans(seq, "IOB2")
+            spans = iob_spans(seq)
             as_iob1 = convert_scheme(seq, "IOB2", "IOB1")
             assert validate_iob(as_iob1, "IOB1") == []
-            assert iob_spans(as_iob1, "IOB1") == spans
+            assert iob_spans(as_iob1) == spans
             assert convert_scheme(as_iob1, "IOB1", "IOB2") == seq
             count += 1
         assert count > 10_000
@@ -189,6 +188,18 @@ class TestParseConll:
     def test_iob1_input_converted(self):
         corpus = parse_conll("a\tI-X\nb\tI-X\n", TSV2, input_scheme="IOB1")
         assert corpus.sentences[0].tags() == ["B-X", "I-X"]
+
+    # I-X opens no chunk in IOB2, and B-X splits no two chunks in IOB1
+    @pytest.mark.parametrize("scheme,tag", [("IOB2", "I-X"), ("IOB1", "B-X")])
+    def test_scheme_violation_names_its_line(self, scheme, tag):
+        with pytest.raises(ValidationError, match=f"^line 2: invalid {scheme}: ") as err:
+            parse_conll(f"a\tO\nb\t{tag}\n", TSV2, input_scheme=scheme)
+        assert not isinstance(err.value, (ParseError, SchemaError))  # the CLI's exit 4
+
+    def test_indented_docstart_is_a_marker(self):
+        corpus = parse_conll("a\tO\n -DOCSTART-\tO\nb\tO\n", TSV2)
+        assert [s.surfaces() for s in corpus.sentences] == [["a"], ["b"]]
+        assert [s.doc_id for s in corpus.sentences] == ["doc0", "doc1"]
 
     def test_truncation(self, caplog):
         lines = "\n".join(f"w{i}\tO" for i in range(8)) + "\n"
@@ -235,8 +246,6 @@ class TestSchema:
         text = "# types\nscheme: IOB2\nHeart Disease\n\n  Age  \n"
         schema = LabelSchema.from_text(text)
         assert schema.entity_types == ["Heart Disease", "Age"]
-        assert schema.scheme == "IOB2"
-        assert LabelSchema.from_text("Age\n").scheme == "IOB2"
 
     @pytest.mark.parametrize("scheme", ["IOB1", "BIOES"])
     def test_non_iob2_scheme_line_rejected(self, scheme):

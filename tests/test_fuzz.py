@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from medner.chunking import parse_chunk_records
 from medner.cli import Options, _read_grid_file
-from medner.corpus import FORMATS, LabelSchema, parse_conll, validate_iob
+from medner.corpus import FORMATS, SCHEMES, LabelSchema, parse_conll, validate_iob, write_conll
 from medner.deid import parse_policy_file
 from medner.errors import MednerError
 from medner.nercore.model import TrainConfig
@@ -67,6 +67,40 @@ def test_parse_conll(text, fmt, scheme, with_schema, max_len):
         for sent in corpus.sentences:
             assert 0 < len(sent) <= (max_len or len(sent))
             assert validate_iob(sent.tags(), "IOB2") == []
+
+
+# token rows (indent, surface, tag), blank lines and document markers, so
+# that many texts parse; render() lays a row out in a format's columns
+ROWS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["", " "]),
+                  st.one_of(st.sampled_from(["fever", "5mg", "-X-", "-DOCSTART-", "O"]),
+                            st.text(min_size=1, max_size=4)),
+                  st.sampled_from(["O", "B-Dosage", "I-Dosage", "B-Symptom", "I-Symptom"])),
+        st.sampled_from(["", "-DOCSTART- -X- -X- O"]),
+    ),
+    max_size=12,
+)
+
+
+def render(rows, fmt):
+    sep = "\t" if fmt == "tsv2" else " -X- -X- "
+    return "\n".join(r if isinstance(r, str) else f"{r[0]}{r[1]}{sep}{r[2]}" for r in rows)
+
+
+@EXAMPLES
+@given(ROWS, st.sampled_from(sorted(FORMATS)), st.sampled_from(SCHEMES), st.sampled_from(SCHEMES))
+def test_write_conll_round_trip(rows, fmt, read_scheme, write_scheme):
+    # whatever parse_conll accepts, write_conll writes in any scheme and
+    # parse_conll reads back in that scheme to the same surfaces and tags
+    spec = FORMATS[fmt]
+    corpus = parsed_or_rejected(lambda: parse_conll(render(rows, fmt), spec,
+                                                    input_scheme=read_scheme))
+    if corpus is not None:
+        back = parse_conll(write_conll(corpus, spec, write_scheme), spec,
+                           input_scheme=write_scheme)
+        assert [s.surfaces() for s in back.sentences] == [s.surfaces() for s in corpus.sentences]
+        assert [s.tags() for s in back.sentences] == [s.tags() for s in corpus.sentences]
 
 
 CHUNKS = lines_of(

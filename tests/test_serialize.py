@@ -141,7 +141,8 @@ def _non_finite_tensor(data: bytes) -> bytes:
     return join_container(manifest, payload[:start] + blob + payload[start + entry["nbytes"] :])
 
 
-# Whole-file corruptions that no manifest edit expresses.
+# Whole-file corruptions that no manifest edit expresses, and in-place edits
+# of the manifest's bytes.
 MALFORMED_CONTAINERS = {
     "appended_bytes": lambda data: data + bytes(8),
     "negative_manifest_length": lambda data: replace_header(data, b"mednermodel 1 -5\n"),
@@ -149,6 +150,8 @@ MALFORMED_CONTAINERS = {
     "repeated_tensor": _repeated_tensor,
     "reordered_tensors": _reordered_tensors,
     "non_finite_tensor": _non_finite_tensor,
+    # same length, so every checksum and the header still match
+    "iob1_scheme": lambda data: data.replace(b'"scheme": "IOB2"', b'"scheme": "IOB1"', 1),
 }
 
 
@@ -313,6 +316,7 @@ class TestCorruption:
         # nothing is allocated by the header's number, only by the file's size
         assert peak < 4 * path.stat().st_size
         assert deidentify_exit_code(path, tmp_path) == 4
+        assert not (tmp_path / "deid" / "deidentified.txt").exists()
 
     def test_rewritten_manifest_still_loads(self, saved):
         _, _, path = saved
