@@ -73,7 +73,6 @@ def read_text(path: str) -> str:
 def read_config_file(path: str) -> dict[str, tuple[str, int]]:
     """key -> (value, line number) of a flat key=value file. A key that is
     no subcommand's option name raises ParseError with its line."""
-    known = _option_names()
     values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -82,16 +81,10 @@ def read_config_file(path: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ParseError("expected key=value", line=lineno)
         key, value = (p.strip() for p in line.split("=", 1))
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}: no subcommand has this option", line=lineno)
         values[key] = (value, lineno)
     return values
-
-
-def _option_names() -> set[str]:
-    """The option names (argparse dests) of every subcommand."""
-    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
 
 
 def _coerce(value: str, kind: str, lineno: int):
@@ -175,96 +168,23 @@ _FLAG_EXTRAS = {
 }
 
 
-def add_train_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field, in field order."""
-    group = parser.add_argument_group("model and training options")
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One option of a subcommand: its flags and add_argument keywords."""
+    return flags, kwargs
+
+
+def _train_config_options() -> list[tuple[tuple[str, ...], dict]]:
+    """One option per TrainConfig field, in field order."""
+    options = []
     for name, kind in _CONFIG_FIELDS.items():
         extra = dict(_FLAG_EXTRAS.get(name, {}))
-        flags = ["--" + name.replace("_", "-"), *extra.pop("aliases", ())]
+        flags = ("--" + name.replace("_", "-"), *extra.pop("aliases", ()))
         if kind == "bool":
             extra["action"] = argparse.BooleanOptionalAction
         elif kind != "str":
             extra["type"] = {"int": int, "float": float}[kind]
-        group.add_argument(*flags, dest=name, **extra)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="medner",
-        description="Biomedical NER pipeline: train, predict, evaluate, "
-                    "de-identify, and convert corpora.",
-    )
-    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
-    # accepted either side of the subcommand; SUPPRESS keeps the subparser
-    # from clobbering a root-level --verbose
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
-                        help="log at INFO level")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # path and format options stay optional at the argparse level so a
-    # --config file can supply them; Options.require reports what is missing
-    p_train = sub.add_parser("train", parents=[common],
-                             help="train a tagger and write the model container")
-    p_train.add_argument("--config", help="flat key=value config file")
-    p_train.add_argument("--train", help="training corpus file")
-    p_train.add_argument("--val", help="validation corpus; default splits --train 70:15:15")
-    p_train.add_argument("--format", choices=sorted(FORMATS))
-    p_train.add_argument("--scheme", choices=SCHEMES,
-                         help="tagging scheme of the input files (default IOB2)")
-    p_train.add_argument("--schema", help="schema file (entity types + scheme line)")
-    p_train.add_argument("--embeddings", help="word vector text file")
-    p_train.add_argument("--min-count", type=int)
-    p_train.add_argument("--grid", help="grid file: key = v1,v2,... per line")
-    p_train.add_argument("--out-dir")
-    add_train_config_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_predict = sub.add_parser("predict", parents=[common], help="tag text and emit chunk records")
-    p_predict.add_argument("--config")
-    p_predict.add_argument("--model")
-    p_predict.add_argument("--input")
-    p_predict.add_argument("--input-format", choices=("raw", *FORMATS))
-    p_predict.add_argument("--min-confidence", type=float)
-    p_predict.add_argument("--abbreviations", help="extra abbreviation file, one per line")
-    p_predict.add_argument("--out-dir")
-    p_predict.set_defaults(func=cmd_predict)
-
-    p_eval = sub.add_parser("evaluate", parents=[common], help="score predictions against a gold corpus")
-    p_eval.add_argument("--config")
-    p_eval.add_argument("--gold")
-    p_eval.add_argument("--pred", help="tagged corpus of predictions")
-    p_eval.add_argument("--model", help="predict on the fly instead of --pred")
-    p_eval.add_argument("--format", choices=sorted(FORMATS))
-    p_eval.add_argument("--scheme", choices=SCHEMES)
-    p_eval.add_argument("--min-micro-f1", type=float,
-                        help="exit 1 when entity micro-F1 falls below this gate")
-    p_eval.add_argument("--out-dir")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_deid = sub.add_parser("deidentify", parents=[common], help="mask or substitute protected chunks")
-    p_deid.add_argument("--config")
-    p_deid.add_argument("--input", help="raw text file")
-    p_deid.add_argument("--chunks", help="chunk records with gold spans")
-    p_deid.add_argument("--model", help="tag the input instead of --chunks")
-    p_deid.add_argument("--policy", help="policy file; defaults to masking the PHIPA list")
-    p_deid.add_argument("--seed", type=int)
-    p_deid.add_argument("--abbreviations")
-    p_deid.add_argument("--out-dir")
-    p_deid.set_defaults(func=cmd_deidentify)
-
-    p_convert = sub.add_parser("convert", parents=[common], help="convert corpus formats and IOB schemes")
-    p_convert.add_argument("--input", required=True)
-    p_convert.add_argument("--from", dest="from_format", required=True,
-                           choices=("conll4", "tsv2", "chunk-records"))
-    p_convert.add_argument("--to", dest="to_format", required=True,
-                           choices=("conll4", "tsv2", "chunk-records"))
-    p_convert.add_argument("--from-scheme", choices=SCHEMES, default="IOB2")
-    p_convert.add_argument("--to-scheme", choices=SCHEMES, default="IOB2")
-    p_convert.add_argument("--out", required=True)
-    p_convert.set_defaults(func=cmd_convert)
-
-    return parser
+        options.append(_opt(*flags, dest=name, **extra))
+    return options
 
 
 def _out_dir(path: str) -> Path:
@@ -306,7 +226,7 @@ def _load_corpus(path: str, fmt: str, scheme: str, schema: LabelSchema | None,
 def cmd_train(args: argparse.Namespace) -> int:
     opts = Options(args)
     config = opts.train_config()
-    out = _out_dir(opts.require("out_dir"))
+    out_dir = opts.require("out_dir")
     fmt = opts.choice("format", "tsv2", FORMATS)
     scheme = opts.choice("scheme", "IOB2", SCHEMES)
 
@@ -338,6 +258,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         grid = _read_grid_file(grid_path)
         result = grid_search(grid, train_corpus, val_corpus, config, build_model)
         fit_result = result.best
+    else:
+        fit_result = fit(build_model(config), train_corpus, val_corpus)
+
+    out = _out_dir(out_dir)
+    if grid_path:
         (out / "grid_results.json").write_text(
             json.dumps(
                 [
@@ -349,9 +274,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             ) + "\n",
             encoding="utf-8",
         )
-    else:
-        fit_result = fit(build_model(config), train_corpus, val_corpus)
-
     model = fit_result.model
     save_model(model, str(out / "model.medner"))
     (out / "metrics.log").write_text(
@@ -415,7 +337,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValidationError(f"min_confidence must lie in [0, 1], got {min_confidence}")
     input_format = opts.choice("input_format", "raw", ("raw", *FORMATS))
     model = load_model(opts.require("model"))
-    out = _out_dir(opts.require("out_dir"))
+    out_dir = opts.require("out_dir")
     text = read_text(opts.require("input"))
     if input_format == "raw":
         sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
@@ -425,6 +347,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         sentences = corpus.sentences
     chunks = _tag_chunks(model, sentences)
     chunks = [c for c in chunks if c.confidence >= min_confidence]
+    out = _out_dir(out_dir)
     (out / "chunks.tsv").write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
     log.info("%d chunks written to %s", len(chunks), out / "chunks.tsv")
     return EXIT_OK
@@ -465,7 +388,7 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
     model_path = opts.get("model")
     if (chunks_path is None) == (model_path is None):
         raise UsageError("exactly one of --chunks or --model is required")
-    out = _out_dir(opts.require("out_dir"))
+    out_dir = opts.require("out_dir")
     input_path = opts.require("input")
     text = read_text(input_path)
     policy_path = opts.get("policy")
@@ -490,6 +413,7 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
         result = deid.apply_policy(text, chunks, policy)
     except ValidationError as exc:
         raise ValidationError(f"{input_path}: {exc}")
+    out = _out_dir(out_dir)
     (out / "deidentified.txt").write_text(result.text, encoding="utf-8")
     (out / "replacements.log").write_text(
         "\n".join(result.log_lines()) + ("\n" if result.replacements else ""),
@@ -519,9 +443,121 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each subcommand's help, handler and option groups (None titles its own
+# options). Path and format options stay optional at the argparse level so a
+# --config file can supply them; Options.require reports what is missing.
+_COMMANDS = {
+    "train": ("train a tagger and write the model container", cmd_train, {
+        None: [
+            _opt("--config", help="flat key=value config file"),
+            _opt("--train", help="training corpus file"),
+            _opt("--val", help="validation corpus; default splits --train 70:15:15"),
+            _opt("--format", choices=sorted(FORMATS)),
+            _opt("--scheme", choices=SCHEMES,
+                 help="tagging scheme of the input files (default IOB2)"),
+            _opt("--schema", help="schema file (entity types + scheme line)"),
+            _opt("--embeddings", help="word vector text file"),
+            _opt("--min-count", type=int),
+            _opt("--grid", help="grid file: key = v1,v2,... per line"),
+            _opt("--out-dir"),
+        ],
+        "model and training options": _train_config_options(),
+    }),
+    "predict": ("tag text and emit chunk records", cmd_predict, {None: [
+        _opt("--config"),
+        _opt("--model"),
+        _opt("--input"),
+        _opt("--input-format", choices=("raw", *FORMATS)),
+        _opt("--min-confidence", type=float),
+        _opt("--abbreviations", help="extra abbreviation file, one per line"),
+        _opt("--out-dir"),
+    ]}),
+    "evaluate": ("score predictions against a gold corpus", cmd_evaluate, {None: [
+        _opt("--config"),
+        _opt("--gold"),
+        _opt("--pred", help="tagged corpus of predictions"),
+        _opt("--model", help="predict on the fly instead of --pred"),
+        _opt("--format", choices=sorted(FORMATS)),
+        _opt("--scheme", choices=SCHEMES),
+        _opt("--min-micro-f1", type=float,
+             help="exit 1 when entity micro-F1 falls below this gate"),
+        _opt("--out-dir"),
+    ]}),
+    "deidentify": ("mask or substitute protected chunks", cmd_deidentify, {None: [
+        _opt("--config"),
+        _opt("--input", help="raw text file"),
+        _opt("--chunks", help="chunk records with gold spans"),
+        _opt("--model", help="tag the input instead of --chunks"),
+        _opt("--policy", help="policy file; defaults to masking the PHIPA list"),
+        _opt("--seed", type=int),
+        _opt("--abbreviations"),
+        _opt("--out-dir"),
+    ]}),
+    "convert": ("convert corpus formats and IOB schemes", cmd_convert, {None: [
+        _opt("--input", required=True),
+        _opt("--from", dest="from_format", required=True,
+             choices=("conll4", "tsv2", "chunk-records")),
+        _opt("--to", dest="to_format", required=True,
+             choices=("conll4", "tsv2", "chunk-records")),
+        _opt("--from-scheme", choices=SCHEMES, default="IOB2"),
+        _opt("--to-scheme", choices=SCHEMES, default="IOB2"),
+        _opt("--out", required=True),
+    ]}),
+}
+
+# the keys a config file may set: every subcommand's option names (dests)
+_CONFIG_KEYS = frozenset(
+    kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+    for _help, _func, groups in _COMMANDS.values()
+    for options in groups.values()
+    for flags, kwargs in options
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The medner parser with every subcommand, or with `command` alone; the
+    root usage names every subcommand either way."""
+    parser = argparse.ArgumentParser(
+        prog="medner",
+        description="Biomedical NER pipeline: train, predict, evaluate, "
+                    "de-identify, and convert corpora.",
+    )
+    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
+    # accepted either side of the subcommand; SUPPRESS keeps the subparser
+    # from clobbering a root-level --verbose
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                        help="log at INFO level")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None,
+    )
+    for name in [command] if command else _COMMANDS:
+        help_text, func, groups = _COMMANDS[name]
+        p_command = sub.add_parser(name, parents=[common], help=help_text)
+        for title, options in groups.items():
+            group = p_command.add_argument_group(title) if title else p_command
+            for flags, kwargs in options:
+                group.add_argument(*flags, **kwargs)
+        p_command.set_defaults(func=func)
+    return parser
+
+
+def _chosen_command(argv: list[str]) -> str | None:
+    """The subcommand argv names after nothing but --verbose (or a prefix
+    argparse takes for it), else None: help, a missing or unknown subcommand
+    and any other root option need the parser with every subcommand."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return arg if arg in _COMMANDS else None
+        if len(arg) < 3 or not "--verbose".startswith(arg):
+            return None
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_chosen_command(argv)).parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

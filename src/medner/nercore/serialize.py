@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from ..corpus import LabelSchema, Vocabulary
 from ..embeddings import EmbeddingTable
 from ..errors import (
     ChecksumError,
+    MednerError,
     ModelFormatError,
     NumericError,
     ShapeMismatchError,
@@ -77,6 +79,10 @@ def _check_json(value, kind, where: str) -> None:
         raise ModelFormatError(f"{where} is a {type(value).__name__}")
 
 
+def _sha256(blob) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
 def _dimensions(model: ModelParams) -> dict:
     """The manifest's summary of the model's sizes."""
     cfg = model.config
@@ -109,7 +115,7 @@ def save_model(model: ModelParams, path: str) -> None:
                 "shape": list(arr.shape),
                 "offset": len(payload),
                 "nbytes": len(blob),
-                "sha256": hashlib.sha256(blob).hexdigest(),
+                "sha256": _sha256(blob),
             }
         )
         payload.extend(blob)
@@ -138,24 +144,9 @@ def save_model(model: ModelParams, path: str) -> None:
         fh.write(payload)
 
 
-def load_model(path: str) -> ModelParams:
-    """Read and verify a container; every tensor is a view of one payload buffer.
-
-    The payload is read once into an aligned buffer and nothing is copied, so
-    the tensor directory must tile it exactly as save_model writes it: its
-    names in save_model's order, the first tensor at offset 0, each next one
-    where the previous ends, and the last ending at the payload's end. Views
-    of a gapped or aliased directory could otherwise share memory, and the
-    trainable tensors, which come first, are the model's flat parameter
-    buffer only in that order.
-
-    No shape is taken from the manifest: each tensor must have the shape
-    param_shapes derives from the config, schema and vocabulary, and the
-    manifest's `dimensions` must equal what save_model writes for the loaded
-    model. Any disagreement, a config, schema or vocabulary that does not
-    validate, a scheme other than IOB2, or a trainable tensor that is not
-    finite raises a ModelFormatError.
-    """
+def _read_container(path: str) -> tuple[dict, np.ndarray]:
+    """The container's type-checked manifest and its payload, read with one
+    readinto into an aligned buffer."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         line = fh.readline(_MAX_HEADER_BYTES)
@@ -175,7 +166,7 @@ def load_model(path: str) -> ModelParams:
             raise ChecksumError("container truncated inside the manifest")
         manifest_bytes = fh.read(manifest_len)
         payload = np.empty(size - fh.tell(), dtype=np.uint8)
-        payload_len = fh.readinto(payload)
+        payload = payload[: fh.readinto(payload)]
     if len(manifest_bytes) != manifest_len:
         raise ChecksumError("container truncated inside the manifest")
     try:
@@ -191,7 +182,57 @@ def load_model(path: str) -> ModelParams:
         raise ModelFormatError(
             f"manifest scheme {manifest['schema']['scheme']!r}: models tag in IOB2 only"
         )
+    return manifest, payload
 
+
+def load_model(path: str) -> ModelParams:
+    """Read and verify a container; every tensor is a view of one payload buffer.
+
+    The payload is read once into an aligned buffer and nothing is copied, so
+    the tensor directory must tile it exactly as save_model writes it: its
+    names in save_model's order, the first tensor at offset 0, each next one
+    where the previous ends, and the last ending at the payload's end. Views
+    of a gapped or aliased directory could otherwise share memory, and the
+    trainable tensors, which come first, are the model's flat parameter
+    buffer only in that order.
+
+    No shape is taken from the manifest: each tensor must have the shape
+    param_shapes derives from the config, schema and vocabulary, and the
+    manifest's `dimensions` must equal what save_model writes for the loaded
+    model. Any disagreement, a config, schema or vocabulary that does not
+    validate, a scheme other than IOB2, or a trainable tensor that is not
+    finite raises a ModelFormatError.
+
+    The embedding matrix is most of the payload, and its sha256 is hashed on
+    one worker thread (hashlib releases the GIL) while this thread does the
+    rest: the config, schema and vocabulary, the other tensors' checksums,
+    the embedding table and the model's own checks. Its digest is compared
+    where the directory walk reaches it, so whatever this thread finds
+    wrong after that point is raised only once the embedding matrix's
+    checksum has passed: a container with several faults reports the same
+    first one as a walk that compares every checksum in turn. The worker is
+    joined before load_model returns or raises, and an exception it raises
+    reaches the caller.
+    """
+    manifest, payload = _read_container(path)
+    # the walk reaches only the first entry named embed_matrix, and hashes it
+    # only inside the payload: then this hash of the same bytes is under way
+    entry = next((e for e in manifest["tensors"] if e["name"] == "embed_matrix"), None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        embed_digest = None
+        if entry and 0 <= entry["offset"] <= entry["offset"] + entry["nbytes"] <= len(payload):
+            embed_digest = pool.submit(
+                _sha256, payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+            )
+        return _verified_model(manifest, payload, embed_digest)
+
+
+def _verified_model(
+    manifest: dict, payload: np.ndarray, embed_digest: Future | None
+) -> ModelParams:
+    """load_model's checks of a type-checked manifest and its payload.
+    embed_digest is the embedding matrix's sha256 being hashed, or None when
+    the directory places it outside the payload, where the walk stops first."""
     try:
         config = TrainConfig.from_dict(manifest["config"])
         schema = LabelSchema(manifest["schema"]["entity_types"])
@@ -208,54 +249,64 @@ def load_model(path: str) -> ModelParams:
     order = list(expected)
     tensors: dict[str, np.ndarray] = {}
     end = 0
-    for k, entry in enumerate(manifest["tensors"]):
-        name = entry["name"]
-        if name != (order[k] if k < len(order) else None):
-            raise ModelFormatError(
-                f"tensor {name!r} at directory entry {k} breaks save_model's order {order}"
-            )
-        if entry["offset"] != end:
-            raise ModelFormatError(
-                f"tensor {name}: offset {entry['offset']} is not {end}, where the "
-                "previous tensor ends"
-            )
-        start, end = end, end + entry["nbytes"]
-        if not start <= end <= payload_len:
-            raise ChecksumError(f"tensor {name}: payload truncated")
-        blob = payload[start:end]
-        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
-            raise ChecksumError(f"tensor {name}: checksum mismatch")
-        shape = tuple(entry["shape"])
-        if min(shape, default=0) < 0 or entry["nbytes"] != 8 * math.prod(shape):
-            raise ShapeMismatchError(f"tensor {name}: shape {shape} does not fit payload")
-        if shape != expected[name]:
-            raise ShapeMismatchError(
-                f"tensor {name}: shape {shape} does not match the {expected[name]} that "
-                "the config, schema and vocabulary give"
-            )
-        tensors[name] = blob.view("<f8").reshape(shape)
-    if end != payload_len:
-        raise ModelFormatError(f"{payload_len - end} bytes follow the last tensor")
-    if len(tensors) != len(order):
-        raise ShapeMismatchError(f"container is missing tensors: {order[len(tensors):]}")
-
-    embed = EmbeddingTable(
-        config.word_dim, words, tensors["embed_matrix"], tensors["embed_unk"],
-        manifest["embedding"]["oov_policy"],
-    )
-    model = ModelParams(
-        config, schema, vocab, embed,
-        # the trainable tensors tile the payload up to the embedding matrix
-        payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
-        schema.transition_mask() if config.use_transition_mask else None,
-    )
-    if manifest["dimensions"] != _dimensions(model):
-        raise ShapeMismatchError(
-            f"manifest dimensions {manifest['dimensions']} disagree with the "
-            f"{_dimensions(model)} of its config, schema, vocabulary and tensors"
-        )
+    owed = None  # embed_matrix's recorded sha256, once the walk has reached it
     try:
-        model.assert_finite()  # checksums vouch for the bytes, not their values
-    except NumericError as exc:
-        raise ModelFormatError(str(exc))
+        for k, entry in enumerate(manifest["tensors"]):
+            name = entry["name"]
+            if name != (order[k] if k < len(order) else None):
+                raise ModelFormatError(
+                    f"tensor {name!r} at directory entry {k} breaks save_model's order {order}"
+                )
+            if entry["offset"] != end:
+                raise ModelFormatError(
+                    f"tensor {name}: offset {entry['offset']} is not {end}, where the "
+                    "previous tensor ends"
+                )
+            start, end = end, end + entry["nbytes"]
+            if not start <= end <= len(payload):
+                raise ChecksumError(f"tensor {name}: payload truncated")
+            blob = payload[start:end]
+            if name == "embed_matrix":
+                owed = entry["sha256"]
+            elif _sha256(blob) != entry["sha256"]:
+                raise ChecksumError(f"tensor {name}: checksum mismatch")
+            shape = tuple(entry["shape"])
+            if min(shape, default=0) < 0 or entry["nbytes"] != 8 * math.prod(shape):
+                raise ShapeMismatchError(f"tensor {name}: shape {shape} does not fit payload")
+            if shape != expected[name]:
+                raise ShapeMismatchError(
+                    f"tensor {name}: shape {shape} does not match the {expected[name]} that "
+                    "the config, schema and vocabulary give"
+                )
+            tensors[name] = blob.view("<f8").reshape(shape)
+        if end != len(payload):
+            raise ModelFormatError(f"{len(payload) - end} bytes follow the last tensor")
+        if len(tensors) != len(order):
+            raise ShapeMismatchError(f"container is missing tensors: {order[len(tensors):]}")
+
+        embed = EmbeddingTable(
+            config.word_dim, words, tensors["embed_matrix"], tensors["embed_unk"],
+            manifest["embedding"]["oov_policy"],
+        )
+        model = ModelParams(
+            config, schema, vocab, embed,
+            # the trainable tensors tile the payload up to the embedding matrix
+            payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
+            schema.transition_mask() if config.use_transition_mask else None,
+        )
+        if manifest["dimensions"] != _dimensions(model):
+            raise ShapeMismatchError(
+                f"manifest dimensions {manifest['dimensions']} disagree with the "
+                f"{_dimensions(model)} of its config, schema, vocabulary and tensors"
+            )
+        try:
+            model.assert_finite()  # checksums vouch for the bytes, not their values
+        except NumericError as exc:
+            raise ModelFormatError(str(exc))
+    except MednerError:
+        if owed is not None and embed_digest.result() != owed:
+            raise ChecksumError("tensor embed_matrix: checksum mismatch") from None
+        raise
+    if embed_digest.result() != owed:
+        raise ChecksumError("tensor embed_matrix: checksum mismatch")
     return model

@@ -1,10 +1,13 @@
+import argparse
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from conftest import FILLERS, make_sentence, rule_corpus, rule_lexicon, toy_table, write_embeddings
 from medner.chunking import Chunk, write_chunk_records
+from medner import cli
 from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
 from medner.nercore.serialize import load_model, save_model
@@ -387,6 +390,19 @@ class TestDeidentify:
         assert "tensor w_c contains non-finite values" in caplog.text
         assert not (out / "deidentified.txt").exists()
 
+    def test_iob1_container_leaves_no_out_dir(self, model_file, tmp_path, caplog):
+        # same length, so every checksum still passes: the load rejects the scheme
+        data = model_file.read_bytes()
+        model_file.write_bytes(data.replace(b'"scheme": "IOB2"', b'"scheme": "IOB1"', 1))
+        inp = tmp_path / "note.txt"
+        inp.write_text("patient took 250mg daily.", encoding="utf-8")
+        out = tmp_path / "deid"
+        code = main(["deidentify", "--input", str(inp), "--model", str(model_file),
+                     "--out-dir", str(out)])
+        assert code == 4
+        assert "'IOB1'" in caplog.text
+        assert not out.exists()
+
     def test_chunks_and_model_is_usage_error(self, model_file, tmp_path, caplog):
         inp = tmp_path / "notes.txt"
         inp.write_text(FIGURE_TEXT, encoding="utf-8")
@@ -510,6 +526,7 @@ class TestUnreadableInputs:
             argv += [flag, str(bad)]
         assert main([command, *argv]) == 3
         assert f"{bad} is not UTF-8 text" in caplog.text or "at byte 0" in caplog.text
+        assert not (workdir[0] / "out").exists()
 
     def test_non_utf8_policy_dictionary_is_parse_error(self, tmp_path, caplog):
         (tmp_path / "names.txt").write_bytes(b"Pat\nS\xe9m\n")
@@ -593,6 +610,7 @@ class TestBadValues:
         assert "line 2" in caplog.text and "'x'" in caplog.text
 
     @pytest.mark.parametrize("command,option", [
+        ("train", "format"), ("train", "scheme"),
         ("evaluate", "format"), ("evaluate", "scheme"), ("predict", "input_format"),
     ])
     def test_config_value_outside_choices_exits_2(
@@ -628,3 +646,104 @@ class TestBadValues:
         assert main([command, *argv]) == 4
         assert option in caplog.text
         assert not (workdir[0] / "out").exists()
+
+
+# every option string of each subcommand, in the order its help lists them
+OPTION_STRINGS = {
+    "train": [
+        "-h", "--help", "--verbose", "--config", "--train", "--val", "--format", "--scheme",
+        "--schema", "--embeddings", "--min-count", "--grid", "--out-dir", "--word-dim",
+        "--embed-dim", "--char-dim", "--kernel-width", "--num-filters", "--lstm-size",
+        "--use-char-features", "--no-use-char-features", "--train-word-delta",
+        "--no-train-word-delta", "--max-seq-length", "--use-transition-mask",
+        "--no-use-transition-mask", "--learning-rate", "--batch-size", "--max-epochs",
+        "--dropout", "--beta1", "--beta2", "--epsilon", "--warmup-steps",
+        "--early-stopping-patience", "--patience", "--grad-clip-norm", "--seed",
+        "--oov-policy", "--confidence-mode",
+    ],
+    "predict": [
+        "-h", "--help", "--verbose", "--config", "--model", "--input", "--input-format",
+        "--min-confidence", "--abbreviations", "--out-dir",
+    ],
+    "evaluate": [
+        "-h", "--help", "--verbose", "--config", "--gold", "--pred", "--model", "--format",
+        "--scheme", "--min-micro-f1", "--out-dir",
+    ],
+    "deidentify": [
+        "-h", "--help", "--verbose", "--config", "--input", "--chunks", "--model", "--policy",
+        "--seed", "--abbreviations", "--out-dir",
+    ],
+    "convert": [
+        "-h", "--help", "--verbose", "--input", "--from", "--to", "--from-scheme",
+        "--to-scheme", "--out",
+    ],
+}
+
+
+def subcommand_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestParser:
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        listed = capsys.readouterr().out
+        for name in OPTION_STRINGS:
+            assert f"    {name} " in listed, name
+
+    @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+    def test_option_strings(self, command):
+        full = subcommand_parsers(cli.build_parser())[command]
+        (alone,) = subcommand_parsers(cli.build_parser(command)).values()
+        for parser in (full, alone):
+            assert [s for a in parser._actions for s in a.option_strings] == \
+                OPTION_STRINGS[command]
+
+    def test_one_subcommand_keeps_the_root_usage(self):
+        assert cli.build_parser("convert").format_usage() == cli.build_parser().format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        ["--verbose", "convert"], ["convert", "--verbose"], ["--verb", "convert"],
+    ])
+    def test_verbose_either_side(self, tmp_path, monkeypatch, argv):
+        levels = []
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        src = tmp_path / "src.tsv"
+        src.write_text("fever\tB-Symptom\n\n", encoding="utf-8")
+        assert main([*argv, "--input", str(src), "--from", "tsv2", "--to", "tsv2",
+                     "--out", str(tmp_path / "out.tsv")]) == 0
+        assert levels == [logging.INFO]
+
+    def test_embed_dim_alias(self):
+        args = cli.build_parser("train").parse_args(["train", "--embed-dim", "7"])
+        assert args.word_dim == 7
+
+    @pytest.mark.parametrize("argv", [[], ["--verbose"], ["bogus"], ["deid"], ["--", "train"]])
+    def test_missing_or_unknown_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "{train,predict,evaluate,deidentify,convert}" in capsys.readouterr().err
+
+    def test_config_keys_are_the_subcommands_options(self):
+        shared = {"help", "verbose"}  # -h and --verbose belong to every subcommand
+        dests = {a.dest for parser in subcommand_parsers(cli.build_parser()).values()
+                 for a in parser._actions if a.option_strings}
+        assert cli._CONFIG_KEYS == dests - shared
+
+    @pytest.mark.parametrize("key", ["verbose", "help", "embed_dim", "lstm"])
+    def test_config_key_no_option_names_exits_3(self, tmp_path, caplog, key):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        note = tmp_path / "note.txt"
+        note.write_text(FIGURE_TEXT, encoding="utf-8")
+        chunks = tmp_path / "chunks.tsv"
+        chunks.write_text(figure_chunk_records(), encoding="utf-8")
+        code = main(["deidentify", "--input", str(note), "--chunks", str(chunks),
+                     "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert f"unknown key {key!r}" in caplog.text
+        assert not (tmp_path / "out").exists()

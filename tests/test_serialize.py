@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from medner.errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
+from medner.nercore import serialize
 from medner.nercore.model import tag
 from medner.nercore.serialize import load_model, save_model
 
@@ -328,6 +331,101 @@ class TestCorruption:
         path.write_bytes(b"something else entirely\n")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+def flip_byte(data: bytes, name: str, at: int = 0) -> bytes:
+    """Flip one byte of tensor `name`, leaving its recorded checksum."""
+    manifest, payload = split_container(data)
+    entry = next(e for e in manifest["tensors"] if e["name"] == name)
+    index = len(data) - len(payload) + entry["offset"] + at
+    return data[:index] + bytes([data[index] ^ 0xFF]) + data[index + 1 :]
+
+
+def nan_embedding_row(data: bytes) -> bytes:
+    """A NaN in the embedding matrix's first row, its checksum left as it was."""
+    manifest, payload = split_container(data)
+    entry = next(e for e in manifest["tensors"] if e["name"] == "embed_matrix")
+    index = len(data) - len(payload) + entry["offset"]
+    return data[:index] + np.float64(np.nan).tobytes() + data[index + 8 :]
+
+
+class TestVerifyWorker:
+    """load_model hashes the embedding matrix on a worker thread while this
+    thread does the rest; it must report what a walk that compares every
+    checksum in directory order reports, and leave no thread behind."""
+
+    # each container has two faults; the first in directory order is reported
+    TWO_FAULTS = {
+        "trainable_and_embed_matrix": (
+            lambda data: flip_byte(flip_byte(data, "embed_matrix", 100), "w_c"),
+            "tensor w_c: checksum mismatch",
+        ),
+        "embed_matrix_and_truncated_embed_unk": (
+            lambda data: flip_byte(data, "embed_matrix")[:-8],
+            "tensor embed_matrix: checksum mismatch",
+        ),
+        "non_finite_row_and_embed_matrix_checksum": (
+            nan_embedding_row, "tensor embed_matrix: checksum mismatch",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TWO_FAULTS))
+    def test_first_fault_is_reported(self, saved, kind):
+        _, _, path = saved
+        corrupt, message = self.TWO_FAULTS[kind]
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ChecksumError) as exc:
+            load_model(str(path))
+        assert str(exc.value) == message
+
+    def test_non_finite_row_alone_is_the_table_error(self, saved):
+        _, _, path = saved
+        manifest, payload = split_container(nan_embedding_row(path.read_bytes()))
+        entry = next(e for e in manifest["tensors"] if e["name"] == "embed_matrix")
+        blob = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        entry["sha256"] = hashlib.sha256(blob).hexdigest()
+        path.write_bytes(join_container(manifest, payload))
+        with pytest.raises(MednerError, match="embedding table contains non-finite values"):
+            load_model(str(path))
+
+    def test_worker_error_reaches_the_caller(self, saved, monkeypatch):
+        _, _, path = saved
+        sha256 = serialize._sha256
+
+        def fails_on_worker(blob):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker hash failed")
+            return sha256(blob)
+
+        monkeypatch.setattr(serialize, "_sha256", fails_on_worker)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker hash failed"):
+            load_model(str(path))
+        assert threading.active_count() == threads
+
+    # a clean load, a fault found before the walk and one found after it
+    @pytest.mark.parametrize("kind", [None, "config_out_of_range", "dimensions_disagree"])
+    def test_worker_is_joined(self, saved, kind):
+        _, _, path = saved
+        threads = threading.active_count()
+        if kind is None:
+            load_model(str(path))
+        else:
+            rewrite_manifest(path, MALFORMED_MANIFESTS[kind])
+            with pytest.raises(ModelFormatError):
+                load_model(str(path))
+        assert threading.active_count() == threads
+
+    def test_round_trip_under_fast_switching(self, saved):
+        model, _, path = saved
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads interleave throughout the load
+        try:
+            loaded = load_model(str(path))
+        finally:
+            sys.setswitchinterval(interval)
+        for name, tensor in container_tensors(model).items():
+            np.testing.assert_array_equal(container_tensors(loaded)[name], tensor, err_msg=name)
 
 
 class TestFuzz:
