@@ -1,11 +1,15 @@
 """Single executable wiring the pipeline stages as subcommands:
 train, predict, evaluate, deidentify, convert.
 
-Options resolve in three layers: built-in defaults, then a flat key=value
-config file (--config), then command-line flags. Every TrainConfig field is
-available under its own name in both the file and the flag set. A config
-file key must name an option of some subcommand; any other key is a parse
-error, so a misspelt setting is not silently ignored.
+Options resolve in three layers, all by argparse: a flag wins over a flat
+key=value config file (--config), which wins over the option's default in
+_COMMANDS. With --config, main parses argv once to find the subcommand and
+the file, reads the file's values for that subcommand's options as their
+flags would read them, makes them the subcommand's defaults, and parses argv
+again. Every TrainConfig field is available under its own name in both the
+file and the flag set. A config file key must name an option of some
+subcommand; any other key is a parse error, so a misspelt setting is not
+silently ignored.
 
 Exit codes: 0 success, 1 failed --min-micro-f1 gate, 2 usage, 3 parse
 errors, 4 validation/schema/model-format errors, 5 numeric failures.
@@ -70,91 +74,38 @@ def read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """key -> (value, line number) of a flat key=value file. A key that is
-    no subcommand's option name raises ParseError with its line."""
-    values: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected key=value", line=lineno)
-        key, value = (p.strip() for p in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown key {key!r}: no subcommand has this option", line=lineno)
-        values[key] = (value, lineno)
-    return values
-
-
-def _coerce(value: str, kind: str, lineno: int):
-    """A config or grid file value as its field's type; ParseError names the
-    line of a value that is not one."""
-    try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-    except ValueError:
-        raise ParseError(f"expected {kind}, got {value!r}", line=lineno) from None
-    if kind == "bool":
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ParseError(f"expected bool, got {value!r}", line=lineno)
-    return value
-
-
 class UsageError(ValidationError):
     """Missing or contradictory invocation options (exit code 2)."""
 
 
-# non-TrainConfig keys the config file may supply
-_EXTRA_KINDS = {"min_confidence": "float", "min_count": "int", "min_micro_f1": "float"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-class Options:
-    """Flag > config file > default resolution for one invocation.
+def _file_value(dest: str, kwargs: dict, value: str, lineno: int):
+    """A --config or --grid value read as the option's flag would be, by its
+    add_argument keywords: a value its type rejects raises ParseError naming
+    the line, and one outside its choices raises UsageError."""
+    if kwargs.get("action") is argparse.BooleanOptionalAction:
+        if value.lower() not in _BOOL_WORDS:
+            raise ParseError(f"expected bool, got {value!r}", line=lineno)
+        return _BOOL_WORDS[value.lower()]
+    convert = kwargs.get("type", str)
+    try:
+        value = convert(value)
+    except ValueError:
+        raise ParseError(f"expected {convert.__name__}, got {value!r}", line=lineno) from None
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise UsageError(f"unknown {dest} {value!r}, expected one of {sorted(kwargs['choices'])}")
+    return value
 
-    Every key usable in the flat config file carries the same name as its
-    command-line flag (with underscores); flags win.
-    """
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, default=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.file_values:
-            kind = _CONFIG_FIELDS.get(name) or _EXTRA_KINDS.get(name, "str")
-            value, lineno = self.file_values[name]
-            return _coerce(value, kind, lineno)
-        return default
-
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
+def _required(args: argparse.Namespace, *names: str) -> None:
+    """UsageError for the first of `names` that no flag or config file set:
+    argparse's required= cannot see a value from the file."""
+    for name in names:
+        if getattr(args, name) is None:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        return value
-
-    def choice(self, name: str, default: str, choices) -> str:
-        """get(name, default), which must be one of `choices`: the check a
-        flag's argparse choices make, applied to a config-file value too."""
-        value = self.get(name, default)
-        if value not in choices:
-            raise UsageError(f"unknown {name} {value!r}, expected one of {sorted(choices)}")
-        return value
-
-    def train_config(self) -> TrainConfig:
-        defaults = TrainConfig()
-        kwargs = {}
-        for field in dataclasses.fields(TrainConfig):
-            kwargs[field.name] = self.get(field.name, getattr(defaults, field.name))
-        return TrainConfig(**kwargs)
 
 
 # what a TrainConfig field's flag has beyond --<field-name> and its type
@@ -174,7 +125,9 @@ def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
 
 
 def _train_config_options() -> list[tuple[tuple[str, ...], dict]]:
-    """One option per TrainConfig field, in field order."""
+    """One option per TrainConfig field, in field order, defaulting to
+    TrainConfig()'s value."""
+    defaults = TrainConfig()
     options = []
     for name, kind in _CONFIG_FIELDS.items():
         extra = dict(_FLAG_EXTRAS.get(name, {}))
@@ -183,7 +136,7 @@ def _train_config_options() -> list[tuple[tuple[str, ...], dict]]:
             extra["action"] = argparse.BooleanOptionalAction
         elif kind != "str":
             extra["type"] = {"int": int, "float": float}[kind]
-        options.append(_opt(*flags, dest=name, **extra))
+        options.append(_opt(*flags, dest=name, default=getattr(defaults, name), **extra))
     return options
 
 
@@ -224,45 +177,37 @@ def _load_corpus(path: str, fmt: str, scheme: str, schema: LabelSchema | None,
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    config = opts.train_config()
-    out_dir = opts.require("out_dir")
-    fmt = opts.choice("format", "tsv2", FORMATS)
-    scheme = opts.choice("scheme", "IOB2", SCHEMES)
+    _required(args, "out_dir", "train", "embeddings")
+    config = TrainConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS})
+    grid = _read_grid_file(args.grid) if args.grid else None
 
-    schema = None
-    schema_path = opts.get("schema")
-    if schema_path:
-        schema = LabelSchema.from_text(read_text(schema_path))
-    train_corpus = _load_corpus(opts.require("train"), fmt, scheme, schema,
+    schema = LabelSchema.from_text(read_text(args.schema)) if args.schema else None
+    train_corpus = _load_corpus(args.train, args.format, args.scheme, schema,
                                 config.max_seq_length)
     if schema is None:
         schema = train_corpus.schema
-    val_path = opts.get("val")
-    if val_path:
-        val_corpus = _load_corpus(val_path, fmt, scheme, schema)
+    if args.val:
+        val_corpus = _load_corpus(args.val, args.format, args.scheme, schema)
     else:
         train_corpus, val_corpus, _unused_test = split_corpus(
             train_corpus, (0.70, 0.15, 0.15), config.seed
         )
         log.info("no --val given: split --train 70:15:15 (test part unused)")
 
-    table = load_embeddings(opts.require("embeddings"), config.word_dim, config.oov_policy)
-    vocab = build_vocab(train_corpus, min_count=opts.get("min_count", 1))
+    table = load_embeddings(args.embeddings, config.word_dim, config.oov_policy)
+    vocab = build_vocab(train_corpus, min_count=args.min_count)
 
     def build_model(cfg: TrainConfig):
         return init_model(cfg, schema, vocab, table)
 
-    grid_path = opts.get("grid")
-    if grid_path:
-        grid = _read_grid_file(grid_path)
+    if grid:
         result = grid_search(grid, train_corpus, val_corpus, config, build_model)
         fit_result = result.best
     else:
         fit_result = fit(build_model(config), train_corpus, val_corpus)
 
-    out = _out_dir(out_dir)
-    if grid_path:
+    out = _out_dir(args.out_dir)
+    if grid:
         (out / "grid_results.json").write_text(
             json.dumps(
                 [
@@ -286,6 +231,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_grid_file(path: str) -> dict[str, list]:
+    options = _options_by_dest("train")
     grid: dict[str, list] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -296,8 +242,8 @@ def _read_grid_file(path: str) -> dict[str, list]:
         key, values = (p.strip() for p in line.split("=", 1))
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"unknown hyperparameter {key!r}", line=lineno)
-        kind = _CONFIG_FIELDS[key]
-        grid[key] = [_coerce(v.strip(), kind, lineno) for v in values.split(",") if v.strip()]
+        grid[key] = [_file_value(key, options[key], v.strip(), lineno)
+                     for v in values.split(",") if v.strip()]
     if not grid:
         raise ParseError("grid file lists no hyperparameters")
     return grid
@@ -331,51 +277,43 @@ def _tag_chunks(model: ModelParams, sentences: list[Sentence]) -> list[chunking.
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    min_confidence = opts.get("min_confidence", 0.0)
-    if not 0.0 <= min_confidence <= 1.0:  # NaN too: no chunk would pass it
-        raise ValidationError(f"min_confidence must lie in [0, 1], got {min_confidence}")
-    input_format = opts.choice("input_format", "raw", ("raw", *FORMATS))
-    model = load_model(opts.require("model"))
-    out_dir = opts.require("out_dir")
-    text = read_text(opts.require("input"))
-    if input_format == "raw":
-        sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
+    _required(args, "model", "out_dir", "input")
+    if not 0.0 <= args.min_confidence <= 1.0:  # NaN too: no chunk would pass it
+        raise ValidationError(f"min_confidence must lie in [0, 1], got {args.min_confidence}")
+    model = load_model(args.model)
+    text = read_text(args.input)
+    if args.input_format == "raw":
+        sentences = ingest_raw_text(text, _read_abbreviations(args.abbreviations))
     else:
-        corpus = parse_conll(text, FORMATS[input_format])
+        corpus = parse_conll(text, FORMATS[args.input_format])
         _check_known_types(model, corpus.entity_types_present())
         sentences = corpus.sentences
     chunks = _tag_chunks(model, sentences)
-    chunks = [c for c in chunks if c.confidence >= min_confidence]
-    out = _out_dir(out_dir)
+    chunks = [c for c in chunks if c.confidence >= args.min_confidence]
+    out = _out_dir(args.out_dir)
     (out / "chunks.tsv").write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
     log.info("%d chunks written to %s", len(chunks), out / "chunks.tsv")
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    pred_path = opts.get("pred")
-    model_path = opts.get("model")
-    if (pred_path is None) == (model_path is None):
+    _required(args, "gold")
+    if (args.pred is None) == (args.model is None):
         raise UsageError("exactly one of --pred or --model is required")
-    gate = opts.get("min_micro_f1")
+    gate = args.min_micro_f1
     if gate is not None and not math.isfinite(gate):  # F1 < NaN never holds
         raise ValidationError(f"min_micro_f1 must be finite, got {gate}")
-    fmt = opts.choice("format", "tsv2", FORMATS)
-    scheme = opts.choice("scheme", "IOB2", SCHEMES)
-    gold = _load_corpus(opts.require("gold"), fmt, scheme, None)
-    if model_path:
-        model = load_model(model_path)
+    gold = _load_corpus(args.gold, args.format, args.scheme, None)
+    if args.model:
+        model = load_model(args.model)
         _check_known_types(model, gold.schema.entity_types)
         report = evaluate(model, gold)
     else:
-        pred = _load_corpus(pred_path, fmt, scheme, None)
+        pred = _load_corpus(args.pred, args.format, args.scheme, None)
         report = evaluation.EvalReport.from_sentences(gold.sentences, pred.sentences)
     print(report.summary())
-    out_dir = opts.get("out_dir")
-    if out_dir:
-        _write_report(_out_dir(out_dir), report)
+    if args.out_dir:
+        _write_report(_out_dir(args.out_dir), report)
     if gate is not None and report.micro_f1 < gate:
         log.error("micro-F1 %.4f below gate %.4f", report.micro_f1, gate)
         return EXIT_GATE
@@ -383,37 +321,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_deidentify(args: argparse.Namespace) -> int:
-    opts = Options(args)
-    chunks_path = opts.get("chunks")
-    model_path = opts.get("model")
-    if (chunks_path is None) == (model_path is None):
+    _required(args, "out_dir", "input")
+    if (args.chunks is None) == (args.model is None):
         raise UsageError("exactly one of --chunks or --model is required")
-    out_dir = opts.require("out_dir")
-    input_path = opts.require("input")
-    text = read_text(input_path)
-    policy_path = opts.get("policy")
-    if policy_path:
-        policy = deid.parse_policy_file(
-            read_text(policy_path),
-            base_dir=Path(policy_path).parent,
-        )
+    text = read_text(args.input)
+    if args.policy:
+        policy = deid.parse_policy_file(read_text(args.policy), base_dir=Path(args.policy).parent)
     else:
         policy = deid.DeidPolicy()
-    seed = opts.get("seed")
-    if seed is not None:
-        policy.seed = seed
+    if args.seed is not None:
+        policy.seed = args.seed
 
-    if chunks_path:
-        chunks = chunking.parse_chunk_records(read_text(chunks_path))
+    if args.chunks:
+        chunks = chunking.parse_chunk_records(read_text(args.chunks))
     else:
-        model = load_model(model_path)
-        sentences = ingest_raw_text(text, _read_abbreviations(opts.get("abbreviations")))
+        model = load_model(args.model)
+        sentences = ingest_raw_text(text, _read_abbreviations(args.abbreviations))
         chunks = _tag_chunks(model, sentences)
     try:
         result = deid.apply_policy(text, chunks, policy)
     except ValidationError as exc:
-        raise ValidationError(f"{input_path}: {exc}")
-    out = _out_dir(out_dir)
+        raise ValidationError(f"{args.input}: {exc}")
+    out = _out_dir(args.out_dir)
     (out / "deidentified.txt").write_text(result.text, encoding="utf-8")
     (out / "replacements.log").write_text(
         "\n".join(result.log_lines()) + ("\n" if result.replacements else ""),
@@ -444,20 +373,20 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 # Each subcommand's help, handler and option groups (None titles its own
-# options). Path and format options stay optional at the argparse level so a
-# --config file can supply them; Options.require reports what is missing.
+# options). Path options stay optional at the argparse level so a --config
+# file can supply them; each handler's _required reports what is missing.
 _COMMANDS = {
     "train": ("train a tagger and write the model container", cmd_train, {
         None: [
             _opt("--config", help="flat key=value config file"),
             _opt("--train", help="training corpus file"),
             _opt("--val", help="validation corpus; default splits --train 70:15:15"),
-            _opt("--format", choices=sorted(FORMATS)),
-            _opt("--scheme", choices=SCHEMES,
+            _opt("--format", choices=sorted(FORMATS), default="tsv2"),
+            _opt("--scheme", choices=SCHEMES, default="IOB2",
                  help="tagging scheme of the input files (default IOB2)"),
             _opt("--schema", help="schema file (entity types + scheme line)"),
             _opt("--embeddings", help="word vector text file"),
-            _opt("--min-count", type=int),
+            _opt("--min-count", type=int, default=1),
             _opt("--grid", help="grid file: key = v1,v2,... per line"),
             _opt("--out-dir"),
         ],
@@ -467,8 +396,8 @@ _COMMANDS = {
         _opt("--config"),
         _opt("--model"),
         _opt("--input"),
-        _opt("--input-format", choices=("raw", *FORMATS)),
-        _opt("--min-confidence", type=float),
+        _opt("--input-format", choices=("raw", *FORMATS), default="raw"),
+        _opt("--min-confidence", type=float, default=0.0),
         _opt("--abbreviations", help="extra abbreviation file, one per line"),
         _opt("--out-dir"),
     ]}),
@@ -477,8 +406,8 @@ _COMMANDS = {
         _opt("--gold"),
         _opt("--pred", help="tagged corpus of predictions"),
         _opt("--model", help="predict on the fly instead of --pred"),
-        _opt("--format", choices=sorted(FORMATS)),
-        _opt("--scheme", choices=SCHEMES),
+        _opt("--format", choices=sorted(FORMATS), default="tsv2"),
+        _opt("--scheme", choices=SCHEMES, default="IOB2"),
         _opt("--min-micro-f1", type=float,
              help="exit 1 when entity micro-F1 falls below this gate"),
         _opt("--out-dir"),
@@ -505,18 +434,46 @@ _COMMANDS = {
     ]}),
 }
 
+
+def _options_by_dest(command: str) -> dict[str, dict]:
+    """The add_argument keywords of each of `command`'s options, by dest."""
+    return {
+        kwargs.get("dest", flags[0].lstrip("-").replace("-", "_")): kwargs
+        for options in _COMMANDS[command][2].values()
+        for flags, kwargs in options
+    }
+
+
 # the keys a config file may set: every subcommand's option names (dests)
-_CONFIG_KEYS = frozenset(
-    kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
-    for _help, _func, groups in _COMMANDS.values()
-    for options in groups.values()
-    for flags, kwargs in options
-)
+_CONFIG_KEYS = frozenset(dest for command in _COMMANDS for dest in _options_by_dest(command))
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _config_defaults(command: str, path: str) -> dict:
+    """The values a flat key=value config file gives `command`'s options,
+    each read as its flag would be; other subcommands' keys are not read. A
+    key that is no subcommand's option name raises ParseError with its line."""
+    options = _options_by_dest(command)
+    defaults = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", line=lineno)
+        key, value = (p.strip() for p in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown key {key!r}: no subcommand has this option", line=lineno)
+        if key in options:
+            defaults[key] = _file_value(key, options[key], value, lineno)
+    return defaults
+
+
+def build_parser(command: str | None = None, defaults: dict | None = None
+                 ) -> argparse.ArgumentParser:
     """The medner parser with every subcommand, or with `command` alone; the
-    root usage names every subcommand either way."""
+    root usage names every subcommand either way. `defaults`, the config
+    file's values that _config_defaults read for `command`, replace the
+    option table's defaults, so flags still win over them."""
     parser = argparse.ArgumentParser(
         prog="medner",
         description="Biomedical NER pipeline: train, predict, evaluate, "
@@ -539,7 +496,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             group = p_command.add_argument_group(title) if title else p_command
             for flags, kwargs in options:
                 group.add_argument(*flags, **kwargs)
-        p_command.set_defaults(func=func)
+        p_command.set_defaults(func=func, **(defaults or {}))
     return parser
 
 
@@ -563,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "config", None):
+            defaults = _config_defaults(args.command, args.config)
+            args = build_parser(args.command, defaults).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         log.error("usage: %s", exc)

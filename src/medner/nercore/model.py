@@ -175,7 +175,8 @@ class ModelParams:
     vocab: Vocabulary
     embed: EmbeddingTable
     flat: np.ndarray = field(repr=False)
-    transition_mask: np.ndarray | None = field(default=None, repr=False)
+    # the schema's allowed transitions, None without config.use_transition_mask
+    transition_mask: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         size = sum(math.prod(shape) for shape in self.shapes().values())
@@ -193,6 +194,9 @@ class ModelParams:
         self.b_c = views["b_c"]
         self.transitions = views["transitions"]
         self.word_delta = views.get("word_delta")
+        self.transition_mask = (
+            self.schema.transition_mask() if self.config.use_transition_mask else None
+        )
 
     @property
     def input_dim(self) -> int:
@@ -267,10 +271,8 @@ def init_model(
         )
     rng = np.random.default_rng(config.seed)
     shapes = param_shapes(config, schema.num_tags, vocab.num_chars, vocab.num_words)
-    mask = schema.transition_mask() if config.use_transition_mask else None
     model = ModelParams(
-        config, schema, vocab, embed,
-        np.zeros(sum(math.prod(shape) for shape in shapes.values())), mask,
+        config, schema, vocab, embed, np.zeros(sum(math.prod(shape) for shape in shapes.values()))
     )
     # the draw order fixes what a seed gives, so it does not change
     d_char, s = config.char_dim, config.lstm_size

@@ -199,8 +199,8 @@ def load_model(path: str) -> ModelParams:
     No shape is taken from the manifest: each tensor must have the shape
     param_shapes derives from the config, schema and vocabulary, and the
     manifest's `dimensions` must equal what save_model writes for the loaded
-    model. Any disagreement, a config, schema or vocabulary that does not
-    validate, a scheme other than IOB2, or a trainable tensor that is not
+    model. Any disagreement, a config, schema, vocabulary or embedding table
+    that does not validate, a scheme other than IOB2, or a tensor that is not
     finite raises a ModelFormatError.
 
     The embedding matrix is most of the payload, and its sha256 is hashed on
@@ -284,15 +284,17 @@ def _verified_model(
         if len(tensors) != len(order):
             raise ShapeMismatchError(f"container is missing tensors: {order[len(tensors):]}")
 
-        embed = EmbeddingTable(
-            config.word_dim, words, tensors["embed_matrix"], tensors["embed_unk"],
-            manifest["embedding"]["oov_policy"],
-        )
+        try:
+            embed = EmbeddingTable(
+                config.word_dim, words, tensors["embed_matrix"], tensors["embed_unk"],
+                manifest["embedding"]["oov_policy"],
+            )
+        except ValidationError as exc:
+            raise ModelFormatError(str(exc))
         model = ModelParams(
             config, schema, vocab, embed,
             # the trainable tensors tile the payload up to the embedding matrix
             payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
-            schema.transition_mask() if config.use_transition_mask else None,
         )
         if manifest["dimensions"] != _dimensions(model):
             raise ShapeMismatchError(

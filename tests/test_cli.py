@@ -10,6 +10,7 @@ from medner.chunking import Chunk, write_chunk_records
 from medner import cli
 from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
+from medner.nercore.model import TrainConfig
 from medner.nercore.serialize import load_model, save_model
 
 
@@ -609,8 +610,42 @@ class TestBadValues:
         assert code == 3
         assert "line 2" in caplog.text and "'x'" in caplog.text
 
+    def test_grid_value_outside_choices_exits_2(self, workdir, caplog, monkeypatch):
+        tmp_path, _, train_file, emb_file = workdir
+        grid = tmp_path / "grid.txt"
+        grid.write_text("oov_policy = lowercase_then_unk, bogus\n", encoding="utf-8")
+
+        def no_fit(*args):
+            raise AssertionError("grid_search ran")
+
+        monkeypatch.setattr(cli, "grid_search", no_fit)
+        code, out = run_train(tmp_path, train_file, emb_file, extra=("--grid", str(grid)))
+        assert code == 2
+        assert "unknown oov_policy 'bogus'" in caplog.text
+        assert not out.exists()
+
+    def test_grid_is_read_before_the_embeddings(self, workdir, caplog):
+        tmp_path, _, train_file, _ = workdir
+        grid = tmp_path / "grid.txt"
+        grid.write_text("confidence_mode = bogus\n", encoding="utf-8")
+        code, _ = run_train(tmp_path, train_file, tmp_path / "missing.txt",
+                            extra=("--grid", str(grid)))
+        assert code == 2
+        assert "unknown confidence_mode 'bogus'" in caplog.text
+
+    def test_config_value_is_read_when_a_flag_overrides_it(self, workdir, caplog):
+        tmp_path, _, train_file, emb_file = workdir
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("max_epochs = abc\n", encoding="utf-8")
+        assert "--max-epochs" in TRAIN_FLAGS
+        code, out = run_train(tmp_path, train_file, emb_file, extra=("--config", str(cfg)))
+        assert code == 3
+        assert "line 1" in caplog.text and "'abc'" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,option", [
         ("train", "format"), ("train", "scheme"),
+        ("train", "oov_policy"), ("train", "confidence_mode"),
         ("evaluate", "format"), ("evaluate", "scheme"), ("predict", "input_format"),
     ])
     def test_config_value_outside_choices_exits_2(
@@ -716,6 +751,20 @@ class TestParser:
         assert main([*argv, "--input", str(src), "--from", "tsv2", "--to", "tsv2",
                      "--out", str(tmp_path / "out.tsv")]) == 0
         assert levels == [logging.INFO]
+
+    # the option table's defaults, which a subcommand parsed with no options keeps
+    TABLE_DEFAULTS = {
+        "train": {"format": "tsv2", "scheme": "IOB2", "min_count": 1, **TrainConfig().to_dict()},
+        "predict": {"input_format": "raw", "min_confidence": 0.0},
+        "evaluate": {"format": "tsv2", "scheme": "IOB2"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(TABLE_DEFAULTS))
+    def test_table_defaults(self, command):
+        args = vars(cli.build_parser(command).parse_args([command]))
+        defaults = self.TABLE_DEFAULTS[command]
+        assert {name: args[name] for name in defaults} == defaults
+        assert all(args[name] is None for name in (args.keys() - defaults.keys()) & cli._CONFIG_KEYS)
 
     def test_embed_dim_alias(self):
         args = cli.build_parser("train").parse_args(["train", "--embed-dim", "7"])

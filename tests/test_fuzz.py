@@ -8,7 +8,6 @@ the first line and reach the deeper checks; file-based parsers also get raw
 bytes that need not be UTF-8. Each property runs about 100 examples.
 """
 
-import argparse
 import dataclasses
 import math
 import tempfile
@@ -18,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medner.chunking import parse_chunk_records
-from medner.cli import Options, _read_grid_file
+from medner import cli
+from medner.cli import _read_grid_file
 from medner.corpus import FORMATS, SCHEMES, LabelSchema, parse_conll, validate_iob, write_conll
 from medner.deid import parse_policy_file
 from medner.errors import MednerError
@@ -155,8 +155,13 @@ def write_then(contents, parse):
 @given(file_contents(CONFIG))
 def test_config_file(contents):
     def parse(path):
-        opts = Options(argparse.Namespace(config=path))
-        return opts.train_config(), opts.get("min_confidence"), opts.get("min_count")
+        def args(command):  # what `medner <command> --config <path>` resolves
+            defaults = cli._config_defaults(command, path)
+            return cli.build_parser(command, defaults).parse_args([command])
+
+        train = args("train")
+        config = TrainConfig(**{name: getattr(train, name) for name in FIELDS})
+        return config, args("predict").min_confidence, train.min_count
 
     result = write_then(contents, parse)
     if result is not None:

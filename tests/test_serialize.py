@@ -97,6 +97,11 @@ def _config_out_of_range(manifest):
     return manifest
 
 
+def _unknown_oov_policy(manifest):
+    manifest["embedding"]["oov_policy"] = "bogus"
+    return manifest
+
+
 MALFORMED_MANIFESTS = {
     "no_dimensions": lambda m: {k: v for k, v in m.items() if k != "dimensions"},
     "json_list": lambda m: [m],
@@ -107,6 +112,7 @@ MALFORMED_MANIFESTS = {
     "vocab_longer_than_char_emb": _vocab_longer_than_char_emb,
     "config_out_of_range": _config_out_of_range,
     "dimensions_disagree": _dimensions_disagree,
+    "unknown_oov_policy": _unknown_oov_policy,
 }
 
 
@@ -134,10 +140,10 @@ def _reordered_tensors(data: bytes) -> bytes:
     return join_container(manifest, b + a + payload[len(a) + len(b) :])
 
 
-def _non_finite_tensor(data: bytes) -> bytes:
-    """A NaN in w_c's first entry, its checksum updated to match."""
+def _non_finite_tensor(data: bytes, name: str) -> bytes:
+    """A NaN in tensor `name`'s first entry, its checksum updated to match."""
     manifest, payload = split_container(data)
-    entry = next(e for e in manifest["tensors"] if e["name"] == "w_c")
+    entry = next(e for e in manifest["tensors"] if e["name"] == name)
     start = entry["offset"]
     blob = np.float64(np.nan).tobytes() + payload[start + 8 : start + entry["nbytes"]]
     entry["sha256"] = hashlib.sha256(blob).hexdigest()
@@ -152,7 +158,9 @@ MALFORMED_CONTAINERS = {
     "huge_manifest_length": lambda data: replace_header(data, b"mednermodel 1 99999999999\n"),
     "repeated_tensor": _repeated_tensor,
     "reordered_tensors": _reordered_tensors,
-    "non_finite_tensor": _non_finite_tensor,
+    "non_finite_tensor": lambda data: _non_finite_tensor(data, "w_c"),
+    "non_finite_embed_matrix": lambda data: _non_finite_tensor(data, "embed_matrix"),
+    "non_finite_embed_unk": lambda data: _non_finite_tensor(data, "embed_unk"),
     # same length, so every checksum and the header still match
     "iob1_scheme": lambda data: data.replace(b'"scheme": "IOB2"', b'"scheme": "IOB1"', 1),
 }
@@ -385,7 +393,7 @@ class TestVerifyWorker:
         blob = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
         entry["sha256"] = hashlib.sha256(blob).hexdigest()
         path.write_bytes(join_container(manifest, payload))
-        with pytest.raises(MednerError, match="embedding table contains non-finite values"):
+        with pytest.raises(ModelFormatError, match="embedding table contains non-finite values"):
             load_model(str(path))
 
     def test_worker_error_reaches_the_caller(self, saved, monkeypatch):
