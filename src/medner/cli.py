@@ -102,9 +102,10 @@ def _file_value(dest: str, kwargs: dict, value: str, lineno: int):
 
 def _required(args: argparse.Namespace, *names: str) -> None:
     """UsageError for the first of `names` that no flag or config file set:
-    argparse's required= cannot see a value from the file."""
+    argparse's required= cannot see a value from the file. An empty value
+    (`--model ""`, or `model =` in the file) counts as not set."""
     for name in names:
-        if getattr(args, name) is None:
+        if not getattr(args, name):
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
@@ -280,15 +281,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _required(args, "model", "out_dir", "input")
     if not 0.0 <= args.min_confidence <= 1.0:  # NaN too: no chunk would pass it
         raise ValidationError(f"min_confidence must lie in [0, 1], got {args.min_confidence}")
-    model = load_model(args.model)
     text = read_text(args.input)
     if args.input_format == "raw":
         sentences = ingest_raw_text(text, _read_abbreviations(args.abbreviations))
+        entity_types = set()
     else:
         corpus = parse_conll(text, FORMATS[args.input_format])
-        _check_known_types(model, corpus.entity_types_present())
-        sentences = corpus.sentences
-    chunks = _tag_chunks(model, sentences)
+        sentences, entity_types = corpus.sentences, corpus.entity_types_present()
+
+    def tag_input(model: ModelParams) -> list[chunking.Chunk]:
+        _check_known_types(model, entity_types)
+        return _tag_chunks(model, sentences)
+
+    chunks = load_model(args.model, use=tag_input)
     chunks = [c for c in chunks if c.confidence >= args.min_confidence]
     out = _out_dir(args.out_dir)
     (out / "chunks.tsv").write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
@@ -298,16 +303,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _required(args, "gold")
-    if (args.pred is None) == (args.model is None):
+    if bool(args.pred) == bool(args.model):  # an empty value counts as not given
         raise UsageError("exactly one of --pred or --model is required")
     gate = args.min_micro_f1
     if gate is not None and not math.isfinite(gate):  # F1 < NaN never holds
         raise ValidationError(f"min_micro_f1 must be finite, got {gate}")
     gold = _load_corpus(args.gold, args.format, args.scheme, None)
     if args.model:
-        model = load_model(args.model)
-        _check_known_types(model, gold.schema.entity_types)
-        report = evaluate(model, gold)
+
+        def score(model: ModelParams) -> evaluation.EvalReport:
+            _check_known_types(model, gold.schema.entity_types)
+            return evaluate(model, gold)
+
+        report = load_model(args.model, use=score)
     else:
         pred = _load_corpus(args.pred, args.format, args.scheme, None)
         report = evaluation.EvalReport.from_sentences(gold.sentences, pred.sentences)
@@ -322,7 +330,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_deidentify(args: argparse.Namespace) -> int:
     _required(args, "out_dir", "input")
-    if (args.chunks is None) == (args.model is None):
+    if bool(args.chunks) == bool(args.model):  # an empty value counts as not given
         raise UsageError("exactly one of --chunks or --model is required")
     text = read_text(args.input)
     if args.policy:
@@ -335,9 +343,8 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
     if args.chunks:
         chunks = chunking.parse_chunk_records(read_text(args.chunks))
     else:
-        model = load_model(args.model)
         sentences = ingest_raw_text(text, _read_abbreviations(args.abbreviations))
-        chunks = _tag_chunks(model, sentences)
+        chunks = load_model(args.model, use=lambda model: _tag_chunks(model, sentences))
     try:
         result = deid.apply_policy(text, chunks, policy)
     except ValidationError as exc:

@@ -534,8 +534,12 @@ def tag(
     sentences, and a sentence's tags do not depend on the other sentences in
     the call.
     """
-    # the schema mask applies at prediction even when training ran unmasked
-    trans = crf.apply_mask(model.transitions, model.schema.transition_mask())
+    # the schema mask applies at prediction even when training ran unmasked;
+    # a masked model holds it already
+    mask = model.transition_mask
+    trans = crf.apply_mask(
+        model.transitions, model.schema.transition_mask() if mask is None else mask
+    )
     out: list[tuple[list[str], np.ndarray | None]] = []
     index: dict[str, int] = {}
     ids: list[np.ndarray] = []

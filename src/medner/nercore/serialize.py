@@ -21,7 +21,9 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
+from typing import TypeVar
 
 import numpy as np
 
@@ -41,6 +43,8 @@ from .model import ModelParams, TrainConfig, param_shapes
 MAGIC = "mednermodel"
 FORMAT_VERSION = 1
 _MAX_HEADER_BYTES = 64  # "mednermodel <version> <manifest_nbytes>\n" is far shorter
+
+T = TypeVar("T")
 
 # The JSON type of every manifest field load_model reads; [t] is a list of t.
 # Types compare exactly, so a boolean never passes for an integer.
@@ -101,6 +105,9 @@ def _dimensions(model: ModelParams) -> dict:
 
 
 def save_model(model: ModelParams, path: str) -> None:
+    """Write the container to `path` atomically: to a temporary file in the
+    same directory, then os.replace'd into place; on any exception the
+    temporary file is removed and `path` is left as it was."""
     tensors = dict(model.tensors())
     tensors["embed_matrix"] = model.embed.matrix
     tensors["embed_unk"] = model.embed.unk_vector
@@ -138,15 +145,26 @@ def save_model(model: ModelParams, path: str) -> None:
         "tensors": directory,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii"))
-        fh.write(manifest_bytes)
-        fh.write(payload)
+    # written to a new sibling and renamed over `path`, so a reader sees the
+    # old container or the new one whole, and a failed save leaves the old one
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(f"{MAGIC} {FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii"))
+            fh.write(manifest_bytes)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _read_container(path: str) -> tuple[dict, np.ndarray]:
-    """The container's type-checked manifest and its payload, read with one
-    readinto into an aligned buffer."""
+def _read_container(path: str, pool: ThreadPoolExecutor) -> tuple[dict, np.ndarray]:
+    """The container's type-checked manifest and its payload. The payload is
+    read with one readinto into an aligned buffer on `pool`'s worker, which
+    releases the GIL, while this thread parses and checks the manifest; the
+    file is closed only once that read has returned."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         line = fh.readline(_MAX_HEADER_BYTES)
@@ -165,10 +183,19 @@ def _read_container(path: str) -> tuple[dict, np.ndarray]:
         if manifest_len > size - len(line):
             raise ChecksumError("container truncated inside the manifest")
         manifest_bytes = fh.read(manifest_len)
+        if len(manifest_bytes) != manifest_len:
+            raise ChecksumError("container truncated inside the manifest")
         payload = np.empty(size - fh.tell(), dtype=np.uint8)
-        payload = payload[: fh.readinto(payload)]
-    if len(manifest_bytes) != manifest_len:
-        raise ChecksumError("container truncated inside the manifest")
+        read = pool.submit(fh.readinto, payload)
+        try:
+            manifest = _checked_manifest(manifest_bytes)
+        finally:
+            payload = payload[: read.result()]
+    return manifest, payload
+
+
+def _checked_manifest(manifest_bytes: bytes) -> dict:
+    """The manifest parsed and type-checked."""
     try:
         manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -182,11 +209,13 @@ def _read_container(path: str) -> tuple[dict, np.ndarray]:
         raise ModelFormatError(
             f"manifest scheme {manifest['schema']['scheme']!r}: models tag in IOB2 only"
         )
-    return manifest, payload
+    return manifest
 
 
-def load_model(path: str) -> ModelParams:
-    """Read and verify a container; every tensor is a view of one payload buffer.
+def load_model(path: str, use: Callable[[ModelParams], T] = lambda model: model) -> T:
+    """Read and verify a container, and return use(model) for the verified
+    model; by default, the model itself. Every tensor is a view of one
+    payload buffer.
 
     The payload is read once into an aligned buffer and nothing is copied, so
     the tensor directory must tile it exactly as save_model writes it: its
@@ -203,36 +232,46 @@ def load_model(path: str) -> ModelParams:
     that does not validate, a scheme other than IOB2, or a tensor that is not
     finite raises a ModelFormatError.
 
-    The embedding matrix is most of the payload, and its sha256 is hashed on
-    one worker thread (hashlib releases the GIL) while this thread does the
-    rest: the config, schema and vocabulary, the other tensors' checksums,
-    the embedding table and the model's own checks. Its digest is compared
-    where the directory walk reaches it, so whatever this thread finds
-    wrong after that point is raised only once the embedding matrix's
+    One worker thread does the two long byte-level steps while this thread
+    does the rest (readinto and hashlib release the GIL): it reads the
+    payload while this thread parses the manifest, then hashes the embedding
+    matrix, most of the payload, while this thread checks the config,
+    schema and vocabulary, the other tensors' checksums, the embedding table
+    and the model, and then runs `use`.
+
+    So `use` runs before the embedding matrix's digest is compared: on a
+    model whose every other check has passed, but whose embedding matrix
+    may still turn out corrupt. It must therefore have no effect outside
+    memory (no file written, nothing printed); its result is returned only
+    once the digest compares equal. The digest is compared where the
+    directory walk reaches it, so a MednerError raised after that point,
+    by the checks or by `use`, is raised only once the embedding matrix's
     checksum has passed: a container with several faults reports the same
     first one as a walk that compares every checksum in turn. The worker is
     joined before load_model returns or raises, and an exception it raises
     reaches the caller.
     """
-    manifest, payload = _read_container(path)
-    # the walk reaches only the first entry named embed_matrix, and hashes it
-    # only inside the payload: then this hash of the same bytes is under way
-    entry = next((e for e in manifest["tensors"] if e["name"] == "embed_matrix"), None)
     with ThreadPoolExecutor(max_workers=1) as pool:
+        manifest, payload = _read_container(path, pool)
+        # the walk reaches only the first entry named embed_matrix, and hashes
+        # it only inside the payload: then this hash of the same bytes is under way
+        entry = next((e for e in manifest["tensors"] if e["name"] == "embed_matrix"), None)
         embed_digest = None
         if entry and 0 <= entry["offset"] <= entry["offset"] + entry["nbytes"] <= len(payload):
             embed_digest = pool.submit(
                 _sha256, payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
             )
-        return _verified_model(manifest, payload, embed_digest)
+        return _verified_model(manifest, payload, embed_digest, use)
 
 
 def _verified_model(
-    manifest: dict, payload: np.ndarray, embed_digest: Future | None
-) -> ModelParams:
-    """load_model's checks of a type-checked manifest and its payload.
-    embed_digest is the embedding matrix's sha256 being hashed, or None when
-    the directory places it outside the payload, where the walk stops first."""
+    manifest: dict, payload: np.ndarray, embed_digest: Future | None,
+    use: Callable[[ModelParams], T],
+) -> T:
+    """load_model's checks of a type-checked manifest and its payload, and
+    use(model) once they pass. embed_digest is the embedding matrix's sha256
+    being hashed, or None when the directory places it outside the payload,
+    where the walk stops first."""
     try:
         config = TrainConfig.from_dict(manifest["config"])
         schema = LabelSchema(manifest["schema"]["entity_types"])
@@ -305,10 +344,11 @@ def _verified_model(
             model.assert_finite()  # checksums vouch for the bytes, not their values
         except NumericError as exc:
             raise ModelFormatError(str(exc))
+        result = use(model)
     except MednerError:
         if owed is not None and embed_digest.result() != owed:
             raise ChecksumError("tensor embed_matrix: checksum mismatch") from None
         raise
     if embed_digest.result() != owed:
         raise ChecksumError("tensor embed_matrix: checksum mismatch")
-    return model
+    return result

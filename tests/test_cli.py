@@ -1,6 +1,7 @@
 import argparse
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
 from medner.nercore.model import TrainConfig
 from medner.nercore.serialize import load_model, save_model
+from test_serialize import flip_byte
 
 
 @pytest.fixture()
@@ -417,6 +419,62 @@ class TestDeidentify:
         assert not out.exists()
 
 
+class TestVerifiedOutputs:
+    """Each --model command tags or scores while the embedding matrix is
+    still being hashed, and writes nothing unless that checksum passes."""
+
+    @staticmethod
+    def argv(command, model, tmp_path, corpus):
+        note = tmp_path / "note.txt"
+        note.write_text("patient took 250mg daily.", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(write_conll(corpus, TSV2), encoding="utf-8")
+        out = str(tmp_path / "out")
+        return {
+            "predict": ["predict", "--model", model, "--input", str(note), "--out-dir", out],
+            "evaluate": ["evaluate", "--gold", str(gold), "--model", model, "--out-dir", out],
+            "deidentify": ["deidentify", "--input", str(note), "--model", model,
+                           "--out-dir", out],
+        }[command]
+
+    @pytest.mark.parametrize("command,spied", [
+        ("predict", "_tag_chunks"), ("evaluate", "evaluate"), ("deidentify", "_tag_chunks"),
+    ])
+    def test_corrupt_embed_matrix_writes_nothing(
+        self, model_file, trained_tiny_model, tmp_path, monkeypatch, caplog, capsys,
+        command, spied,
+    ):
+        model_file.write_bytes(flip_byte(model_file.read_bytes(), "embed_matrix"))
+        calls = []
+        work = getattr(cli, spied)
+
+        def spy(*args):
+            calls.append(args)
+            return work(*args)
+
+        monkeypatch.setattr(cli, spied, spy)
+        threads = threading.active_count()
+        argv = self.argv(command, str(model_file), tmp_path, trained_tiny_model[1])
+        assert main(argv) == 4
+        assert "tensor embed_matrix: checksum mismatch" in caplog.text
+        assert len(calls) == 1  # the work ran inside the load, before the digest was compared
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().out == ""
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "deidentify"])
+    def test_clean_container_writes_outputs(
+        self, model_file, trained_tiny_model, tmp_path, command
+    ):
+        argv = self.argv(command, str(model_file), tmp_path, trained_tiny_model[1])
+        assert main(argv) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == {
+            "predict": ["chunks.tsv"],
+            "evaluate": ["eval_report.json", "eval_report.txt"],
+            "deidentify": ["deidentified.txt", "replacements.log"],
+        }[command]
+
+
 class TestConvert:
     def test_conll4_tsv2_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -632,6 +690,31 @@ class TestBadValues:
                             extra=("--grid", str(grid)))
         assert code == 2
         assert "unknown confidence_mode 'bogus'" in caplog.text
+
+    # an empty path value, from a flag or from the config file, is no value
+    @pytest.mark.parametrize("command,argv,config,message", [
+        ("deidentify", ["--chunks", ""], None, "exactly one of --chunks or --model"),
+        ("evaluate", ["--model", ""], None, "exactly one of --pred or --model"),
+        ("deidentify", [], "chunks =", "exactly one of --chunks or --model"),
+        ("evaluate", [], "model =", "exactly one of --pred or --model"),
+        ("predict", [], "model =", "missing required option --model"),
+    ])
+    def test_empty_path_value_is_usage_error(
+        self, workdir, caplog, command, argv, config, message
+    ):
+        tmp_path, _, train_file, _ = workdir
+        note = tmp_path / "note.txt"
+        note.write_text("patient took 250mg daily.", encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = {"deidentify": ["--input", str(note)], "evaluate": ["--gold", str(train_file)],
+                  "predict": ["--input", str(note)]}[command]
+        if config is not None:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text(config + "\n", encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        assert main([command, *inputs, *argv, "--out-dir", str(out)]) == 2
+        assert message in caplog.text
+        assert not out.exists()
 
     def test_config_value_is_read_when_a_flag_overrides_it(self, workdir, caplog):
         tmp_path, _, train_file, emb_file = workdir

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from medner.errors import (
     MednerError,
     ModelFormatError,
     ShapeMismatchError,
+    ValidationError,
     VersionMismatchError,
 )
 from medner.nercore import serialize
@@ -411,8 +413,10 @@ class TestVerifyWorker:
             load_model(str(path))
         assert threading.active_count() == threads
 
-    # a clean load, a fault found before the walk and one found after it
-    @pytest.mark.parametrize("kind", [None, "config_out_of_range", "dimensions_disagree"])
+    # a clean load, faults found while the payload is read (json_list,
+    # string_config_value), before the walk and after it
+    @pytest.mark.parametrize("kind", [None, "json_list", "string_config_value",
+                                      "config_out_of_range", "dimensions_disagree"])
     def test_worker_is_joined(self, saved, kind):
         _, _, path = saved
         threads = threading.active_count()
@@ -434,6 +438,181 @@ class TestVerifyWorker:
             sys.setswitchinterval(interval)
         for name, tensor in container_tensors(model).items():
             np.testing.assert_array_equal(container_tensors(loaded)[name], tensor, err_msg=name)
+
+
+class FailingRead:
+    """A container file whose payload read raises OSError."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def readinto(self, buffer):
+        raise OSError("payload read failed")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestUse:
+    """load_model(path, use) runs use(model) on this thread while the worker
+    still hashes the embedding matrix, and returns its result only once that
+    checksum has passed."""
+
+    @staticmethod
+    def tagger(calls):
+        def use(model):
+            calls.append(model)
+            return tag(model, [["patient", "took", "250mg"]], marginals=True)[0]
+        return use
+
+    def test_error_of_use_reaches_the_caller(self, saved):
+        _, _, path = saved
+
+        def use(model):
+            raise ValidationError("use failed")
+
+        threads = threading.active_count()
+        with pytest.raises(ValidationError, match="use failed"):
+            load_model(str(path), use=use)
+        assert threading.active_count() == threads
+
+    def test_checksum_error_wins_over_the_error_of_use(self, saved):
+        _, _, path = saved
+        path.write_bytes(flip_byte(path.read_bytes(), "embed_matrix"))
+        calls = []
+
+        def use(model):
+            calls.append(model)
+            raise ValidationError("use failed")
+
+        threads = threading.active_count()
+        with pytest.raises(ChecksumError, match="^tensor embed_matrix: checksum mismatch$"):
+            load_model(str(path), use=use)
+        assert len(calls) == 1  # the fault was found only after use had run
+        assert threading.active_count() == threads
+
+    def test_corrupt_embed_matrix_discards_the_result_of_use(self, saved):
+        _, _, path = saved
+        path.write_bytes(flip_byte(path.read_bytes(), "embed_matrix"))
+        calls = []
+        threads = threading.active_count()
+        with pytest.raises(ChecksumError, match="^tensor embed_matrix: checksum mismatch$"):
+            load_model(str(path), use=self.tagger(calls))
+        assert len(calls) == 1
+        assert threading.active_count() == threads
+
+    def test_returns_the_result_of_use_under_fast_switching(self, saved):
+        model, _, path = saved
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # use interleaves with the worker's hash
+        try:
+            tags, marg = load_model(str(path), use=self.tagger(calls))
+        finally:
+            sys.setswitchinterval(interval)
+        expected_tags, expected_marg = tag(model, [["patient", "took", "250mg"]], True)[0]
+        assert len(calls) == 1 and tags == expected_tags
+        np.testing.assert_array_equal(marg, expected_marg)
+
+    # the read's error is the parent's first error even when the manifest,
+    # parsed while the read runs, is malformed too
+    @pytest.mark.parametrize("kind", [None, "json_list"])
+    def test_read_error_reaches_the_caller(self, saved, monkeypatch, kind):
+        _, _, path = saved
+        if kind is not None:
+            rewrite_manifest(path, MALFORMED_MANIFESTS[kind])
+        opened = []
+
+        def failing_open(*args):
+            opened.append(FailingRead(open(*args)))
+            return opened[-1]
+
+        monkeypatch.setattr(serialize, "open", failing_open, raising=False)
+        threads = threading.active_count()
+        with pytest.raises(OSError, match="payload read failed"):
+            load_model(str(path))
+        assert len(opened) == 1 and opened[0].fh.closed
+        assert threading.active_count() == threads
+
+
+class TestAtomicSave:
+    """save_model writes a temporary sibling and replaces the target with it,
+    so a failed save leaves a previous container byte for byte."""
+
+    @staticmethod
+    def other_model(model):
+        """`model` with one changed weight, so its container differs."""
+        flat = model.flat.copy()
+        flat[0] += 1.0
+        return dataclasses.replace(model, flat=flat)
+
+    @staticmethod
+    def counting_open(monkeypatch, fail_at):
+        """Make the fail_at-th write of files save_model opens raise OSError;
+        returns the list of writes made so far."""
+        writes = []
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == fail_at:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(serialize, "open", lambda *args: Counted(open(*args)),
+                            raising=False)
+        return writes
+
+    def test_failed_write_keeps_the_previous_container(self, saved, monkeypatch):
+        model, _, path = saved
+        before = path.read_bytes()
+        with monkeypatch.context() as patch:
+            writes = self.counting_open(patch, fail_at=0)
+            save_model(model, str(path.with_name("count.medner")))
+        path.with_name("count.medner").unlink()
+        assert len(writes) >= 3
+        for k in range(1, len(writes) + 1):
+            with monkeypatch.context() as patch:
+                self.counting_open(patch, fail_at=k)
+                with pytest.raises(OSError, match="disk full"):
+                    save_model(self.other_model(model), str(path))
+            assert path.read_bytes() == before, k
+            assert [p.name for p in path.parent.iterdir()] == [path.name], k
+
+    def test_failed_replace_keeps_the_previous_container(self, saved, monkeypatch):
+        model, _, path = saved
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(serialize.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            save_model(self.other_model(model), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_save_replaces_the_previous_container(self, saved):
+        model, _, path = saved
+        other = self.other_model(model)
+        save_model(other, str(path))
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        np.testing.assert_array_equal(load_model(str(path)).flat, other.flat)
 
 
 class TestFuzz:
