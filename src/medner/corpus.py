@@ -159,10 +159,6 @@ class LabelSchema:
         return len(self.tags)
 
     @property
-    def start_index(self) -> int:
-        return self.num_tags
-
-    @property
     def stop_index(self) -> int:
         return self.num_tags + 1
 

@@ -41,6 +41,9 @@ class EmbeddingTable:
         if not np.all(np.isfinite(self.matrix)) or not np.all(np.isfinite(self.unk_vector)):
             raise ValidationError("embedding table contains non-finite values")
         self.word_to_row = dict(zip(self.words, range(len(self.words))))
+        if len(self.word_to_row) != len(self.words):  # a repeat's first row is unreachable
+            word = next(w for i, w in enumerate(self.words) if self.word_to_row[w] != i)
+            raise ValidationError(f"embedding table repeats the word {word!r}")
         self._zero = np.zeros(self.dimension, dtype=np.float64)
 
     def __len__(self) -> int:

@@ -79,12 +79,16 @@ def macro_f1(counts: dict[str, Counts]) -> float:
     return sum(scored) / len(scored) if scored else 0.0
 
 
-def token_accuracy(gold_tags: list[str], pred_tags: list[str]) -> float:
-    """Fraction of positions whose tags match exactly; empty input counts as 1."""
+def _check_aligned(gold_tags: list[str], pred_tags: list[str]) -> None:
     if len(gold_tags) != len(pred_tags):
         raise ValidationError(
             f"tag sequences differ in length: {len(gold_tags)} vs {len(pred_tags)}"
         )
+
+
+def token_accuracy(gold_tags: list[str], pred_tags: list[str]) -> float:
+    """Fraction of positions whose tags match exactly; empty input counts as 1."""
+    _check_aligned(gold_tags, pred_tags)
     if not gold_tags:
         return 1.0
     hits = sum(1 for g, p in zip(gold_tags, pred_tags) if g == p)
@@ -96,10 +100,7 @@ def tag_report(gold_tags: list[str], pred_tags: list[str]) -> dict[str, Counts]:
 
     'O' is excluded, so two all-O sequences yield an empty report.
     """
-    if len(gold_tags) != len(pred_tags):
-        raise ValidationError(
-            f"tag sequences differ in length: {len(gold_tags)} vs {len(pred_tags)}"
-        )
+    _check_aligned(gold_tags, pred_tags)
     counts: dict[str, Counts] = {}
 
     def bucket(tag: str) -> Counts:
@@ -129,23 +130,6 @@ class EvalReport:
     per_tag: dict[str, Counts] = field(default_factory=dict)
 
     @classmethod
-    def build(
-        cls,
-        gold_spans: list[list[Span]],
-        pred_spans: list[list[Span]],
-        gold_tags: list[str],
-        pred_tags: list[str],
-    ) -> "EvalReport":
-        counts = entity_match_counts(gold_spans, pred_spans)
-        return cls(
-            per_type=counts,
-            micro_f1=micro_f1(counts),
-            macro_f1=macro_f1(counts),
-            token_accuracy=token_accuracy(gold_tags, pred_tags),
-            per_tag=tag_report(gold_tags, pred_tags),
-        )
-
-    @classmethod
     def from_sentences(cls, gold: list[Sentence], pred: list[Sentence]) -> "EvalReport":
         """Score predicted sentences against gold ones aligned one to one:
         equal sentence counts, equal token counts per pair, IOB2 tags."""
@@ -161,11 +145,16 @@ class EvalReport:
                 )
         gold_tags = [s.tags() for s in gold]
         pred_tags = [s.tags() for s in pred]
-        return cls.build(
-            [iob_spans(t) for t in gold_tags],
-            [iob_spans(t) for t in pred_tags],
-            [t for tags in gold_tags for t in tags],
-            [t for tags in pred_tags for t in tags],
+        counts = entity_match_counts([iob_spans(t) for t in gold_tags],
+                                     [iob_spans(t) for t in pred_tags])
+        gold_flat = [t for tags in gold_tags for t in tags]
+        pred_flat = [t for tags in pred_tags for t in tags]
+        return cls(
+            per_type=counts,
+            micro_f1=micro_f1(counts),
+            macro_f1=macro_f1(counts),
+            token_accuracy=token_accuracy(gold_flat, pred_flat),
+            per_tag=tag_report(gold_flat, pred_flat),
         )
 
     def to_dict(self) -> dict:

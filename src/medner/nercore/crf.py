@@ -6,7 +6,9 @@ Conventions: `emissions` is (B, N, T) float64 for B sentences padded to N
 tokens over T tags, row r holding a sentence of lengths[r] tokens;
 `transitions` is (T+2, T+2) with the virtual START state at row T and STOP
 at row T+1. Illegal transitions carry the finite surrogate -1e4 rather than
--inf so gradients stay finite.
+-inf so gradients stay finite. A masked model holds that score from
+init_model on and training never moves it (model.py), so training passes a
+model's transitions here as they are.
 
 marginals_batch and nll_and_gradients_batch share one forward-backward
 lattice. The tests check every routine against per-sentence oracles
@@ -75,10 +77,11 @@ def viterbi_batch(
 
 def _lattice(
     emissions: np.ndarray, transitions: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Log-space forward and backward lattices over a batch, alpha and beta
-    (B, N, T), and each row's log-partition (B,). The backward lattice of each row starts at its
-    own length; both hold meaningless values past it."""
+    (B, N, T), each row's log-partition (B,), and the posterior marginals
+    (B, N, T). The backward lattice of each row starts at its own length;
+    both lattices hold meaningless values past it, the marginals zeros."""
     b, n, t = emissions.shape
     start, stop = t, t + 1
     inner = transitions[:t, :t]
@@ -92,7 +95,9 @@ def _lattice(
         step = logsumexp(inner + emissions[:, i + 1, None, :] + beta[:, i + 1, None, :], axis=2)
         beta[:, i] = np.where((lengths - 1 > i)[:, None], step, transitions[:t, stop])
     log_z = logsumexp(alpha[np.arange(b), lengths - 1] + transitions[:t, stop], axis=1)
-    return alpha, beta, log_z
+    live = np.arange(n) < lengths[:, None]
+    posterior = np.exp(np.where(live[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+    return alpha, beta, log_z, posterior
 
 
 def marginals_batch(
@@ -105,9 +110,7 @@ def marginals_batch(
     lattices of each row stop at its own length, and its positions past that
     length hold zeros.
     """
-    alpha, beta, log_z = _lattice(emissions, transitions, lengths)
-    live = np.arange(emissions.shape[1]) < lengths[:, None]
-    return np.exp(np.where(live[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+    return _lattice(emissions, transitions, lengths)[3]
 
 
 def nll_and_gradients_batch(
@@ -125,9 +128,7 @@ def nll_and_gradients_batch(
     start, stop = t, t + 1
     rows, last = np.arange(b), lengths - 1
     live = np.arange(n) < lengths[:, None]
-    alpha, beta, log_z = _lattice(emissions, transitions, lengths)
-
-    d_emissions = np.exp(np.where(live[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+    alpha, beta, log_z, d_emissions = _lattice(emissions, transitions, lengths)
     d_transitions = np.zeros_like(transitions)
     d_transitions[start, :t] = d_emissions[:, 0].sum(axis=0)
     d_transitions[:t, stop] = d_emissions[rows, last].sum(axis=0)

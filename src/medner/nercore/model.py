@@ -19,6 +19,14 @@ training projects them per token after dropout. Training has no separate
 evaluation mode: it applies model.config's dropout, and a model whose
 dropout is 0 trains without. The tests compare both against a per-sentence
 oracle of the network (tests/oracles.py).
+
+A masked model (config.use_transition_mask) holds crf.MASK_SCORE in every
+transition its schema forbids from init_model on, and training reads
+model.transitions as they are. Nothing moves those entries:
+batch_nll_and_grads zeroes their gradient, clipping scales a zero to zero,
+so Adam's moments stay 0 there and its step, alpha * 0 / (sqrt(0) + eps),
+is exactly 0. `tag` still applies the schema mask, since a model trained
+without one holds no such scores.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..chunking import CONFIDENCE_MODES
-from ..corpus import LabelSchema, Sentence, Vocabulary
+from ..corpus import LabelSchema, Sentence, Vocabulary, validate_iob
 from ..embeddings import OOV_POLICIES, EmbeddingTable
 from ..errors import NumericError, ValidationError
 from . import crf
@@ -72,7 +80,10 @@ class TrainConfig:
     dimensions are independent knobs; the word dimension must match the
     loaded embedding table. max_seq_length caps the sentences of the
     training corpus only: predict, evaluate, deidentify and convert keep
-    every token, since the BiLSTM-CRF has no positional limit.
+    every token, since the BiLSTM-CRF has no positional limit. oov_policy is
+    only the policy `medner train` loads its embeddings with; a model looks
+    words up with its embedding table's own policy (the container's
+    `embedding.oov_policy`), which may differ and is kept as stored.
     """
 
     word_dim: int = 768
@@ -235,13 +246,6 @@ class ModelParams:
             if not np.all(np.isfinite(t)):
                 raise NumericError(f"tensor {name} contains non-finite values")
 
-    def pin_masked_transitions(self) -> None:
-        if self.transition_mask is not None:
-            self.transitions[~self.transition_mask] = crf.MASK_SCORE
-
-    def effective_transitions(self) -> np.ndarray:
-        return crf.apply_mask(self.transitions, self.transition_mask)
-
 
 class Gradients(dict):
     """d(loss)/d(tensor) by tensors() name, each a view of the 1-D buffer
@@ -284,31 +288,27 @@ def init_model(
         _glorot(rng, s, s, lstm.u)
         lstm.b[s : 2 * s] = 1.0  # forget-gate bias
     _glorot(rng, 2 * s, schema.num_tags, model.w_c)
-    model.transitions[...] = rng.uniform(-0.1, 0.1, size=model.transitions.shape)
-    model.pin_masked_transitions()
+    model.transitions[...] = crf.apply_mask(
+        rng.uniform(-0.1, 0.1, size=model.transitions.shape), model.transition_mask
+    )
     return model
 
 
 def gold_path(model: ModelParams, sentence: Sentence) -> list[int]:
-    """Tag indices of the gold sequence; rejects paths the mask forbids."""
+    """Tag indices of the gold sequence. A masked model rejects a sequence
+    that breaks IOB2's order, the rule (corpus.follows) its mask is built
+    from."""
     tags = sentence.tags()
+    where = f"{sentence.doc_id}[{sentence.sent_index}]"
     try:
         path = [model.schema.tag_to_index[t] for t in tags]
     except KeyError as exc:
-        raise ValidationError(
-            f"{sentence.doc_id}[{sentence.sent_index}]: tag {exc.args[0]!r} not in schema"
-        )
-    if model.transition_mask is not None:
-        mask = model.transition_mask
-        start, stop = model.schema.start_index, model.schema.stop_index
-        pairs = [(start, path[0])] + list(zip(path, path[1:])) + [(path[-1], stop)]
-        for a, b in pairs:
-            if not mask[a, b]:
-                raise ValidationError(
-                    f"{sentence.doc_id}[{sentence.sent_index}]: gold tags use the "
-                    f"forbidden transition {model.schema.tags[a] if a < len(model.schema.tags) else 'START'}"
-                    f" -> {model.schema.tags[b] if b < len(model.schema.tags) else 'STOP'}"
-                )
+        raise ValidationError(f"{where}: tag {exc.args[0]!r} not in schema")
+    violations = validate_iob(tags, "IOB2") if model.transition_mask is not None else []
+    if violations:
+        i = violations[0][0]
+        raise ValidationError(f"{where}: gold tags use the forbidden transition "
+                              f"{tags[i - 1] if i else 'START'} -> {tags[i]}")
     return path
 
 
@@ -337,7 +337,6 @@ def batch_nll_and_grads(
     cfg = model.config
     if grads is None:
         grads = model.zero_grads()
-    trans = model.effective_transitions()
     fwd, bwd = model.lstm_fwd, model.lstm_bwd
     gold = [gold_path(model, sent) for sent in batch]
     index: dict[str, int] = {}
@@ -348,10 +347,8 @@ def batch_nll_and_grads(
     d_feats = np.zeros_like(feats)
     rate = cfg.dropout
     lens = np.array([len(i) for i in ids], dtype=np.intp)
-    order = np.argsort(-lens, kind="stable")
     total = 0.0
-    for bucket in _buckets(lens[order]):
-        rows = order[bucket]
+    for rows in _buckets(lens):
         blens = lens[rows]
         tok = _padded(ids, rows, blens)
         x = feats[tok]
@@ -368,7 +365,7 @@ def batch_nll_and_grads(
             h_out = h * drop_h
         emissions = emission_scores(model.w_c, model.b_c, h_out)
         loss, d_em, d_tr = crf.nll_and_gradients_batch(
-            emissions, trans, blens, _padded(gold, rows, blens)
+            emissions, model.transitions, blens, _padded(gold, rows, blens)
         )
         total += float(loss.sum())
         grads["transitions"] += d_tr
@@ -420,14 +417,17 @@ def _padded(seqs: list, rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _buckets(lens_desc: np.ndarray):
-    """Consecutive slices of descending lengths, each of at most BATCH_TOKENS
-    padded positions (rows x the first, longest length); a row longer than
-    the budget gets a slice of its own."""
+def _buckets(lens: np.ndarray):
+    """Row indices of the rows of non-zero length, longest first and ties in
+    row order, in groups of at most BATCH_TOKENS padded positions (rows x
+    the group's first, longest length); a row longer than the budget gets a
+    group of its own."""
+    order = np.argsort(-lens, kind="stable")
+    order = order[lens[order] > 0]
     start = 0
-    while start < len(lens_desc):
-        stop = start + max(1, BATCH_TOKENS // int(lens_desc[start]))
-        yield slice(start, stop)
+    while start < len(order):
+        stop = start + max(1, BATCH_TOKENS // int(lens[order[start]]))
+        yield order[start:stop]
         start = stop
 
 
@@ -448,11 +448,9 @@ def _word_features(
         return x, None
     chars = [model.vocab.char_indices(w) for w in words]
     lens = np.array([max(len(c), cfg.kernel_width) for c in chars])
-    order = np.argsort(-lens, kind="stable")
     feats = np.empty((len(words), cfg.num_filters))
     windows = np.empty((len(words), cfg.num_filters, cfg.kernel_width), dtype=np.intp)
-    for bucket in _buckets(lens[order]):
-        rows = order[bucket]
+    for rows in _buckets(lens):
         feats[rows], windows[rows] = char_cnn_batch(
             model.char_emb, model.char_filters, model.char_bias, [chars[r] for r in rows]
         )
@@ -467,19 +465,16 @@ def _tag_run(
     t = model.schema.num_tags
     out = [([], np.zeros((0, t)) if marginals else None) for _ in ids]
     lens = np.array([len(i) for i in ids], dtype=np.intp)
-    order = np.argsort(-lens, kind="stable")
-    order = order[lens[order] > 0]
-    if len(order) == 0:
+    buckets = list(_buckets(lens))
+    if not buckets:
         return out
     x, _ = _word_features(model, words)
     zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
     zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
-    buckets = list(_buckets(lens[order]))
     pending = iter(buckets)  # shared by both threads; a list iterator's next is atomic
 
     def run() -> None:
-        for bucket in pending:
-            rows = order[bucket]
+        for rows in pending:
             blens = lens[rows]
             # the hidden states are most of a bucket's memory: free them before
             # the CRF, not when the next bucket replaces them

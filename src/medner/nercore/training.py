@@ -100,7 +100,9 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: TrainState) -> float:
     element sees the same operations in the same order as in a whole-buffer
     sweep, so the result does not depend on the block size. Each updated
     block is checked to be finite while still in cache: a non-finite one
-    raises NumericError naming its tensor (ModelParams.assert_finite).
+    raises NumericError naming its tensor (ModelParams.assert_finite). An
+    element whose gradient has always been 0 does not move, which keeps a
+    masked model's forbidden transitions pinned (see model.py).
     """
     config = model.config
     state.step += 1
@@ -126,7 +128,6 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: TrainState) -> float:
         theta -= tmp
         if not np.isfinite(theta).all():
             model.assert_finite()
-    model.pin_masked_transitions()
     return lr
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from medner.corpus import Sentence
 from medner.deid import DeidResult
 from medner.errors import ValidationError
-from medner.nercore.crf import logsumexp
+from medner.nercore.crf import apply_mask, logsumexp
 from medner.nercore.layers import LstmParams, dropout_mask, emission_scores
 from medner.nercore.model import DROP_HIDDEN, DROP_INPUT, ModelParams, gold_path
 
@@ -201,7 +201,7 @@ def model_forward(
 
 def batch_nll(model: ModelParams, batch: list[Sentence]) -> float:
     """Sum of per-sentence CRF negative log-likelihoods (evaluation mode)."""
-    trans = model.effective_transitions()
+    trans = apply_mask(model.transitions, model.transition_mask)
     total = 0.0
     for sent in batch:
         total += nll(model_forward(model, sent), trans, gold_path(model, sent))

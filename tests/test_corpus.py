@@ -117,7 +117,7 @@ class TestIobValidation:
             n = int(rng.integers(1, 6))
             seq = [schema.tags[i] for i in rng.integers(0, schema.num_tags, size=n)]
             path = [schema.tag_to_index[t] for t in seq]
-            pairs = [(schema.start_index, path[0])]
+            pairs = [(schema.num_tags, path[0])]
             pairs += list(zip(path, path[1:]))
             pairs.append((path[-1], schema.stop_index))
             accepted = all(mask[a, b] for a, b in pairs)
@@ -238,7 +238,7 @@ class TestSchema:
         assert not mask[idx["O"], idx["I-X"]]
         assert not mask[idx["B-X"], idx["I-Y"]]
         assert mask[idx["B-X"], idx["I-X"]]
-        assert not mask[:, schema.start_index].any()
+        assert not mask[:, schema.num_tags].any()
         assert not mask[schema.stop_index, :].any()
 
     def test_text_roundtrip(self):

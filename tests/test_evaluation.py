@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import make_sentence
 from medner.errors import ValidationError
 from medner.evaluation import (
     Counts,
@@ -201,11 +202,10 @@ class TestTokenAccuracy:
 
 class TestReport:
     def test_build_and_render(self):
-        gold_spans = [[(0, 0, "A"), (2, 3, "A")], [(1, 1, "B")]]
-        pred_spans = [[(0, 0, "A")], [(1, 1, "B")]]
-        gold_tags = ["B-A", "O", "B-A", "I-A", "O", "B-B"]
-        pred_tags = ["B-A", "O", "O", "O", "O", "B-B"]
-        report = EvalReport.build(gold_spans, pred_spans, gold_tags, pred_tags)
+        gold = [make_sentence(["a", "b", "c", "d"], ["B-A", "O", "B-A", "I-A"]),
+                make_sentence(["e", "f"], ["O", "B-B"], idx=1)]
+        pred = [gold[0].with_tags(["B-A", "O", "O", "O"]), gold[1]]
+        report = EvalReport.from_sentences(gold, pred)
         assert report.per_type["A"].tp == 1
         assert report.token_accuracy == pytest.approx(4 / 6)
         table = report.tag_table()

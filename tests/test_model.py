@@ -1,12 +1,16 @@
 import dataclasses
 import itertools
+import re
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sentence, rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import LabelSchema, build_vocab, validate_iob
@@ -146,7 +150,7 @@ class TestGradients:
 
         def loss_at(step):
             total = 0.0
-            trans = model.effective_transitions()
+            trans = crf.apply_mask(model.transitions, model.transition_mask)
             for unit, sent in enumerate(batch):
                 em = model_forward(model, sent, train_mode=True, step=step, unit=unit)
                 total += nll(em, trans, gold_path(model, sent))
@@ -196,12 +200,12 @@ class TestBatchLayout:
         monkeypatch.setattr(model_module, "BATCH_TOKENS", 1)
         alone = batch_nll_and_grads(model, batch, step=2)
         monkeypatch.setattr(model_module, "BATCH_TOKENS", budget)
-        buckets = len(list(model_module._buckets(np.sort([len(s) for s in batch])[::-1])))
+        buckets = len(list(model_module._buckets(np.array([len(s) for s in batch]))))
         assert (buckets > 1) == (budget == 12)
         loss, grads = batch_nll_and_grads(model, batch, step=2)
         assert self.close(loss, alone[0]) and self.close(grads.flat, alone[1].flat)
         # ... and sums to the oracle's loss under the same dropout keys
-        trans = model.effective_transitions()
+        trans = crf.apply_mask(model.transitions, model.transition_mask)
         oracle = sum(
             nll(model_forward(model, sent, True, 2, unit), trans, gold_path(model, sent))
             for unit, sent in enumerate(batch)
@@ -474,3 +478,50 @@ class TestGoldPath:
         sent = make_sentence(["a", "b"], ["O", "I-Symptom"], idx=7, doc_id="docZ")
         with pytest.raises(ValidationError, match=r"docZ\[7\]"):
             gold_path(model, sent)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_accepts_what_the_mask_allows(self, tiny_model, masked):
+        # every sequence of 1-4 schema tags: a masked model accepts one exactly
+        # when the schema mask allows each of its transitions from START on,
+        # and names the first forbidden one; an unmasked model accepts all
+        model, _ = tiny_model
+        if not masked:
+            model = dataclasses.replace(
+                model, config=dataclasses.replace(model.config, use_transition_mask=False)
+            )
+        schema = model.schema
+        assert len(schema.entity_types) == 2
+        mask, start = schema.transition_mask(), schema.num_tags
+        names = [*schema.tags, "START"]
+        for n in range(1, 5):
+            for path in itertools.product(range(schema.num_tags), repeat=n):
+                sent = make_sentence([f"w{i}" for i in range(n)], [schema.tags[i] for i in path])
+                pairs = zip((start, *path), path)
+                forbidden = [(a, b) for a, b in pairs if not mask[a, b]] if masked else []
+                if not forbidden:
+                    assert gold_path(model, sent) == list(path)
+                    continue
+                a, b = forbidden[0]
+                message = f"forbidden transition {names[a]} -> {names[b]}"
+                with pytest.raises(ValidationError, match=re.escape(message)):
+                    gold_path(model, sent)
+
+
+class TestBuckets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lens=st.lists(st.one_of(st.just(0), st.integers(1, 12), st.integers(1, 60)), max_size=40),
+        budget=st.integers(1, 64),
+    )
+    def test_longest_first_within_budget(self, lens, budget):
+        # rows in row order, zero lengths mixed in; the budget shrunk so
+        # that groups and over-budget rows both occur
+        lens = np.array(lens, dtype=np.intp)
+        with mock.patch.object(model_module, "BATCH_TOKENS", budget):
+            groups = [g.tolist() for g in model_module._buckets(lens)]
+        rows = [r for g in groups for r in g]
+        # the non-zero rows, each once, longest first and ties in row order
+        assert rows == sorted(np.flatnonzero(lens).tolist(), key=lambda r: (-lens[r], r))
+        for g in groups:
+            padded = len(g) * lens[g[0]]
+            assert padded <= budget or (len(g) == 1 and lens[g[0]] > budget), (g, budget)

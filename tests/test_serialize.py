@@ -104,6 +104,14 @@ def _unknown_oov_policy(manifest):
     return manifest
 
 
+def _duplicate_embedding_word(manifest):
+    """The second embedding row's word set to the first's, so one of the
+    two rows could never be looked up."""
+    words = manifest["embedding"]["words"]
+    words[1] = words[0]
+    return manifest
+
+
 MALFORMED_MANIFESTS = {
     "no_dimensions": lambda m: {k: v for k, v in m.items() if k != "dimensions"},
     "json_list": lambda m: [m],
@@ -115,6 +123,7 @@ MALFORMED_MANIFESTS = {
     "config_out_of_range": _config_out_of_range,
     "dimensions_disagree": _dimensions_disagree,
     "unknown_oov_policy": _unknown_oov_policy,
+    "duplicate_embedding_word": _duplicate_embedding_word,
 }
 
 

@@ -56,7 +56,7 @@ def oracle_adam_step(model, grads, m, v, t, config):
         m_hat = m[name] / (1.0 - b1**t)
         v_hat = v[name] / (1.0 - b2**t)
         tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    model.pin_masked_transitions()
+    tensors["transitions"][~model.transition_mask] = crf.MASK_SCORE
     return lr
 
 
