@@ -342,6 +342,13 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
 
     if args.chunks:
         chunks = chunking.parse_chunk_records(read_text(args.chunks))
+        for c in chunks:  # offsets taken from another text (say, a CRLF original) fail here
+            where = f"{args.chunks}: sentence {c.sent_index}, [{c.begin}, {c.end}] {c.surface!r}"
+            if not 0 <= c.begin <= c.end < len(text):
+                raise ValidationError(f"{where} lies outside the text of length {len(text)}")
+            found = text[c.begin : c.end + 1]  # a surface joins its tokens with spaces
+            if "".join(found.split()) != "".join(c.surface.split()):
+                raise ValidationError(f"{where} does not match the text there, {found!r}")
     else:
         sentences = ingest_raw_text(text, _read_abbreviations(args.abbreviations))
         chunks = load_model(args.model, use=lambda model: _tag_chunks(model, sentences))

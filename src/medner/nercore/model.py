@@ -14,11 +14,12 @@ per-tag scores through tanh. The CRF on top is in crf.py.
 Training (`batch_nll_and_grads`) and inference (`tag`) run one batched
 implementation of every layer: word features once per distinct surface,
 then the BiLSTM, emissions and CRF over buckets of length-sorted sentences.
-Inference has no dropout, so `tag` projects the features once per surface;
-training projects them per token after dropout. Training has no separate
-evaluation mode: it applies model.config's dropout, and a model whose
-dropout is 0 trains without. The tests compare both against a per-sentence
-oracle of the network (tests/oracles.py).
+Training computes the features per distinct surface of its batch and
+projects them per token after dropout; inference has no dropout, so `tag`
+computes and projects them per distinct surface of each bucket. Training
+has no separate evaluation mode: it applies model.config's dropout, and a
+model whose dropout is 0 trains without. The tests compare both against a
+per-sentence oracle of the network (tests/oracles.py).
 
 A masked model (config.use_transition_mask) holds crf.MASK_SCORE in every
 transition its schema forbids from init_model on, and training reads
@@ -61,13 +62,9 @@ DROP_HIDDEN = 1
 # sentences of at most this many padded token positions (the char-CNN likewise
 # over characters): enough rows per step to keep the matrix products busy,
 # while a bucket's buffers stay a few MB (training: a few tens of MB) at the
-# paper's dimensions.
+# paper's dimensions. This alone bounds `tag`'s memory: it holds at most two
+# buckets, each with the features of its own distinct surfaces.
 BATCH_TOKENS = 1024
-# `tag` holds the LSTM input projections (2 x 4 x lstm_size floats each) of
-# about this many distinct surfaces at once and tags a call with more in
-# consecutive runs of sentences, so its memory does not grow with the
-# vocabulary of a long document.
-CACHE_SURFACES = 512
 
 
 @dataclass
@@ -339,10 +336,7 @@ def batch_nll_and_grads(
         grads = model.zero_grads()
     fwd, bwd = model.lstm_fwd, model.lstm_bwd
     gold = [gold_path(model, sent) for sent in batch]
-    index: dict[str, int] = {}
-    ids = [np.array([index.setdefault(w, len(index)) for w in sent.surfaces()], dtype=np.intp)
-           for sent in batch]
-    words = list(index)
+    words, ids = _surface_ids([sent.surfaces() for sent in batch])
     feats, windows = _word_features(model, words)
     d_feats = np.zeros_like(feats)
     rate = cfg.dropout
@@ -431,6 +425,15 @@ def _buckets(lens: np.ndarray):
         start = stop
 
 
+def _surface_ids(seqs: list[list[str]]) -> tuple[list[str], list[np.ndarray]]:
+    """The distinct surfaces of `seqs` in first-seen order, and each sequence
+    as indices into them."""
+    index: dict[str, int] = {}
+    ids = [np.array([index.setdefault(w, len(index)) for w in seq], dtype=np.intp)
+           for seq in seqs]
+    return list(index), ids
+
+
 def _word_features(
     model: ModelParams, words: list[str]
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -457,29 +460,56 @@ def _word_features(
     return np.concatenate([x, feats], axis=1), windows
 
 
-def _tag_run(
-    model: ModelParams, trans: np.ndarray, words: list[str], ids: list[np.ndarray],
-    marginals: bool,
+def tag(
+    model: ModelParams, sentences: list[Sentence] | list[list[str]], marginals: bool
 ) -> list[tuple[list[str], np.ndarray | None]]:
-    """`tag` over sentences given as indices into their distinct words."""
-    t = model.schema.num_tags
-    out = [([], np.zeros((0, t)) if marginals else None) for _ in ids]
-    lens = np.array([len(i) for i in ids], dtype=np.intp)
+    """Viterbi tags under the schema transition mask, one pair per sentence.
+
+    The second item of each pair is the (N, num_tags) posterior marginal
+    matrix when `marginals` is set, else None; chunk confidences read the
+    column of each chosen tag. This is the only inference loop, and it tags
+    all sentences in one batched pass:
+
+    - non-empty sentences are sorted by length, longest first, and cut into
+      buckets of at most BATCH_TOKENS padded positions;
+    - per bucket, the word features and LSTM input projections run once per
+      distinct surface of its sentences (inference has no dropout), then the
+      BiLSTM, the emissions, Viterbi and (only when asked) the marginals run
+      over all rows at once, each row to its own length;
+    - a call of two or more buckets is tagged on two threads, the caller's
+      and one worker started for the call, each taking the next bucket until
+      none are left. A bucket writes only its own sentences' results, so
+      they are bitwise those of one thread. numpy releases the GIL in the
+      products and elementwise passes, so the threads use two cores when
+      each BLAS call runs on one thread (OPENBLAS_NUM_THREADS=1).
+
+    So working memory is that of at most two buckets whatever the number of
+    sentences, and a sentence's tags do not depend on the other sentences in
+    the call.
+    """
+    # the schema mask applies at prediction even when training ran unmasked;
+    # a masked model holds it already
+    mask = model.transition_mask
+    trans = crf.apply_mask(
+        model.transitions, model.schema.transition_mask() if mask is None else mask
+    )
+    seqs = [s.surfaces() if isinstance(s, Sentence) else s for s in sentences]
+    lens = np.array([len(s) for s in seqs], dtype=np.intp)
+    out = [([], np.zeros((0, model.schema.num_tags)) if marginals else None) for _ in seqs]
     buckets = list(_buckets(lens))
-    if not buckets:
-        return out
-    x, _ = _word_features(model, words)
-    zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
-    zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
     pending = iter(buckets)  # shared by both threads; a list iterator's next is atomic
 
     def run() -> None:
         for rows in pending:
             blens = lens[rows]
+            words, ids = _surface_ids([seqs[s] for s in rows])
+            x, _ = _word_features(model, words)
+            zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
+            zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
             # the hidden states are most of a bucket's memory: free them before
             # the CRF, not when the next bucket replaces them
             h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd,
-                             _padded(ids, rows, blens), blens)
+                             _padded(ids, range(len(ids)), blens), blens)
             emissions = emission_scores(model.w_c, model.b_c, h)
             del h
             paths = crf.viterbi_batch(emissions, trans, blens)
@@ -497,52 +527,4 @@ def _tag_run(
         run()
     if worker is not None:
         worker.result()
-    return out
-
-
-def tag(
-    model: ModelParams, sentences: list[Sentence] | list[list[str]], marginals: bool
-) -> list[tuple[list[str], np.ndarray | None]]:
-    """Viterbi tags under the schema transition mask, one pair per sentence.
-
-    The second item of each pair is the (N, num_tags) posterior marginal
-    matrix when `marginals` is set, else None; chunk confidences read the
-    column of each chosen tag. This is the only inference loop, and it tags
-    all sentences in one batched pass:
-
-    - the word features and LSTM input projections run once per distinct
-      surface (inference has no dropout), for at most CACHE_SURFACES
-      surfaces at a time: a call with more is tagged in consecutive runs of
-      sentences;
-    - non-empty sentences are sorted by length, longest first, and cut into
-      buckets of at most BATCH_TOKENS padded positions, in which the BiLSTM,
-      the emissions, Viterbi and (only when asked) the marginals run over
-      all rows at once, each row to its own length;
-    - a run of two or more buckets is tagged on two threads, the caller's
-      and one worker started for the run, each taking the next bucket until
-      none are left. A bucket writes only its own sentences' results, so
-      they are bitwise those of one thread. numpy releases the GIL in the
-      products and elementwise passes, so the threads use two cores when
-      each BLAS call runs on one thread (OPENBLAS_NUM_THREADS=1).
-
-    So working memory is that of at most two buckets whatever the number of
-    sentences, and a sentence's tags do not depend on the other sentences in
-    the call.
-    """
-    # the schema mask applies at prediction even when training ran unmasked;
-    # a masked model holds it already
-    mask = model.transition_mask
-    trans = crf.apply_mask(
-        model.transitions, model.schema.transition_mask() if mask is None else mask
-    )
-    out: list[tuple[list[str], np.ndarray | None]] = []
-    index: dict[str, int] = {}
-    ids: list[np.ndarray] = []
-    for sentence in sentences:
-        words = sentence.surfaces() if isinstance(sentence, Sentence) else sentence
-        ids.append(np.array([index.setdefault(w, len(index)) for w in words], dtype=np.intp))
-        if len(index) >= CACHE_SURFACES:
-            out += _tag_run(model, trans, list(index), ids, marginals)
-            index, ids = {}, []
-    out += _tag_run(model, trans, list(index), ids, marginals)
     return out

@@ -363,6 +363,24 @@ class TestDeidentify:
                      "--out-dir", str(tmp_path / "deid_bad")])
         assert code == 4
 
+    @pytest.mark.parametrize("record,message", [
+        ("0\t3\t9\tAlicia\tName\t1.00",
+         "sentence 0, [3, 9] 'Alicia' does not match the text there, 'n by Dr'"),
+        ("0\t45\t55\t2021-01-14\tDate\t1.00",
+         "sentence 0, [45, 55] '2021-01-14' lies outside the text of length 51"),
+    ], ids=["off_its_surface", "outside_the_text"])
+    def test_record_off_its_surface_exits_4(self, tmp_path, caplog, record, message):
+        inp = tmp_path / "note.txt"
+        inp.write_text("Seen by Dr Alicia at Mercy Hospital on 2021-01-14 .", encoding="utf-8")
+        spans = tmp_path / "chunks.tsv"
+        spans.write_text(record + "\n", encoding="utf-8")
+        out = tmp_path / "deid"
+        code = main(["deidentify", "--input", str(inp), "--chunks", str(spans),
+                     "--out-dir", str(out)])
+        assert code == 4
+        assert f"{spans}: {message}" in caplog.text
+        assert not out.exists()
+
     def test_model_driven(self, model_file, tmp_path):
         policy = tmp_path / "dose.policy"
         policy.write_text("Dosage = mask\n", encoding="utf-8")

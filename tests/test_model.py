@@ -349,11 +349,9 @@ class TestBatchedTag:
             np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
 
     def test_small_buckets_and_runs(self, tiny_model, monkeypatch):
-        # budgets this small put most sentences in buckets of their own and
-        # split the call into several runs of distinct surfaces
+        # a budget this small puts most sentences in buckets of their own
         model, corpus = tiny_model
         monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
-        monkeypatch.setattr(model_module, "CACHE_SURFACES", 7)
         sentences = awkward_sentences(corpus, np.random.default_rng(42))
         for sent, (tags, marg) in zip(sentences, tag(model, sentences, marginals=True)):
             want_tags, want_marg = oracle_tag(model, sent)
@@ -365,7 +363,6 @@ class TestBatchedTag:
         # submitted loop inline, so the caller's thread tags every bucket
         model, corpus = tiny_model
         monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
-        monkeypatch.setattr(model_module, "CACHE_SURFACES", 7)
         sentences = awkward_sentences(corpus, np.random.default_rng(42))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads interleave within every bucket
@@ -381,17 +378,33 @@ class TestBatchedTag:
             assert tags == want_tags
             assert np.array_equal(marg, want_marg)
 
+    def test_one_worker_per_call(self, tiny_model, monkeypatch):
+        # 1,800 distinct surfaces in sentences of 400 and 100 tokens: three
+        # buckets under the default budget, one worker for all of them
+        model, _ = tiny_model
+        words = iter(f"w{i}" for i in range(1800))
+        sentences = [[next(words) for _ in range(n)] for n in [400, 100, 100] * 3]
+        lens = np.array([len(s) for s in sentences])
+        assert len(list(model_module._buckets(lens))) == 3
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "submitted", 0)
+        tagged = tag(model, sentences, marginals=True)
+        assert InlineExecutor.submitted == 1
+        for sent, (tags, marg) in zip(sentences, tagged, strict=True):
+            want_tags, want_marg = oracle_tag(model, sent)
+            assert tags == want_tags
+            np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
+
     def test_error_in_a_bucket_reaches_the_caller(self, tiny_model, monkeypatch):
         model, corpus = tiny_model
         monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
-        monkeypatch.setattr(model_module, "CACHE_SURFACES", 7)
         sentences = awkward_sentences(corpus, np.random.default_rng(42))
         first = tag(model, sentences, marginals=True)
         calls = itertools.count()
         viterbi_batch = crf.viterbi_batch
 
         def fails_second(*args):
-            if next(calls) == 1:  # a bucket of the second run, which has two
+            if next(calls) == 1:  # the second bucket
                 raise RuntimeError("injected")
             return viterbi_batch(*args)
 
