@@ -206,6 +206,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         fit_result = result.best
     else:
         fit_result = fit(build_model(config), train_corpus, val_corpus)
+    report = evaluate(fit_result.model, val_corpus)
 
     out = _out_dir(args.out_dir)
     if grid:
@@ -220,13 +221,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             ) + "\n",
             encoding="utf-8",
         )
-    model = fit_result.model
-    save_model(model, str(out / "model.medner"))
+    save_model(fit_result.model, str(out / "model.medner"))
     (out / "metrics.log").write_text(
         "\n".join(fit_result.log_lines()) + ("\n" if fit_result.history else ""),
         encoding="utf-8",
     )
-    _write_report(out, evaluate(model, val_corpus))
+    _write_report(out, report)
     log.info("model written to %s", out / "model.medner")
     return EXIT_OK
 

@@ -1,6 +1,13 @@
 """Corpus ingestion: sentence splitting, tokenization, CoNLL parsing, IOB
 tag handling, vocabularies, and deterministic data splits.
 
+Raw text is cut into sentences after every newline, and after '.', '!' or
+'?' when spaces or tabs and then an upper-case letter or digit follow,
+unless the '.' ends an abbreviation; each sentence is trimmed of the
+whitespace around it. A token is one punctuation mark, or a run of
+non-whitespace that begins and ends with a character that is not
+punctuation.
+
 Character offsets are 0-based with inclusive begin/end throughout. Tags are
 IOB2 everywhere inside the package. IOB1 exists only at the file boundary:
 ``parse_conll(input_scheme="IOB1")`` reads it and ``write_conll(...,
@@ -12,6 +19,7 @@ apply it.
 from __future__ import annotations
 
 import logging
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +47,12 @@ DEFAULT_ABBREVIATIONS = frozenset(
     }
 )
 
-_DETACH_PUNCT = frozenset(string.punctuation)
+# A newline, or a whole word (its run of non-whitespace, anchored at the
+# run's start so that each run is tried once) that ends in a mark followed by
+# spaces or tabs; group 1 is the character after them.
+_SENTENCE_END = re.compile(r"\n|(?<!\S)\S*[.!?](?=[ \t]+([^ \t]))")
+_PUNCT = re.escape(string.punctuation)
+_TOKEN = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
 
 
 def _check_scheme(scheme: str) -> None:
@@ -245,55 +258,28 @@ def sentence_split(
 ) -> list[tuple[str, int, int]]:
     """Split text into sentences, returning (sentence_text, begin, end) triples.
 
-    Boundaries occur after '.', '!' or '?' followed by whitespace and an
+    Boundaries occur after '.', '!' or '?' followed by spaces or tabs and an
     upper-case letter or digit, and at newlines. Words in `abbreviations`
     never close a sentence. Offsets are inclusive; slices are trimmed of
     surrounding whitespace, so concatenating them preserves every
     non-whitespace character.
     """
+    cuts = [0]
+    for m in _SENTENCE_END.finditer(raw_text):
+        word, after = m.group(0, 1)
+        if after is None or (after.isupper() or after.isdigit()) and not (
+            word[-1] == "." and (word in abbreviations or word.lstrip("([{\"'") in abbreviations)
+        ):
+            cuts.append(m.end())
+    cuts.append(len(raw_text))
     sentences: list[tuple[str, int, int]] = []
-    n = len(raw_text)
-
-    def close(start: int, end: int) -> None:
-        while end >= start and raw_text[end].isspace():
-            end -= 1
-        if end >= start:
-            sentences.append((raw_text[start : end + 1], start, end))
-
-    start: int | None = None
-    for i, ch in enumerate(raw_text):
-        if ch == "\n":
-            if start is not None:
-                close(start, i - 1)
-                start = None
-            continue
-        if start is None:
-            if ch.isspace():
-                continue
-            start = i
-        if ch in ".!?":
-            j = i + 1
-            while j < n and raw_text[j] in " \t":
-                j += 1
-            if j == i + 1 or j >= n or raw_text[j] == "\n":
-                continue
-            if not (raw_text[j].isupper() or raw_text[j].isdigit()):
-                continue
-            if ch == "." and _is_abbreviation(raw_text, i, abbreviations):
-                continue
-            close(start, i)
-            start = None
-    if start is not None:
-        close(start, n - 1)
+    for start, stop in zip(cuts, cuts[1:]):
+        piece = raw_text[start:stop]
+        text = piece.strip()
+        if text:
+            begin = start + len(piece) - len(piece.lstrip())
+            sentences.append((text, begin, begin + len(text) - 1))
     return sentences
-
-
-def _is_abbreviation(text: str, dot: int, abbreviations) -> bool:
-    k = dot
-    while k > 0 and not text[k - 1].isspace():
-        k -= 1
-    word = text[k : dot + 1]
-    return word in abbreviations or word.lstrip("([{\"'") in abbreviations
 
 
 def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
@@ -305,35 +291,10 @@ def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
     """
     if not sentence_text:
         raise ValidationError("cannot tokenize empty text")
-    tokens: list[Token] = []
-
-    def emit(piece: str, rel_begin: int) -> None:
-        begin = base_offset + rel_begin
-        tokens.append(Token(piece, begin, begin + len(piece) - 1))
-
-    pos = 0
-    n = len(sentence_text)
-    while pos < n:
-        if sentence_text[pos].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < n and not sentence_text[end].isspace():
-            end += 1
-        chunk = sentence_text[pos:end]
-        left, right = 0, len(chunk)
-        while left < right and chunk[left] in _DETACH_PUNCT:
-            left += 1
-        while right > left and chunk[right - 1] in _DETACH_PUNCT:
-            right -= 1
-        for k in range(left):
-            emit(chunk[k], pos + k)
-        if right > left:
-            emit(chunk[left:right], pos + left)
-        for k in range(right, len(chunk)):
-            emit(chunk[k], pos + k)
-        pos = end
-    return tokens
+    return [
+        Token(m.group(), base_offset + m.start(), base_offset + m.end() - 1)
+        for m in _TOKEN.finditer(sentence_text)
+    ]
 
 
 def validate_iob(tag_sequence: list[str], scheme: str) -> list[tuple[int, str]]:

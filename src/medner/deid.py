@@ -172,7 +172,7 @@ class DeidResult:
 
 
 def apply_policy(text: str, chunks: list[Chunk], policy: DeidPolicy) -> DeidResult:
-    """Replace protected chunks right-to-left so earlier offsets stay valid."""
+    """Replace every protected chunk; offsets in the log are the original text's."""
     protected = [c for c in chunks if policy.mode_for(c.entity_type) is not None]
     for c in protected:
         if c.begin < 0 or c.end >= len(text):
@@ -186,12 +186,14 @@ def apply_policy(text: str, chunks: list[Chunk], policy: DeidPolicy) -> DeidResu
                 f"protected chunks overlap: {prev.entity_type}@[{prev.begin}, {prev.end}] "
                 f"and {cur.entity_type}@[{cur.begin}, {cur.end}]"
             )
-    out = text
+    pieces: list[str] = []
     replacements: list[Replacement] = []
-    for c in reversed(ordered):
+    pos = 0
+    for c in ordered:
         original = text[c.begin : c.end + 1]
         replacement = policy.replacement_for(c.entity_type, original)
-        out = out[: c.begin] + replacement + out[c.end + 1 :]
+        pieces += (text[pos : c.begin], replacement)
+        pos = c.end + 1
         replacements.append(Replacement(c.begin, c.end, original, c.entity_type, replacement))
-    replacements.reverse()
-    return DeidResult(out, replacements)
+    pieces.append(text[pos:])
+    return DeidResult("".join(pieces), replacements)

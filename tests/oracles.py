@@ -13,13 +13,19 @@ The arithmetic follows the package's conventions: float64 throughout,
 T and STOP at row T+1, and the lowest-index tie-break in Viterbi.
 Chronological summation order is the same in score_sequence and viterbi, so
 ties on equal float scores break exactly.
+
+Raw-text ingest has character-by-character oracles of its own:
+sentence_split and tokenize scan the text one character at a time, as the
+package did before it stated each rule as a regular pattern.
 """
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 
-from medner.corpus import Sentence
+from medner.corpus import DEFAULT_ABBREVIATIONS, Sentence, Token
 from medner.deid import DeidResult
 from medner.errors import ValidationError
 from medner.nercore.crf import apply_mask, logsumexp
@@ -232,3 +238,105 @@ def reverse(result: DeidResult) -> str:
         delta += len(r.replacement) - (r.end - r.begin + 1)
     pieces.append(out[cursor:])
     return "".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# Raw-text ingest: oracles of corpus.sentence_split and corpus.tokenize.
+
+_DETACH_PUNCT = frozenset(string.punctuation)
+
+
+def sentence_split(
+    raw_text: str, abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS
+) -> list[tuple[str, int, int]]:
+    """Split text into sentences, returning (sentence_text, begin, end) triples.
+
+    Boundaries occur after '.', '!' or '?' followed by whitespace and an
+    upper-case letter or digit, and at newlines. Words in `abbreviations`
+    never close a sentence. Offsets are inclusive; slices are trimmed of
+    surrounding whitespace, so concatenating them preserves every
+    non-whitespace character.
+    """
+    sentences: list[tuple[str, int, int]] = []
+    n = len(raw_text)
+
+    def close(start: int, end: int) -> None:
+        while end >= start and raw_text[end].isspace():
+            end -= 1
+        if end >= start:
+            sentences.append((raw_text[start : end + 1], start, end))
+
+    start: int | None = None
+    for i, ch in enumerate(raw_text):
+        if ch == "\n":
+            if start is not None:
+                close(start, i - 1)
+                start = None
+            continue
+        if start is None:
+            if ch.isspace():
+                continue
+            start = i
+        if ch in ".!?":
+            j = i + 1
+            while j < n and raw_text[j] in " \t":
+                j += 1
+            if j == i + 1 or j >= n or raw_text[j] == "\n":
+                continue
+            if not (raw_text[j].isupper() or raw_text[j].isdigit()):
+                continue
+            if ch == "." and _is_abbreviation(raw_text, i, abbreviations):
+                continue
+            close(start, i)
+            start = None
+    if start is not None:
+        close(start, n - 1)
+    return sentences
+
+
+def _is_abbreviation(text: str, dot: int, abbreviations) -> bool:
+    k = dot
+    while k > 0 and not text[k - 1].isspace():
+        k -= 1
+    word = text[k : dot + 1]
+    return word in abbreviations or word.lstrip("([{\"'") in abbreviations
+
+
+def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
+    """Whitespace-tokenize, detaching leading/trailing punctuation.
+
+    Internal punctuation stays inside the token, so clinical terms like
+    "COVID-19" or "2021-01-14" survive intact while "fever," splits into
+    two tokens. Offsets are absolute via `base_offset`.
+    """
+    if not sentence_text:
+        raise ValidationError("cannot tokenize empty text")
+    tokens: list[Token] = []
+
+    def emit(piece: str, rel_begin: int) -> None:
+        begin = base_offset + rel_begin
+        tokens.append(Token(piece, begin, begin + len(piece) - 1))
+
+    pos = 0
+    n = len(sentence_text)
+    while pos < n:
+        if sentence_text[pos].isspace():
+            pos += 1
+            continue
+        end = pos
+        while end < n and not sentence_text[end].isspace():
+            end += 1
+        chunk = sentence_text[pos:end]
+        left, right = 0, len(chunk)
+        while left < right and chunk[left] in _DETACH_PUNCT:
+            left += 1
+        while right > left and chunk[right - 1] in _DETACH_PUNCT:
+            right -= 1
+        for k in range(left):
+            emit(chunk[k], pos + k)
+        if right > left:
+            emit(chunk[left:right], pos + left)
+        for k in range(right, len(chunk)):
+            emit(chunk[k], pos + k)
+        pos = end
+    return tokens

@@ -11,6 +11,7 @@ from medner.chunking import Chunk, write_chunk_records
 from medner import cli
 from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
+from medner.errors import NumericError
 from medner.nercore.model import TrainConfig
 from medner.nercore.serialize import load_model, save_model
 from test_serialize import flip_byte
@@ -117,6 +118,17 @@ class TestTrain:
         code = main(["train", "--config", str(cfg)])
         assert code == 0
         assert (tmp_path / "run_file_cfg" / "model.medner").exists()
+
+    def test_failed_validation_scoring_leaves_no_out_dir(self, workdir, monkeypatch):
+        tmp_path, _, train_file, emb_file = workdir
+
+        def fail(*args):
+            raise NumericError("validation scores are not finite")
+
+        monkeypatch.setattr(cli, "evaluate", fail)
+        code, out = run_train(tmp_path, train_file, emb_file)
+        assert code == 5
+        assert not out.exists()
 
     def test_malformed_corpus_is_parse_error(self, workdir, tmp_path):
         _, _, _, emb_file = workdir

@@ -1,6 +1,9 @@
+import re
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medner.corpus import (
@@ -21,7 +24,20 @@ from medner.corpus import (
 )
 from medner.errors import ParseError, SchemaError, ValidationError
 
+import oracles
 from conftest import make_sentence, rule_corpus, valid_iob2_sequences
+
+# Raw text from the edges of the sentence and token rules: words that end
+# in a mark, abbreviations with and without an opening bracket, punctuation
+# runs, and first characters that are upper-case or digits to one predicate
+# but not another (É, ², titlecase ǅ, Ⅻ); between them nothing, spaces and
+# tabs, or any of the characters str.isspace() accepts.
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+WORDS = st.sampled_from([".", "!", "?", "..", "a.", "a!", "Mr.", "No.", "(e.g.", '"No.', "x,",
+                         "(b)", "--", "'", '"', "É", "²", "ǅ", "Ⅻ", "B", "7", "a"])
+GAPS = st.one_of(st.sampled_from(["", " ", "\t", " \t "]), st.sampled_from(SPACES))
+RAW_TEXT = st.builds(lambda pairs, tail: "".join(g + w for g, w in pairs) + tail,
+                     st.lists(st.tuples(GAPS, WORDS), max_size=15), GAPS)
 
 
 class TestSentenceSplit:
@@ -84,6 +100,30 @@ class TestTokenize:
             covered.update(range(t.begin, t.end + 1))
         for i, ch in enumerate(text):
             assert (i in covered) == (not ch.isspace())
+
+
+class TestIngestOracles:
+    """The pattern-based splitter and tokenizer against the character
+    scanners in oracles.py."""
+
+    @given(RAW_TEXT, st.booleans())
+    @example("Gave 2. ² more", False)  # '²' is a digit, though not a decimal
+    @example("a! B", True)  # only a '.' can end an abbreviation
+    @example("seen (e.g. Smith) today", False)  # an opening bracket is not part of it
+    @settings(max_examples=300)
+    def test_same_sentences_and_tokens(self, text, own_abbreviations):
+        own = frozenset({"a.", "a!", "..", "É.", "e.g.", "No."})
+        args = (text, own) if own_abbreviations else (text,)
+        sentences = sentence_split(*args)
+        assert sentences == oracles.sentence_split(*args)
+        for sent, begin, _end in sentences:
+            assert tokenize(sent, begin) == oracles.tokenize(sent, begin)
+        if text:
+            assert tokenize(text, 3) == oracles.tokenize(text, 3)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        text = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF)
+        assert [m.group() for m in re.finditer(r"\s", text)] == SPACES
 
 
 class TestIobValidation:
