@@ -318,32 +318,18 @@ def validate_iob(tag_sequence: list[str], scheme: str) -> list[tuple[int, str]]:
 def iob_spans(tag_sequence: list[str]) -> list[tuple[int, int, str]]:
     """Extract (start, end, type) chunk spans (end inclusive).
 
-    One walk serves both schemes. Assumes the sequence is valid under one of
-    them; callers that cannot guarantee that should run validate_iob first.
+    One walk serves both schemes: an I-X right after a token of an X chunk
+    extends that chunk, and any other B-X or I-X starts one. Assumes the
+    sequence is valid under one of them; callers that cannot guarantee that
+    should run validate_iob first.
     """
     spans: list[tuple[int, int, str]] = []
-    open_start: int | None = None
-    open_type: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal open_start, open_type
-        if open_start is not None:
-            spans.append((open_start, end, open_type))  # type: ignore[arg-type]
-            open_start = open_type = None
-
     for i, tag in enumerate(tag_sequence):
         prefix, etype = split_tag(tag)
-        if prefix == "O":
-            close(i - 1)
-        elif prefix == "B":
-            close(i - 1)
-            open_start, open_type = i, etype
-        else:  # I continues a same-type chunk, otherwise starts one (IOB1)
-            if open_start is not None and open_type == etype:
-                continue
-            close(i - 1)
-            open_start, open_type = i, etype
-    close(len(tag_sequence) - 1)
+        if prefix == "I" and spans and spans[-1][1:] == (i - 1, etype):
+            spans[-1] = (spans[-1][0], i, etype)
+        elif etype is not None:
+            spans.append((i, i, etype))
     return spans
 
 
@@ -418,103 +404,85 @@ def parse_conll(
     Blank lines separate sentences; lines starting with "-DOCSTART-", even
     after an indent, begin a new document (so no token that write_conll
     writes reads back as one). Character offsets are synthesized by joining
-    tokens with single spaces, per sentence. Each sentence is validated under
-    `input_scheme`, and IOB1 input is converted to IOB2. A malformed tag is
-    a ParseError, a tag the schema lacks a SchemaError, and a tag sequence
-    the scheme forbids a ValidationError; each names its line. With
-    `max_seq_length` set, longer sentences are truncated with a warning; by
+    tokens with single spaces, per sentence. A token line with the wrong
+    column count or an empty column is a ParseError as soon as it is read.
+    When a sentence ends, its tags are checked in line order: a malformed tag
+    is a ParseError, a tag the schema lacks a SchemaError, and then a tag
+    sequence `input_scheme` forbids a ValidationError; each names its line.
+    IOB1 input is converted to IOB2. With `max_seq_length` set, longer
+    sentences are truncated with a warning before their tags are checked; by
     default every token is kept.
     """
     _check_scheme(input_scheme)
-    sentences: list[Sentence] = []
-    pending: list[tuple[str, str, int]] = []  # surface, tag, line number
-    doc_index = 0
-    doc_has_content = False
-    sent_index = 0
-    seen_types: set[str] = set()
     known = set(schema.tags) if schema is not None else None
-
-    def flush() -> None:
-        nonlocal pending, sent_index, doc_has_content
-        if not pending:
-            return
-        if max_seq_length is not None and len(pending) > max_seq_length:
-            log.warning(
-                "truncating sentence of %d tokens to max_seq_length=%d (doc%d sentence %d)",
-                len(pending), max_seq_length, doc_index, sent_index,
-            )
-            pending = pending[:max_seq_length]
-        surfaces = [p[0] for p in pending]
-        tags = [p[1] for p in pending]
-        _check_tags(tags, pending, known, seen_types)
-        violations = validate_iob(tags, input_scheme)
-        if violations:
-            idx, reason = violations[0]
-            raise ValidationError(f"line {pending[idx][2]}: invalid {input_scheme}: {reason}")
-        if input_scheme == "IOB1":
-            tags = spans_to_iob(iob_spans(tags), len(tags))
-        tokens = [
-            Token(s, b, e, tag)
-            for s, (b, e), tag in zip(surfaces, synthesize_offsets(surfaces), tags)
-        ]
-        sentences.append(Sentence(tokens, f"doc{doc_index}", sent_index))
-        sent_index += 1
-        doc_has_content = True
-        pending = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
+    sentences: list[Sentence] = []
+    rows: list[tuple[str, str, int]] = []  # the current sentence's token lines
+    doc_index = index = 0
+    # the trailing "" ends the last sentence
+    for lineno, line in enumerate([*text.splitlines(), ""], start=1):
+        marker = line.lstrip().startswith("-DOCSTART-")
+        if line.strip() and not marker:
+            rows.append(_token_row(line, lineno, column_spec))
             continue
-        if line.lstrip().startswith("-DOCSTART-"):
-            flush()
-            if doc_has_content:
-                doc_index += 1
-                sent_index = 0
-                doc_has_content = False
-            continue
-        parts = line.split(column_spec.sep)
-        if len(parts) != column_spec.n_cols:
-            raise ParseError(
-                f"expected {column_spec.n_cols} columns, found {len(parts)}", line=lineno
-            )
-        surface = parts[column_spec.token_col].strip()
-        if not surface:
-            raise ParseError("empty token column", line=lineno)
-        tag = parts[column_spec.tag_col].strip()
-        if not tag:
-            raise ParseError("empty tag column", line=lineno)
-        pending.append((surface, tag, lineno))
-    flush()
-
+        if rows:
+            if max_seq_length is not None and len(rows) > max_seq_length:
+                log.warning(
+                    "truncating sentence of %d tokens to max_seq_length=%d (doc%d sentence %d)",
+                    len(rows), max_seq_length, doc_index, index,
+                )
+                rows = rows[:max_seq_length]
+            sentences.append(_conll_sentence(rows, input_scheme, known, f"doc{doc_index}", index))
+            rows, index = [], index + 1
+        if marker and index > 0:
+            doc_index, index = doc_index + 1, 0
     if schema is None:
-        schema = LabelSchema(sorted(seen_types))
+        schema = LabelSchema(sorted({t[2:] for s in sentences for t in s.tags() if t != "O"}))
     return Corpus(sentences, schema)
 
 
-def _check_tags(
-    tags: list[str],
-    pending: list[tuple[str, str, int]],
-    known: set[str] | None,
-    seen_types: set[str],
-) -> None:
-    """Reject a malformed tag or one the schema lacks; record the entity
-    types seen."""
-    for i, tag in enumerate(tags):
+def _token_row(line: str, lineno: int, column_spec: ColumnSpec) -> tuple[str, str, int]:
+    """The (surface, tag, line number) of a token line."""
+    parts = line.split(column_spec.sep)
+    if len(parts) != column_spec.n_cols:
+        raise ParseError(f"expected {column_spec.n_cols} columns, found {len(parts)}", line=lineno)
+    surface = parts[column_spec.token_col].strip()
+    if not surface:
+        raise ParseError("empty token column", line=lineno)
+    tag = parts[column_spec.tag_col].strip()
+    if not tag:
+        raise ParseError("empty tag column", line=lineno)
+    return surface, tag, lineno
+
+
+def _conll_sentence(
+    rows: list[tuple[str, str, int]], scheme: str, known: set[str] | None, doc_id: str, index: int
+) -> Sentence:
+    """The IOB2 Sentence of one sentence's token rows, once its tags pass
+    parse_conll's checks."""
+    for _, tag, lineno in rows:
         try:
-            _, etype = split_tag(tag)
+            split_tag(tag)
         except ValidationError:
-            raise ParseError(f"malformed tag {tag!r}", line=pending[i][2])
+            raise ParseError(f"malformed tag {tag!r}", line=lineno)
         if known is not None and tag not in known:
-            raise SchemaError(f"line {pending[i][2]}: tag {tag!r} not in schema")
-        if etype is not None:
-            seen_types.add(etype)
+            raise SchemaError(f"line {lineno}: tag {tag!r} not in schema")
+    surfaces = [row[0] for row in rows]
+    tags = [row[1] for row in rows]
+    violations = validate_iob(tags, scheme)
+    if violations:
+        idx, reason = violations[0]
+        raise ValidationError(f"line {rows[idx][2]}: invalid {scheme}: {reason}")
+    if scheme == "IOB1":
+        tags = spans_to_iob(iob_spans(tags), len(tags))
+    offsets = synthesize_offsets(surfaces)
+    tokens = [Token(s, b, e, t) for s, (b, e), t in zip(surfaces, offsets, tags)]
+    return Sentence(tokens, doc_id, index)
 
 
 def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4, scheme: str = "IOB2") -> str:
     """Serialize a Corpus to CoNLL text with its tags in `scheme` (inverse
-    of parse_conll with that input_scheme)."""
+    of parse_conll with that input_scheme). A format whose columns whitespace
+    separates takes no token or tag that holds whitespace (ValidationError)."""
     _check_scheme(scheme)
     lines: list[str] = []
     filler = "-X-"
@@ -525,6 +493,12 @@ def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4, scheme: str = 
             lines.append("")
         prev_doc = sent.doc_id
         for token, tag in zip(sent.tokens, convert_scheme(sent.tags(), "IOB2", scheme)):
+            for name, value in (("token", token.surface), ("tag", tag)):
+                if column_spec.sep is None and any(c.isspace() for c in value):
+                    raise ValidationError(
+                        f"{sent.doc_id}[{sent.sent_index}]: {name} {value!r} holds whitespace, "
+                        "which separates the columns"
+                    )
             if column_spec.n_cols == 4:
                 lines.append(f"{token.surface} {filler} {filler} {tag}")
             else:

@@ -80,9 +80,11 @@ def load_embeddings(
     reported, whatever its fault: a wrong number of values, a value that is
     not a number, or one that is not finite.
 
-    One pass over the lines checks their structure, one np.loadtxt call
-    converts every value (its C reader rounds as float() does) and one
-    isfinite pass checks the table.
+    The rows are the right-stripped non-blank lines after the header. One
+    any() over them checks their value counts, one np.loadtxt call converts
+    every value (its C reader rounds as float() does) and one isfinite pass
+    checks the table. Only when one of these fails are the lines walked in
+    order, to name the first faulty one.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,58 +93,32 @@ def load_embeddings(
         raise ParseError(
             f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
         )
-    start = 0
-    if lines:
-        first = lines[0].split()
-        if len(first) == 2 and all(_is_int(p) for p in first):
-            start = 1
-    rows: list[str] = []  # the vector lines, right-stripped
-    linenos: list[int] = []
-    words: list[str] = []
-    keep: list[int] = []  # the row of each word's first occurrence
-    seen: set[str] = set()
-    fault = None  # the first line with a wrong value count or a \x1f among its values
-    for lineno in range(start + 1, len(lines) + 1):
-        line = lines[lineno - 1].rstrip()
-        if not line:
-            continue
-        space = line.find(" ")
-        word = line if space < 0 else line[:space]
-        found = line.count(" ")
-        if found != expected_dimension:
-            fault = ParseError(
-                f"expected {expected_dimension} values for {word!r}, found {found}", lineno
-            )
-            break
-        # loadtxt skips \x1f around a value as whitespace; float() does not
-        if line.find("\x1f", space) >= 0:
-            fault = ParseError(f"non-numeric value in row for {word!r}", lineno)
-            break
-        if word in seen:
-            log.warning("duplicate embedding row for %r: keeping the first", word)
-        else:
-            seen.add(word)
-            words.append(word)
-            keep.append(len(rows))
-        rows.append(line)
-        linenos.append(lineno)
+    first = lines[0].split() if lines else []
+    start = 1 if len(first) == 2 and all(_is_int(p) for p in first) else 0
+    rows = [row for row in (line.rstrip() for line in lines[start:]) if row]
     if not rows:
-        raise fault or ParseError("embedding file contains no vector rows")
+        raise ParseError("embedding file contains no vector rows")
+    # loadtxt skips \x1f around a value as whitespace; float() does not
+    fast = not any(r.count(" ") != expected_dimension or "\x1f" in r.partition(" ")[2]
+                   for r in rows)
     try:
-        matrix = _parse_values(rows, expected_dimension)
+        matrix = _parse_values(rows, expected_dimension) if fast else None
     except ValueError:
-        for row, lineno in zip(rows, linenos):  # find the first faulty row
-            _check_row(row, lineno, expected_dimension)
-        raise
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        _check_row(rows[bad], linenos[bad], expected_dimension)
-    if fault is not None:
-        raise fault
-    if len(keep) < len(rows):
-        matrix = matrix[keep]
-    if UNK_WORD in seen:
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            if line.strip():
+                _check_row(line.rstrip(), lineno, expected_dimension)
+        raise AssertionError("_check_row passed every row of a table that failed its checks")
+    first_row: dict[str, int] = {}  # each word's first row
+    for i, row in enumerate(rows):
+        word = row.partition(" ")[0]
+        if first_row.setdefault(word, i) != i:
+            log.warning("duplicate embedding row for %r: keeping the first", word)
+    words = list(first_row)
+    if len(words) < len(rows):
+        matrix = matrix[list(first_row.values())]
+    if UNK_WORD in first_row:
         unk = matrix[words.index(UNK_WORD)].copy()
     else:
         with np.errstate(over="ignore"):  # finite rows near the float limit
@@ -160,11 +136,17 @@ def _parse_values(rows: list[str], dimension: int) -> np.ndarray:
 
 
 def _check_row(row: str, lineno: int, dimension: int) -> None:
-    """Raise the ParseError of a row whose values are not all finite numbers."""
-    word = row.partition(" ")[0]
+    """Raise the ParseError of a row that has the wrong number of values or
+    values that are not all finite numbers."""
+    word, _, tail = row.partition(" ")
+    found = row.count(" ")
+    if found != dimension:
+        raise ParseError(f"expected {dimension} values for {word!r}, found {found}", lineno)
     try:
-        values = _parse_values([row], dimension)
+        values = None if "\x1f" in tail else _parse_values([row], dimension)
     except ValueError:
+        values = None
+    if values is None:
         raise ParseError(f"non-numeric value in row for {word!r}", lineno)
     if not np.isfinite(values).all():
         raise ParseError(f"non-finite value in row for {word!r}", lineno)

@@ -16,21 +16,39 @@ ties on equal float scores break exactly.
 
 Raw-text ingest has character-by-character oracles of its own:
 sentence_split and tokenize scan the text one character at a time, as the
-package did before it stated each rule as a regular pattern.
+package did before it stated each rule as a regular pattern. So has CoNLL
+ingest: parse_conll and iob_spans keep an open sentence and an open chunk in
+closures, as the package did before it read each as one straight pass.
 """
 
 from __future__ import annotations
 
+import logging
 import string
 
 import numpy as np
 
-from medner.corpus import DEFAULT_ABBREVIATIONS, Sentence, Token
+from medner.corpus import (
+    CONLL4,
+    DEFAULT_ABBREVIATIONS,
+    ColumnSpec,
+    Corpus,
+    LabelSchema,
+    Sentence,
+    Token,
+    _check_scheme,
+    spans_to_iob,
+    split_tag,
+    synthesize_offsets,
+    validate_iob,
+)
 from medner.deid import DeidResult
-from medner.errors import ValidationError
+from medner.errors import ParseError, SchemaError, ValidationError
 from medner.nercore.crf import apply_mask, logsumexp
 from medner.nercore.layers import LstmParams, dropout_mask, emission_scores
 from medner.nercore.model import DROP_HIDDEN, DROP_INPUT, ModelParams, gold_path
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +358,144 @@ def tokenize(sentence_text: str, base_offset: int = 0) -> list[Token]:
             emit(chunk[k], pos + k)
         pos = end
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# CoNLL ingest: oracles of corpus.parse_conll and corpus.iob_spans.
+
+def parse_conll(
+    text: str,
+    column_spec: ColumnSpec = CONLL4,
+    schema: LabelSchema | None = None,
+    input_scheme: str = "IOB2",
+    max_seq_length: int | None = None,
+) -> Corpus:
+    """Parse CoNLL-style annotated text into a Corpus (canonical IOB2).
+
+    Blank lines separate sentences; lines starting with "-DOCSTART-", even
+    after an indent, begin a new document (so no token that write_conll
+    writes reads back as one). Character offsets are synthesized by joining
+    tokens with single spaces, per sentence. Each sentence is validated under
+    `input_scheme`, and IOB1 input is converted to IOB2. A malformed tag is
+    a ParseError, a tag the schema lacks a SchemaError, and a tag sequence
+    the scheme forbids a ValidationError; each names its line. With
+    `max_seq_length` set, longer sentences are truncated with a warning; by
+    default every token is kept.
+    """
+    _check_scheme(input_scheme)
+    sentences: list[Sentence] = []
+    pending: list[tuple[str, str, int]] = []  # surface, tag, line number
+    doc_index = 0
+    doc_has_content = False
+    sent_index = 0
+    seen_types: set[str] = set()
+    known = set(schema.tags) if schema is not None else None
+
+    def flush() -> None:
+        nonlocal pending, sent_index, doc_has_content
+        if not pending:
+            return
+        if max_seq_length is not None and len(pending) > max_seq_length:
+            log.warning(
+                "truncating sentence of %d tokens to max_seq_length=%d (doc%d sentence %d)",
+                len(pending), max_seq_length, doc_index, sent_index,
+            )
+            pending = pending[:max_seq_length]
+        surfaces = [p[0] for p in pending]
+        tags = [p[1] for p in pending]
+        _check_tags(tags, pending, known, seen_types)
+        violations = validate_iob(tags, input_scheme)
+        if violations:
+            idx, reason = violations[0]
+            raise ValidationError(f"line {pending[idx][2]}: invalid {input_scheme}: {reason}")
+        if input_scheme == "IOB1":
+            tags = spans_to_iob(iob_spans(tags), len(tags))
+        tokens = [
+            Token(s, b, e, tag)
+            for s, (b, e), tag in zip(surfaces, synthesize_offsets(surfaces), tags)
+        ]
+        sentences.append(Sentence(tokens, f"doc{doc_index}", sent_index))
+        sent_index += 1
+        doc_has_content = True
+        pending = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        if line.lstrip().startswith("-DOCSTART-"):
+            flush()
+            if doc_has_content:
+                doc_index += 1
+                sent_index = 0
+                doc_has_content = False
+            continue
+        parts = line.split(column_spec.sep)
+        if len(parts) != column_spec.n_cols:
+            raise ParseError(
+                f"expected {column_spec.n_cols} columns, found {len(parts)}", line=lineno
+            )
+        surface = parts[column_spec.token_col].strip()
+        if not surface:
+            raise ParseError("empty token column", line=lineno)
+        tag = parts[column_spec.tag_col].strip()
+        if not tag:
+            raise ParseError("empty tag column", line=lineno)
+        pending.append((surface, tag, lineno))
+    flush()
+
+    if schema is None:
+        schema = LabelSchema(sorted(seen_types))
+    return Corpus(sentences, schema)
+
+
+def _check_tags(
+    tags: list[str],
+    pending: list[tuple[str, str, int]],
+    known: set[str] | None,
+    seen_types: set[str],
+) -> None:
+    """Reject a malformed tag or one the schema lacks; record the entity
+    types seen."""
+    for i, tag in enumerate(tags):
+        try:
+            _, etype = split_tag(tag)
+        except ValidationError:
+            raise ParseError(f"malformed tag {tag!r}", line=pending[i][2])
+        if known is not None and tag not in known:
+            raise SchemaError(f"line {pending[i][2]}: tag {tag!r} not in schema")
+        if etype is not None:
+            seen_types.add(etype)
+
+
+def iob_spans(tag_sequence: list[str]) -> list[tuple[int, int, str]]:
+    """Extract (start, end, type) chunk spans (end inclusive).
+
+    One walk serves both schemes. Assumes the sequence is valid under one of
+    them; callers that cannot guarantee that should run validate_iob first.
+    """
+    spans: list[tuple[int, int, str]] = []
+    open_start: int | None = None
+    open_type: str | None = None
+
+    def close(end: int) -> None:
+        nonlocal open_start, open_type
+        if open_start is not None:
+            spans.append((open_start, end, open_type))  # type: ignore[arg-type]
+            open_start = open_type = None
+
+    for i, tag in enumerate(tag_sequence):
+        prefix, etype = split_tag(tag)
+        if prefix == "O":
+            close(i - 1)
+        elif prefix == "B":
+            close(i - 1)
+            open_start, open_type = i, etype
+        else:  # I continues a same-type chunk, otherwise starts one (IOB1)
+            if open_start is not None and open_type == etype:
+                continue
+            close(i - 1)
+            open_start, open_type = i, etype
+    close(len(tag_sequence) - 1)
+    return spans

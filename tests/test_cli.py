@@ -548,6 +548,19 @@ class TestConvert:
             "a -X- -X- I-X\nb -X- -X- I-X\nc -X- -X- B-X\nd -X- -X- I-Y\n\n"
         )
 
+    # conll4 separates its columns by whitespace, so a tsv2 token or tag
+    # that holds some cannot be written there
+    @pytest.mark.parametrize("line, field", [("a b\tI-Symptom", "token 'a b'"),
+                                             ("a\tB-patient id", "tag 'B-patient id'")])
+    def test_whitespace_in_a_conll4_field_exits_4(self, tmp_path, caplog, line, field):
+        src = tmp_path / "src.tsv"
+        src.write_text(f"fever\tB-Symptom\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out.conll4"
+        assert main(["convert", "--input", str(src), "--from", "tsv2", "--to", "conll4",
+                     "--out", str(out)]) == 4
+        assert f"doc0[0]: {field} holds whitespace" in caplog.text
+        assert not out.exists()
+
     def test_to_chunk_records(self, tmp_path):
         src = tmp_path / "src.tsv"
         src.write_text("fever\tB-Symptom\n\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from medner.corpus import (
     CONLL4,
+    FORMATS,
+    SCHEMES,
     TSV2,
     Corpus,
     LabelSchema,
@@ -22,10 +25,11 @@ from medner.corpus import (
     validate_iob,
     write_conll,
 )
-from medner.errors import ParseError, SchemaError, ValidationError
+from medner.errors import MednerError, ParseError, SchemaError, ValidationError
 
 import oracles
 from conftest import make_sentence, rule_corpus, valid_iob2_sequences
+from test_fuzz import CONLL, ROWS, render
 
 # Raw text from the edges of the sentence and token rules: words that end
 # in a mark, abbreviations with and without an opening bracket, punctuation
@@ -104,7 +108,8 @@ class TestTokenize:
 
 class TestIngestOracles:
     """The pattern-based splitter and tokenizer against the character
-    scanners in oracles.py."""
+    scanners in oracles.py, and the straight-pass CoNLL reader against the
+    one with closures there."""
 
     @given(RAW_TEXT, st.booleans())
     @example("Gave 2. ² more", False)  # '²' is a digit, though not a decimal
@@ -120,6 +125,31 @@ class TestIngestOracles:
             assert tokenize(sent, begin) == oracles.tokenize(sent, begin)
         if text:
             assert tokenize(text, 3) == oracles.tokenize(text, 3)
+
+    @given(st.one_of(CONLL, st.builds(render, ROWS, st.sampled_from(sorted(FORMATS)))),
+           st.sampled_from(sorted(FORMATS)), st.sampled_from(SCHEMES), st.booleans(),
+           st.sampled_from([None, 1, 3]))
+    # a tag missing from the schema outranks an earlier scheme violation
+    @example("a\tI-Symptom\nb\tB-Name", "tsv2", "IOB2", True, None)
+    @settings(max_examples=200)
+    def test_same_corpus_or_error_as_parse_conll(self, text, fmt, scheme, with_schema, max_len):
+        schema = LabelSchema(["Dosage", "Symptom"]) if with_schema else None
+
+        def outcome(parse):
+            try:
+                return parse(text, FORMATS[fmt], schema=schema, input_scheme=scheme,
+                             max_seq_length=max_len)
+            except MednerError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(parse_conll) == outcome(oracles.parse_conll)
+
+    def test_same_spans_as_iob_spans_exhaustive(self):
+        # every sequence of length <= 6, valid under a scheme or not
+        tags = ["O", "B-X", "I-X", "B-Y", "I-Y"]
+        for n in range(7):
+            for seq in map(list, itertools.product(tags, repeat=n)):
+                assert iob_spans(seq) == oracles.iob_spans(seq), seq
 
     def test_regex_whitespace_is_str_isspace(self):
         text = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF)

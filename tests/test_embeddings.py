@@ -304,6 +304,10 @@ FIXED_CASES = [
     ("a 0x1p3", 1),
     ("a 1 2\na 3 x", 2),
     ("a\u00851.0 2.0", 2),
+    # a fault the value counts show (a wrong count, a \x1f) on a line before
+    # one only the parsed values show (not a number, not finite)
+    ("a 1.0\nb x 2.0", 2),
+    ("a 1.0\x1f 2.0\nb nan 1.0", 2),
 ]
 
 

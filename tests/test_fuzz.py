@@ -13,7 +13,8 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medner.chunking import parse_chunk_records
@@ -21,7 +22,7 @@ from medner import cli
 from medner.cli import _read_grid_file
 from medner.corpus import FORMATS, SCHEMES, LabelSchema, parse_conll, validate_iob, write_conll
 from medner.deid import parse_policy_file
-from medner.errors import MednerError
+from medner.errors import MednerError, ValidationError
 from medner.nercore.model import TrainConfig
 
 EXAMPLES = settings(max_examples=100, deadline=None)
@@ -89,18 +90,27 @@ def render(rows, fmt):
 
 
 @EXAMPLES
-@given(ROWS, st.sampled_from(sorted(FORMATS)), st.sampled_from(SCHEMES), st.sampled_from(SCHEMES))
-def test_write_conll_round_trip(rows, fmt, read_scheme, write_scheme):
+@given(ROWS, st.sampled_from(sorted(FORMATS)), st.sampled_from(sorted(FORMATS)),
+       st.sampled_from(SCHEMES), st.sampled_from(SCHEMES))
+@example([("", "fever", "B-Symptom"), ("", "a b", "I-Symptom")], "tsv2", "conll4", "IOB2", "IOB2")
+def test_write_conll_round_trip(rows, read_fmt, write_fmt, read_scheme, write_scheme):
     # whatever parse_conll accepts, write_conll writes in any scheme and
-    # parse_conll reads back in that scheme to the same surfaces and tags
-    spec = FORMATS[fmt]
-    corpus = parsed_or_rejected(lambda: parse_conll(render(rows, fmt), spec,
+    # parse_conll reads back in that scheme to the same surfaces and tags;
+    # only conll4, whose columns whitespace separates, rejects a token or
+    # tag that holds whitespace
+    corpus = parsed_or_rejected(lambda: parse_conll(render(rows, read_fmt), FORMATS[read_fmt],
                                                     input_scheme=read_scheme))
-    if corpus is not None:
-        back = parse_conll(write_conll(corpus, spec, write_scheme), spec,
-                           input_scheme=write_scheme)
-        assert [s.surfaces() for s in back.sentences] == [s.surfaces() for s in corpus.sentences]
-        assert [s.tags() for s in back.sentences] == [s.tags() for s in corpus.sentences]
+    if corpus is None:
+        return
+    spec = FORMATS[write_fmt]
+    fields = [f for s in corpus.sentences for f in s.surfaces() + s.tags()]
+    if write_fmt == "conll4" and any(c.isspace() for f in fields for c in f):
+        with pytest.raises(ValidationError, match="holds whitespace"):
+            write_conll(corpus, spec, write_scheme)
+        return
+    back = parse_conll(write_conll(corpus, spec, write_scheme), spec, input_scheme=write_scheme)
+    assert [s.surfaces() for s in back.sentences] == [s.surfaces() for s in corpus.sentences]
+    assert [s.tags() for s in back.sentences] == [s.tags() for s in corpus.sentences]
 
 
 CHUNKS = lines_of(
