@@ -1,7 +1,7 @@
 """Turn tag sequences into entity chunks with character offsets and
-confidence scores, and read and write them as chunk records. Confidences
-come from the posterior marginal matrix that `tag` returns; chunks decoded
-without one, as from a gold corpus, have confidence 1.
+confidence scores, and read and write them as chunk records. decode_chunks
+takes every sentence at once; confidences come from the marginal matrices
+that `tag` returns, and chunks decoded without them have confidence 1.
 """
 
 from __future__ import annotations
@@ -50,52 +50,52 @@ class Chunk:
 
 
 def decode_chunks(
-    sentence: Sentence,
-    tag_sequence: list[str],
-    marginals: np.ndarray | None = None,
+    sentences: list[Sentence],
+    tag_sequences: list[list[str]],
+    marginals: list[np.ndarray] | None = None,
     schema: LabelSchema | None = None,
     confidence_mode: str = "min",
 ) -> list[Chunk]:
-    """Maximal B-X (I-X)* runs become chunks (input must be valid IOB2).
+    """Every sentence's chunks, in sentence order: maximal B-X (I-X)* runs
+    of its tag sequence (which must be valid IOB2).
 
-    `marginals` is the (N, num_tags) posterior matrix that `tag` returns,
-    with columns in `schema`'s tag order. A chunk's confidence aggregates
-    each token's probability of its assigned tag: the minimum by default (a
-    chunk is wrong if any token is), or the geometric mean. Without
-    marginals every confidence is 1.
+    `marginals` holds, per sentence, the (N, num_tags) posterior matrix that
+    `tag` returns, with columns in `schema`'s tag order. A chunk's
+    confidence aggregates each token's probability of its assigned tag: the
+    minimum by default (a chunk is wrong if any token is), or the geometric
+    mean. Without marginals every confidence is 1.
     """
-    if len(tag_sequence) != len(sentence):
-        raise ValidationError("tag sequence length does not match sentence")
-    violations = validate_iob(tag_sequence, "IOB2")
-    if violations:
-        idx, reason = violations[0]
-        raise ValidationError(f"invalid IOB2 sequence at index {idx}: {reason}")
-
-    probs: np.ndarray | None = None
-    if marginals is not None:
-        cols = [schema.tag_to_index[t] for t in tag_sequence]
-        probs = marginals[np.arange(len(tag_sequence)), cols]
-
     chunks = []
-    for first, last, etype in iob_spans(tag_sequence):
-        if probs is None:
-            confidence = 1.0
-        elif confidence_mode == "min":
-            confidence = float(np.min(probs[first : last + 1]))
-        else:
-            confidence = float(np.exp(np.mean(np.log(np.maximum(probs[first : last + 1], 1e-300)))))
-        tokens = sentence.tokens[first : last + 1]
-        chunks.append(
-            Chunk(
-                entity_type=etype,
-                token_span=(first, last),
-                begin=tokens[0].begin,
-                end=tokens[-1].end,
-                surface=" ".join(t.surface for t in tokens),
-                confidence=min(confidence, 1.0),
-                sent_index=sentence.sent_index,
+    for k, (sentence, tag_sequence) in enumerate(zip(sentences, tag_sequences, strict=True)):
+        if len(tag_sequence) != len(sentence):
+            raise ValidationError("tag sequence length does not match sentence")
+        violations = validate_iob(tag_sequence, "IOB2")
+        if violations:
+            idx, reason = violations[0]
+            raise ValidationError(f"invalid IOB2 sequence at index {idx}: {reason}")
+        if marginals is not None:
+            cols = [schema.tag_to_index[t] for t in tag_sequence]
+            probs = marginals[k][np.arange(len(tag_sequence)), cols]
+            listed = probs.tolist()  # Python's min over a list slice beats np.min per chunk
+        for first, last, etype in iob_spans(tag_sequence):
+            if marginals is None:
+                confidence = 1.0
+            elif confidence_mode == "min":
+                confidence = min(listed[first : last + 1])
+            else:
+                run = probs[first : last + 1]
+                confidence = float(np.exp(np.mean(np.log(np.maximum(run, 1e-300)))))
+            chunks.append(
+                Chunk(
+                    entity_type=etype,
+                    token_span=(first, last),
+                    begin=sentence.tokens[first].begin,
+                    end=sentence.tokens[last].end,
+                    surface=" ".join(t.surface for t in sentence.tokens[first : last + 1]),
+                    confidence=min(confidence, 1.0),
+                    sent_index=sentence.sent_index,
+                )
             )
-        )
     return chunks
 
 

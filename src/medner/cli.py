@@ -269,12 +269,9 @@ def _check_known_types(model: ModelParams, entity_types) -> None:
 
 def _tag_chunks(model: ModelParams, sentences: list[Sentence]) -> list[chunking.Chunk]:
     """Tag every sentence and decode its chunks with confidences."""
-    chunks = []
-    for sent, (tags, marg) in zip(sentences, tag(model, sentences, marginals=True)):
-        chunks.extend(
-            chunking.decode_chunks(sent, tags, marg, model.schema, model.config.confidence_mode)
-        )
-    return chunks
+    tagged = tag(model, sentences, marginals=True)
+    return chunking.decode_chunks(sentences, [t for t, _ in tagged], [m for _, m in tagged],
+                                  model.schema, model.config.confidence_mode)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -375,9 +372,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     )
     out_path = Path(args.out)
     if args.to_format == "chunk-records":
-        chunks = []
-        for sent in corpus.sentences:
-            chunks.extend(chunking.decode_chunks(sent, sent.tags()))
+        chunks = chunking.decode_chunks(corpus.sentences, [s.tags() for s in corpus.sentences])
         out_path.write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
         return EXIT_OK
     out_path.write_text(

@@ -23,6 +23,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,68 +79,62 @@ def follows(prev: tuple[str, str | None], cur: tuple[str, str | None], guarded: 
     return prefix != guarded or prev[1] == etype
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A surface string anchored to its source text by inclusive offsets."""
 
     surface: str
     begin: int
     end: int
-    tag: str | None = None
-
-    def __post_init__(self):
-        if not self.surface:
-            raise ValidationError("token surface must be non-empty")
-        if "\n" in self.surface or "\r" in self.surface:
-            raise ValidationError(f"token surface contains a newline: {self.surface!r}")
-        if self.begin < 0 or self.begin > self.end:
-            raise ValidationError(f"bad token offsets [{self.begin}, {self.end}]")
-        if self.end - self.begin + 1 != len(self.surface):
-            raise ValidationError(
-                f"token {self.surface!r} does not span [{self.begin}, {self.end}]"
-            )
 
 
 @dataclass
 class Sentence:
+    """Tokens in text order, which it checks, and one IOB2 tag per token
+    when tagged."""
+
     tokens: list[Token]
     doc_id: str = "doc0"
     sent_index: int = 0
+    labels: list[str] | None = None
 
     def __post_init__(self):
         if not self.tokens:
             raise ValidationError("sentence must contain at least one token")
         if self.sent_index < 0:
             raise ValidationError("sent_index must be non-negative")
-        for prev, cur in zip(self.tokens, self.tokens[1:]):
-            if cur.begin <= prev.end:
-                raise ValidationError(
-                    f"token offsets not strictly increasing at {cur.surface!r}"
-                )
-        tagged = [t.tag is not None for t in self.tokens]
-        if any(tagged) and not all(tagged):
-            raise ValidationError("sentence is partially tagged")
+        prev_end = -1
+        for surface, begin, end in self.tokens:
+            if not surface:
+                raise ValidationError("token surface must be non-empty")
+            if "\n" in surface or "\r" in surface:
+                raise ValidationError(f"token surface contains a newline: {surface!r}")
+            if begin < 0 or begin > end:
+                raise ValidationError(f"bad token offsets [{begin}, {end}]")
+            if end - begin + 1 != len(surface):
+                raise ValidationError(f"token {surface!r} does not span [{begin}, {end}]")
+            if begin <= prev_end:
+                raise ValidationError(f"token offsets not strictly increasing at {surface!r}")
+            prev_end = end
+        if self.labels is not None and len(self.labels) != len(self.tokens):
+            raise ValidationError("tag sequence length does not match sentence")
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     @property
     def is_tagged(self) -> bool:
-        return self.tokens[0].tag is not None
+        return self.labels is not None
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
 
     def tags(self) -> list[str]:
-        if not self.is_tagged:
+        if self.labels is None:
             raise ValidationError("sentence has no tags")
-        return [t.tag for t in self.tokens]  # type: ignore[misc]
+        return list(self.labels)
 
     def with_tags(self, tags: list[str]) -> "Sentence":
-        if len(tags) != len(self.tokens):
-            raise ValidationError("tag sequence length does not match sentence")
-        new = [Token(t.surface, t.begin, t.end, tag) for t, tag in zip(self.tokens, tags)]
-        return Sentence(new, self.doc_id, self.sent_index)
+        return Sentence(self.tokens, self.doc_id, self.sent_index, tags)
 
 
 @dataclass
@@ -474,9 +469,8 @@ def _conll_sentence(
         raise ValidationError(f"line {rows[idx][2]}: invalid {scheme}: {reason}")
     if scheme == "IOB1":
         tags = spans_to_iob(iob_spans(tags), len(tags))
-    offsets = synthesize_offsets(surfaces)
-    tokens = [Token(s, b, e, t) for s, (b, e), t in zip(surfaces, offsets, tags)]
-    return Sentence(tokens, doc_id, index)
+    tokens = [Token(s, b, e) for s, (b, e) in zip(surfaces, synthesize_offsets(surfaces))]
+    return Sentence(tokens, doc_id, index, tags)
 
 
 def write_conll(corpus: Corpus, column_spec: ColumnSpec = CONLL4, scheme: str = "IOB2") -> str:

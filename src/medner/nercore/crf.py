@@ -22,7 +22,7 @@ import numpy as np
 MASK_SCORE = -1e4
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """Numerically stable log(sum(exp(a))) along an axis."""
     m = np.max(a, axis=axis, keepdims=True)
     out = m.squeeze(axis) + np.log(np.sum(np.exp(a - m), axis=axis))

@@ -35,15 +35,8 @@ UNITS = ["mg", "ml", "mcg"]
 
 def make_sentence(words: list[str], tags: list[str] | None = None,
                   idx: int = 0, doc_id: str = "doc0") -> Sentence:
-    offsets = synthesize_offsets(words)
-    return Sentence(
-        [
-            Token(w, b, e, tags[i] if tags is not None else None)
-            for i, (w, (b, e)) in enumerate(zip(words, offsets))
-        ],
-        doc_id,
-        idx,
-    )
+    tokens = [Token(w, b, e) for w, (b, e) in zip(words, synthesize_offsets(words))]
+    return Sentence(tokens, doc_id, idx, tags)
 
 
 def toy_table(words: list[str], dim: int, rng: np.random.Generator,

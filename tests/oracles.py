@@ -19,15 +19,23 @@ sentence_split and tokenize scan the text one character at a time, as the
 package did before it stated each rule as a regular pattern. So has CoNLL
 ingest: parse_conll and iob_spans keep an open sentence and an open chunk in
 closures, as the package did before it read each as one straight pass.
+
+Sentences and chunks have the package's earlier forms as oracles too:
+TaggedToken checks itself and holds its own tag, TaggedTokenSentence holds
+such tokens, and decode_chunks decodes one sentence per call. The tests
+compare corpus.Sentence, which checks its tokens and holds their tags, and
+chunking.decode_chunks, which takes every sentence at once, against them.
 """
 
 from __future__ import annotations
 
 import logging
 import string
+from dataclasses import dataclass
 
 import numpy as np
 
+from medner.chunking import Chunk
 from medner.corpus import (
     CONLL4,
     DEFAULT_ABBREVIATIONS,
@@ -410,11 +418,8 @@ def parse_conll(
             raise ValidationError(f"line {pending[idx][2]}: invalid {input_scheme}: {reason}")
         if input_scheme == "IOB1":
             tags = spans_to_iob(iob_spans(tags), len(tags))
-        tokens = [
-            Token(s, b, e, tag)
-            for s, (b, e), tag in zip(surfaces, synthesize_offsets(surfaces), tags)
-        ]
-        sentences.append(Sentence(tokens, f"doc{doc_index}", sent_index))
+        tokens = [Token(s, b, e) for s, (b, e) in zip(surfaces, synthesize_offsets(surfaces))]
+        sentences.append(Sentence(tokens, f"doc{doc_index}", sent_index, tags))
         sent_index += 1
         doc_has_content = True
         pending = []
@@ -499,3 +504,122 @@ def iob_spans(tag_sequence: list[str]) -> list[tuple[int, int, str]]:
             open_start, open_type = i, etype
     close(len(tag_sequence) - 1)
     return spans
+
+
+# ---------------------------------------------------------------------------
+# Sentences and chunk decoding: oracles of corpus.Sentence and
+# chunking.decode_chunks, as the package had them when each token held its
+# own tag and checked itself, and chunks were decoded one sentence per call.
+
+@dataclass(frozen=True)
+class TaggedToken:
+    """A surface string anchored to its source text by inclusive offsets."""
+
+    surface: str
+    begin: int
+    end: int
+    tag: str | None = None
+
+    def __post_init__(self):
+        if not self.surface:
+            raise ValidationError("token surface must be non-empty")
+        if "\n" in self.surface or "\r" in self.surface:
+            raise ValidationError(f"token surface contains a newline: {self.surface!r}")
+        if self.begin < 0 or self.begin > self.end:
+            raise ValidationError(f"bad token offsets [{self.begin}, {self.end}]")
+        if self.end - self.begin + 1 != len(self.surface):
+            raise ValidationError(
+                f"token {self.surface!r} does not span [{self.begin}, {self.end}]"
+            )
+
+
+@dataclass
+class TaggedTokenSentence:
+    tokens: list[TaggedToken]
+    doc_id: str = "doc0"
+    sent_index: int = 0
+
+    def __post_init__(self):
+        if not self.tokens:
+            raise ValidationError("sentence must contain at least one token")
+        if self.sent_index < 0:
+            raise ValidationError("sent_index must be non-negative")
+        for prev, cur in zip(self.tokens, self.tokens[1:]):
+            if cur.begin <= prev.end:
+                raise ValidationError(
+                    f"token offsets not strictly increasing at {cur.surface!r}"
+                )
+        tagged = [t.tag is not None for t in self.tokens]
+        if any(tagged) and not all(tagged):
+            raise ValidationError("sentence is partially tagged")
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def is_tagged(self) -> bool:
+        return self.tokens[0].tag is not None
+
+    def surfaces(self) -> list[str]:
+        return [t.surface for t in self.tokens]
+
+    def tags(self) -> list[str]:
+        if not self.is_tagged:
+            raise ValidationError("sentence has no tags")
+        return [t.tag for t in self.tokens]  # type: ignore[misc]
+
+    def with_tags(self, tags: list[str]) -> "TaggedTokenSentence":
+        if len(tags) != len(self.tokens):
+            raise ValidationError("tag sequence length does not match sentence")
+        new = [TaggedToken(t.surface, t.begin, t.end, tag) for t, tag in zip(self.tokens, tags)]
+        return TaggedTokenSentence(new, self.doc_id, self.sent_index)
+
+
+def decode_chunks(
+    sentence: Sentence,
+    tag_sequence: list[str],
+    marginals: np.ndarray | None = None,
+    schema: LabelSchema | None = None,
+    confidence_mode: str = "min",
+) -> list[Chunk]:
+    """Maximal B-X (I-X)* runs become chunks (input must be valid IOB2).
+
+    `marginals` is the (N, num_tags) posterior matrix that `tag` returns,
+    with columns in `schema`'s tag order. A chunk's confidence aggregates
+    each token's probability of its assigned tag: the minimum by default (a
+    chunk is wrong if any token is), or the geometric mean. Without
+    marginals every confidence is 1.
+    """
+    if len(tag_sequence) != len(sentence):
+        raise ValidationError("tag sequence length does not match sentence")
+    violations = validate_iob(tag_sequence, "IOB2")
+    if violations:
+        idx, reason = violations[0]
+        raise ValidationError(f"invalid IOB2 sequence at index {idx}: {reason}")
+
+    probs: np.ndarray | None = None
+    if marginals is not None:
+        cols = [schema.tag_to_index[t] for t in tag_sequence]
+        probs = marginals[np.arange(len(tag_sequence)), cols]
+
+    chunks = []
+    for first, last, etype in iob_spans(tag_sequence):
+        if probs is None:
+            confidence = 1.0
+        elif confidence_mode == "min":
+            confidence = float(np.min(probs[first : last + 1]))
+        else:
+            confidence = float(np.exp(np.mean(np.log(np.maximum(probs[first : last + 1], 1e-300)))))
+        tokens = sentence.tokens[first : last + 1]
+        chunks.append(
+            Chunk(
+                entity_type=etype,
+                token_span=(first, last),
+                begin=tokens[0].begin,
+                end=tokens[-1].end,
+                surface=" ".join(t.surface for t in tokens),
+                confidence=min(confidence, 1.0),
+                sent_index=sentence.sent_index,
+            )
+        )
+    return chunks

@@ -132,7 +132,9 @@ def test_criterion_2_gradient_check():
 def _truncated(sentence, n):
     from medner.corpus import Sentence
 
-    return Sentence(sentence.tokens[:n], sentence.doc_id, sentence.sent_index)
+    return Sentence(
+        sentence.tokens[:n], sentence.doc_id, sentence.sent_index, sentence.tags()[:n]
+    )
 
 
 @criterion(3, "overfit: 10 sentences reach exact-match accuracy 1.0 <= 200 epochs")
@@ -211,7 +213,7 @@ def test_criterion_6_round_trips(tmp_path):
     total = 0
     for seq in valid_iob2_sequences(6, ["A", "B", "C"]):
         sent = make_sentence([f"w{i}" for i in range(len(seq))])
-        assert spans_to_iob([c.span for c in decode_chunks(sent, seq)], len(seq)) == seq
+        assert spans_to_iob([c.span for c in decode_chunks([sent], [seq])], len(seq)) == seq
         total += 1
     assert total > 10_000
 

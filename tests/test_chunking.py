@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_sentence, valid_iob2_sequences
 from medner.chunking import (
     Chunk,
@@ -25,11 +26,11 @@ def tag_marginals(probs, tags, schema):
 class TestDecode:
     def test_all_outside(self):
         sent = make_sentence(["a", "b"])
-        assert decode_chunks(sent, ["O", "O"]) == []
+        assert decode_chunks([sent], [["O", "O"]]) == []
 
     def test_basic_chunk(self):
         sent = make_sentence(["severe", "cough", "."])
-        (chunk,) = decode_chunks(sent, ["B-Symptom", "I-Symptom", "O"])
+        (chunk,) = decode_chunks([sent], [["B-Symptom", "I-Symptom", "O"]])
         assert chunk.entity_type == "Symptom"
         assert chunk.surface == "severe cough"
         assert chunk.token_span == (0, 1)
@@ -39,14 +40,15 @@ class TestDecode:
     def test_min_confidence_rule(self):
         sent = make_sentence(["severe", "cough"])
         tags = ["B-Symptom", "I-Symptom"]
-        (chunk,) = decode_chunks(sent, tags, tag_marginals([0.9, 0.8], tags, SYMPTOM), SYMPTOM)
+        marg = tag_marginals([0.9, 0.8], tags, SYMPTOM)
+        (chunk,) = decode_chunks([sent], [tags], [marg], SYMPTOM)
         assert chunk.confidence == pytest.approx(0.8)
 
     def test_geometric_mean_mode(self):
         sent = make_sentence(["severe", "cough"])
         tags = ["B-Symptom", "I-Symptom"]
         (chunk,) = decode_chunks(
-            sent, tags, tag_marginals([0.9, 0.4], tags, SYMPTOM), SYMPTOM,
+            [sent], [tags], [tag_marginals([0.9, 0.4], tags, SYMPTOM)], SYMPTOM,
             confidence_mode="geomean",
         )
         assert chunk.confidence == pytest.approx(np.sqrt(0.36))
@@ -55,13 +57,13 @@ class TestDecode:
         schema = LabelSchema(["X"])
         sent = make_sentence(["a", "b"])
         marg = np.array([[0.1, 0.7, 0.2], [0.2, 0.1, 0.7]])
-        (chunk,) = decode_chunks(sent, ["B-X", "I-X"], marg, schema)
+        (chunk,) = decode_chunks([sent], [["B-X", "I-X"]], [marg], schema)
         assert chunk.confidence == pytest.approx(0.7)
 
     def test_invalid_iob_rejected(self):
         sent = make_sentence(["a", "b"])
         with pytest.raises(ValidationError):
-            decode_chunks(sent, ["O", "I-X"])
+            decode_chunks([sent], [["O", "I-X"]])
 
     def test_confidence_monotone_in_marginals(self):
         sent = make_sentence(["a", "b", "c"])
@@ -70,12 +72,49 @@ class TestDecode:
         rng = np.random.default_rng(0)
         for _ in range(100):
             probs = rng.uniform(0.1, 0.9, size=3)
-            (before,) = decode_chunks(sent, tags, tag_marginals(probs, tags, schema), schema)
+            (before,) = decode_chunks([sent], [tags], [tag_marginals(probs, tags, schema)], schema)
             bumped = probs.copy()
             j = int(rng.integers(0, 2))
             bumped[j] = min(1.0, bumped[j] + rng.uniform(0, 0.1))
-            (after,) = decode_chunks(sent, tags, tag_marginals(bumped, tags, schema), schema)
+            (after,) = decode_chunks([sent], [tags], [tag_marginals(bumped, tags, schema)], schema)
             assert after.confidence >= before.confidence - 1e-12
+
+
+class TestDecodeOracle:
+    """One decode_chunks call over many sentences against the per-sentence
+    decoder in oracles.py."""
+
+    SCHEMA = LabelSchema(["A", "B", "C"])
+
+    @pytest.mark.parametrize("mode", [None, "min", "geomean"])
+    def test_same_chunks_exhaustive(self, mode):
+        # every valid IOB2 sequence of length <= 5 over 3 types, one sentence
+        # each; mode None decodes without marginals
+        seqs = list(valid_iob2_sequences(5, ["A", "B", "C"]))
+        sents = [make_sentence([f"w{i}" for i in range(len(seq))], idx=k % 3)
+                 for k, seq in enumerate(seqs)]
+        rng = np.random.default_rng(26)
+        margs = [rng.uniform(size=(len(seq), self.SCHEMA.num_tags)) for seq in seqs]
+        if mode is None:
+            ours = decode_chunks(sents, seqs)
+            theirs = [c for s, seq in zip(sents, seqs) for c in oracles.decode_chunks(s, seq)]
+        else:
+            ours = decode_chunks(sents, seqs, margs, self.SCHEMA, confidence_mode=mode)
+            theirs = [c for s, seq, m in zip(sents, seqs, margs)
+                      for c in oracles.decode_chunks(s, seq, m, self.SCHEMA, mode)]
+        assert len(ours) > 5_000
+        assert ours == theirs
+
+    def test_inside_tag_opening_a_sentence_is_rejected(self):
+        # an I-X that opens sentence k+1 right after an X chunk ends sentence
+        # k starts no chunk of its own and never extends that one
+        sents = [make_sentence(["a", "b"], idx=0), make_sentence(["c", "d"], idx=1)]
+        seqs = [["O", "B-A"], ["I-A", "O"]]
+        with pytest.raises(ValidationError) as ours:
+            decode_chunks(sents, seqs)
+        with pytest.raises(ValidationError) as theirs:
+            oracles.decode_chunks(sents[1], seqs[1])
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestChunksToTags:
@@ -103,7 +142,7 @@ class TestChunksToTags:
         lengths = set()
         for seq in valid_iob2_sequences(6, ["A", "B", "C"]):
             sent = make_sentence([f"w{i}" for i in range(len(seq))])
-            chunks = decode_chunks(sent, seq)
+            chunks = decode_chunks([sent], [seq])
             assert spans_to_iob([c.span for c in chunks], len(seq)) == seq
             lengths.add(len(seq))
         assert lengths == {1, 2, 3, 4, 5, 6}
@@ -129,6 +168,12 @@ class TestRecords:
             assert back.surface == orig.surface
             assert back.sent_index == orig.sent_index
             assert back.token_span is None
+
+    def test_zero_confidence(self):
+        # confidence 0 is in range, and so is 0.001, which is written as 0.00
+        assert Chunk("X", (0, 0), 0, 0, "a", 0.0).confidence == 0.0
+        (back,) = parse_chunk_records(write_chunk_records([Chunk("X", (0, 0), 0, 0, "a", 0.001)]))
+        assert back.confidence == 0.0
 
     def test_bad_record(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -14,6 +14,7 @@ from medner.corpus import (
     TSV2,
     Corpus,
     LabelSchema,
+    Sentence,
     Token,
     build_vocab,
     convert_scheme,
@@ -228,7 +229,7 @@ class TestParseConll:
         corpus = parse_conll("fever\tB-Symptom\n\ncough\tB-Symptom\n", TSV2)
         assert len(corpus) == 2
         assert [len(s) for s in corpus.sentences] == [1, 1]
-        assert corpus.sentences[0].tokens[0].tag == "B-Symptom"
+        assert corpus.sentences[0].tags()[0] == "B-Symptom"
 
     def test_empty(self):
         corpus = parse_conll("", TSV2)
@@ -402,23 +403,96 @@ class TestVocabulary:
         assert again.char_to_index == vocab.char_to_index
 
 
+FAULTS = [None, "no_tokens", "sent_index", "empty", "newline", "negative", "reversed",
+          "span", "overlap"]
+
+
+@st.composite
+def sentence_args(draw):
+    """(surface, begin, end) triples laid out left to right with gaps, with
+    at most one fault, a sentence index, and tags (one per token or None)."""
+    words = draw(st.lists(st.text("ab-", min_size=1, max_size=3), min_size=1, max_size=6))
+    triples, pos = [], draw(st.integers(0, 3))
+    for w in words:
+        triples.append([w, pos, pos + len(w) - 1])
+        pos += len(w) + draw(st.integers(1, 3))
+    index = draw(st.integers(0, 3))
+    fault = draw(st.sampled_from(FAULTS))
+    i = draw(st.integers(0, len(triples) - 1))
+    t = triples[i]
+    if fault == "no_tokens":
+        triples = []
+    elif fault == "sent_index":
+        index = -1 - index
+    elif fault == "empty":
+        t[0] = ""
+    elif fault == "newline":
+        t[0] = t[0][:-1] + draw(st.sampled_from(["\n", "\r"]))
+    elif fault == "negative":
+        t[1] = -1 - t[1]
+    elif fault == "reversed":
+        t[1] = t[2] + 1
+    elif fault == "span":
+        t[2] += draw(st.sampled_from([-1, 1])) if t[1] < t[2] else 1
+    elif fault == "overlap" and i > 0:
+        shift = t[1] - draw(st.integers(0, triples[i - 1][2]))
+        t[1], t[2] = t[1] - shift, t[2] - shift
+    n = len(triples)
+    tag_list = st.lists(st.sampled_from(["O", "B-X", "I-X"]), min_size=n, max_size=n)
+    tags = draw(st.none() | tag_list)
+    retag = draw(st.lists(st.sampled_from(["O", "B-X"]), min_size=max(n - 1, 0), max_size=n + 1))
+    return [tuple(t) for t in triples], index, tags, retag
+
+
+def _fields(make):
+    """A sentence's tokens, ids and tags, or the type and message of the
+    error that building it raised."""
+    try:
+        sent = make()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    tags = sent.tags() if sent.is_tagged else None
+    return ([(t.surface, t.begin, t.end) for t in sent.tokens], sent.doc_id,
+            sent.sent_index, len(sent), sent.surfaces(), tags)
+
+
 class TestTokenInvariants:
+    """A Sentence checks the tokens it holds."""
+
     def test_surface_span_agreement(self):
         with pytest.raises(ValidationError):
-            Token("ab", 0, 5)
+            Sentence([Token("ab", 0, 5)])
 
     def test_no_newline(self):
         with pytest.raises(ValidationError):
-            Token("a\nb", 0, 2)
+            Sentence([Token("a\nb", 0, 2)])
 
     def test_partial_tags_rejected(self):
-        from medner.corpus import Sentence
-
-        with pytest.raises(ValidationError):
-            Sentence([Token("a", 0, 0, "O"), Token("b", 2, 3, None)])
+        # one tag per token or none: a partly tagged sentence is a tag count
+        with pytest.raises(ValidationError, match="tag sequence length"):
+            Sentence([Token("a", 0, 0), Token("b", 2, 2)], labels=["O"])
 
     def test_offsets_strictly_increasing(self):
         from medner.corpus import Sentence
 
         with pytest.raises(ValidationError):
             Sentence([Token("ab", 0, 1), Token("cd", 1, 2)])
+
+    @given(sentence_args())
+    @settings(max_examples=150)
+    def test_same_sentence_or_error_as_tagged_tokens(self, args):
+        triples, index, tags, retag = args
+
+        def ours():
+            return Sentence([Token(*t) for t in triples], "docK", index, tags)
+
+        def theirs():
+            tokens = [oracles.TaggedToken(*t, tags[i] if tags else None)
+                      for i, t in enumerate(triples)]
+            return oracles.TaggedTokenSentence(tokens, "docK", index)
+
+        built = _fields(ours)
+        assert built == _fields(theirs)
+        if isinstance(built[0], list):  # both built it: retagging agrees too
+            assert _fields(lambda: ours().with_tags(retag)) == _fields(
+                lambda: theirs().with_tags(retag))

@@ -76,6 +76,9 @@ class TestApplyPolicy:
         chunks = [chunk("Name", 0, 3), chunk("Date", 2, 5)]
         with pytest.raises(ValidationError, match="overlap"):
             apply_policy(text, chunks, DeidPolicy())
+        # two chunks that share a single offset overlap too
+        with pytest.raises(ValidationError, match="protected chunks overlap"):
+            apply_policy(text, [chunk("Name", 0, 3), chunk("Date", 3, 5)], DeidPolicy())
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValidationError, match="outside"):

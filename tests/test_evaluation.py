@@ -180,6 +180,16 @@ class TestTagReport:
         assert report["I-X"].precision == 0.0
         assert report["I-X"].recall == 0.0
 
+    def test_exact_counts(self):
+        # a right tag, a wrong entity tag, an entity tag where gold has O and
+        # an O where gold has an entity tag
+        gold = ["B-X", "I-X", "O", "B-Y", "B-X"]
+        pred = ["B-X", "B-Y", "B-X", "B-Y", "O"]
+        report = tag_report(gold, pred)
+        assert {t: (c.tp, c.fp, c.fn) for t, c in report.items()} == {
+            "B-X": (1, 1, 1), "I-X": (0, 0, 1), "B-Y": (1, 1, 0),
+        }
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             tag_report(["O"], ["O", "O"])

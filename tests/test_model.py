@@ -469,7 +469,11 @@ class TestBatchedTag:
             assert len(result) == len(sentences)
             return peak - held
 
-        small, large = working_peak(document[:200]), working_peak(document)
+        # `tag` holds two buckets at once only while the caller and the worker
+        # overlap: the small side takes 4 of the document's 17 buckets and its
+        # largest of three calls, so that it too measures two in flight
+        small = max(working_peak(document[:400]) for _ in range(3))
+        large = working_peak(document)
         assert large <= 1.5 * small, (small, large)
 
 
