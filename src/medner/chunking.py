@@ -117,7 +117,7 @@ def write_chunk_records(chunks: list[Chunk]) -> str:
 
 def parse_chunk_records(text: str) -> list[Chunk]:
     chunks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -34,7 +34,9 @@ from .corpus import (
     LabelSchema,
     Sentence,
     build_vocab,
+    key_values,
     parse_conll,
+    read_text,
     sentence_split,
     split_corpus,
     tokenize,
@@ -62,16 +64,6 @@ EXIT_VALIDATION = 4
 EXIT_NUMERIC = 5
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-
-def read_text(path: str) -> str:
-    """A file's UTF-8 text, newlines translated as Path.read_text does; bytes
-    that are not UTF-8 raise ParseError with the path and byte offset."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class UsageError(ValidationError):
@@ -148,14 +140,8 @@ def _out_dir(path: str) -> Path:
 
 
 def _read_abbreviations(path: str | None) -> frozenset[str]:
-    if not path:
-        return DEFAULT_ABBREVIATIONS
-    extra = {
-        line.strip()
-        for line in read_text(path).splitlines()
-        if line.strip()
-    }
-    return DEFAULT_ABBREVIATIONS | extra
+    extra = {line.strip() for line in read_text(path).split("\n")} if path else set()
+    return DEFAULT_ABBREVIATIONS | extra - {""}
 
 
 def ingest_raw_text(
@@ -234,17 +220,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _read_grid_file(path: str) -> dict[str, list]:
     options = _options_by_dest("train")
     grid: dict[str, list] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected key = v1,v2,...", line=lineno)
-        key, values = (p.strip() for p in line.split("=", 1))
+    for lineno, key, values in key_values(read_text(path), "key = v1,v2,..."):
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"unknown hyperparameter {key!r}", line=lineno)
         grid[key] = [_file_value(key, options[key], v.strip(), lineno)
                      for v in values.split(",") if v.strip()]
+        if not grid[key]:
+            raise ParseError(f"no values for {key!r}", line=lineno)
     if not grid:
         raise ParseError("grid file lists no hyperparameters")
     return grid
@@ -367,9 +349,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         raise ValidationError(
             "chunk-records carry no token information and cannot be a source format"
         )
-    corpus = parse_conll(
-        read_text(args.input), FORMATS[args.from_format], input_scheme=args.from_scheme
-    )
+    corpus = _load_corpus(args.input, args.from_format, args.from_scheme, None)
     out_path = Path(args.out)
     if args.to_format == "chunk-records":
         chunks = chunking.decode_chunks(corpus.sentences, [s.tags() for s in corpus.sentences])
@@ -463,13 +443,7 @@ def _config_defaults(command: str, path: str) -> dict:
     key that is no subcommand's option name raises ParseError with its line."""
     options = _options_by_dest(command)
     defaults = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected key=value", line=lineno)
-        key, value = (p.strip() for p in line.split("=", 1))
+    for lineno, key, value in key_values(read_text(path), "key=value"):
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}: no subcommand has this option", line=lineno)
         if key in options:

@@ -1,5 +1,6 @@
-"""Corpus ingestion: sentence splitting, tokenization, CoNLL parsing, IOB
-tag handling, vocabularies, and deterministic data splits.
+"""Corpus ingestion: the reader of every input file but the model container
+and the `key = value` grammar, sentence splitting, tokenization, CoNLL
+parsing, IOB tag handling, vocabularies, and deterministic data splits.
 
 Raw text is cut into sentences after every newline, and after '.', '!' or
 '?' when spaces or tabs and then an upper-case letter or digit follow,
@@ -22,7 +23,9 @@ import logging
 import re
 import string
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +57,31 @@ DEFAULT_ABBREVIATIONS = frozenset(
 _SENTENCE_END = re.compile(r"\n|(?<!\S)\S*[.!?](?=[ \t]+([^ \t]))")
 _PUNCT = re.escape(string.punctuation)
 _TOKEN = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
+
+
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text with '\\r\\n' and '\\r' read as '\\n', the one
+    character at which every reader ends a line; bytes that are not UTF-8
+    raise ParseError with the path and byte offset."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    # the guard spares the copy of the text that replacing "\r\n" makes
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def key_values(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
+    """The (line number, key, value) of each `key = value` line, stripped; '#'
+    starts a comment, and a line without '=' is ParseError("expected ...")."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ParseError(f"expected {expected}", line=lineno)
+        yield lineno, key.strip(), value.strip()
 
 
 def _check_scheme(scheme: str) -> None:
@@ -190,7 +218,7 @@ class LabelSchema:
         optional `scheme: IOB2` line. Tags are IOB2 internally, so IOB1
         input files are read with --scheme IOB1, not declared here."""
         types: list[str] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -414,7 +442,7 @@ def parse_conll(
     rows: list[tuple[str, str, int]] = []  # the current sentence's token lines
     doc_index = index = 0
     # the trailing "" ends the last sentence
-    for lineno, line in enumerate([*text.splitlines(), ""], start=1):
+    for lineno, line in enumerate([*text.split("\n"), ""], start=1):
         marker = line.lstrip().startswith("-DOCSTART-")
         if line.strip() and not marker:
             rows.append(_token_row(line, lineno, column_spec))

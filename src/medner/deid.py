@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chunking import Chunk
+from .corpus import key_values, read_text
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -91,13 +92,7 @@ def parse_policy_file(text: str, base_dir: str | Path | None = None) -> DeidPoli
     modes: dict[str, str] = {}
     dictionaries: dict[str, list[str]] = {}
     seed = 42
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected 'type = mode'", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in key_values(text, "'type = mode'"):
         if key.casefold() == "seed":
             try:
                 seed = int(value)
@@ -121,21 +116,13 @@ def parse_policy_file(text: str, base_dir: str | Path | None = None) -> DeidPoli
 
 def _read_dictionary(spec: str, base_dir: str | Path | None, lineno: int) -> list[str]:
     if "," in spec:
-        values = [v.strip() for v in spec.split(",") if v.strip()]
+        pieces = spec.split(",")
     else:
-        path = Path(spec)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
         try:
-            lines = path.read_bytes().decode("utf-8").splitlines()
-        except OSError as exc:
+            pieces = read_text(Path(base_dir or "", spec)).split("\n")
+        except (OSError, ParseError) as exc:
             raise ParseError(f"cannot read dictionary {spec!r}: {exc}", line=lineno)
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"dictionary {spec!r} is not UTF-8 text: {exc.reason} at byte {exc.start}",
-                line=lineno,
-            ) from None
-        values = [v.strip() for v in lines if v.strip()]
+    values = [v for v in map(str.strip, pieces) if v]
     if not values:
         raise ParseError("substitution dictionary is empty", line=lineno)
     return values

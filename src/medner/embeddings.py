@@ -12,12 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import read_text
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
 
 OOV_POLICIES = ("zero", "unk_row", "lowercase_then_unk")
 UNK_WORD = "<unk>"
+# loadtxt skips these around a value as whitespace, and float() does not; a
+# table's rows are searched for them only when its text holds one
+_LOADTXT_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -86,21 +90,17 @@ def load_embeddings(
     checks the table. Only when one of these fails are the lines walked in
     order, to name the first faulty one.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
-        )
-    first = lines[0].split() if lines else []
+    text = read_text(path)
+    spaces = [c for c in _LOADTXT_SPACES if c in text]
+    lines = text.split("\n")
+    del text  # held while loadtxt runs, it slows the parse
+    first = lines[0].split()
     start = 1 if len(first) == 2 and all(_is_int(p) for p in first) else 0
     rows = [row for row in (line.rstrip() for line in lines[start:]) if row]
     if not rows:
         raise ParseError("embedding file contains no vector rows")
-    # loadtxt skips \x1f around a value as whitespace; float() does not
-    fast = not any(r.count(" ") != expected_dimension or "\x1f" in r.partition(" ")[2]
-                   for r in rows)
+    fast = not any(r.count(" ") != expected_dimension
+                   or spaces and any(c in r.partition(" ")[2] for c in spaces) for r in rows)
     try:
         matrix = _parse_values(rows, expected_dimension) if fast else None
     except ValueError:
@@ -143,7 +143,8 @@ def _check_row(row: str, lineno: int, dimension: int) -> None:
     if found != dimension:
         raise ParseError(f"expected {dimension} values for {word!r}, found {found}", lineno)
     try:
-        values = None if "\x1f" in tail else _parse_values([row], dimension)
+        skipped = any(c in tail for c in _LOADTXT_SPACES)
+        values = None if skipped else _parse_values([row], dimension)
     except ValueError:
         values = None
     if values is None:

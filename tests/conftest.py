@@ -31,6 +31,9 @@ SYMPTOM_WORDS = [
 ]
 SYMPTOM_PAIRS = [("chest", "pain"), ("sore", "throat"), ("short", "breath"), ("joint", "ache")]
 UNITS = ["mg", "ml", "mcg"]
+# the characters besides '\n' and '\r' at which str.splitlines() ends a
+# line; no reader ends one there, so each reads as part of its line
+SPLITLINES_ONLY = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
 
 def make_sentence(words: list[str], tags: list[str] | None = None,

@@ -424,7 +424,7 @@ def parse_conll(
         doc_has_content = True
         pending = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\n")
         if not line.strip():
             flush()

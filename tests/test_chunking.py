@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_sentence, valid_iob2_sequences
+from conftest import SPLITLINES_ONLY, make_sentence, valid_iob2_sequences
 from medner.chunking import (
     Chunk,
     decode_chunks,
@@ -154,6 +154,11 @@ class TestRecords:
         text = write_chunk_records([chunk])
         line = text.splitlines()[1]
         assert line == "0\t2\t12\t36 years old\tRelative Date\t1.00"
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_surface_holds_a_splitlines_break(self, char):
+        (back,) = parse_chunk_records(f"# header\n0\t4\t6\ta{char}b\tName\t0.50\n")
+        assert (back.surface, back.begin, back.end, back.confidence) == (f"a{char}b", 4, 6, 0.5)
 
     def test_roundtrip(self):
         chunks = [

@@ -6,7 +6,15 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import FILLERS, make_sentence, rule_corpus, rule_lexicon, toy_table, write_embeddings
+from conftest import (
+    FILLERS,
+    SPLITLINES_ONLY,
+    make_sentence,
+    rule_corpus,
+    rule_lexicon,
+    toy_table,
+    write_embeddings,
+)
 from medner.chunking import Chunk, write_chunk_records
 from medner import cli
 from medner.cli import main, read_text
@@ -649,6 +657,46 @@ class TestUnreadableInputs:
         assert read_text(str(path)) == path.read_text(encoding="utf-8")
 
 
+class TestLineRule:
+    """Config, grid and abbreviation files end a line at '\\n' alone, and a
+    token holding another splitlines() break goes from tsv2 through chunk
+    records to de-identification."""
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_config_value(self, tmp_path, char):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"out_dir = o{char}ut\nmax_epochs = 3\n", encoding="utf-8")
+        assert cli._config_defaults("train", str(cfg)) == {"out_dir": f"o{char}ut",
+                                                            "max_epochs": 3}
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_grid_values(self, tmp_path, char):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"learning_rate = 0.1,{char}0.2\nbatch_size = 2\n", encoding="utf-8")
+        assert cli._read_grid_file(str(grid)) == {"learning_rate": [0.1, 0.2],
+                                                  "batch_size": [2]}
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_abbreviation(self, tmp_path, char):
+        path = tmp_path / "abbreviations.txt"
+        path.write_text(f"Pt{char}x.\n\nApprox.\n", encoding="utf-8")
+        extra = cli._read_abbreviations(str(path)) - cli.DEFAULT_ABBREVIATIONS
+        assert extra == {f"Pt{char}x.", "Approx."}
+
+    def test_token_from_tsv2_to_deidentified_text(self, tmp_path):
+        src = tmp_path / "src.tsv"
+        src.write_text("Seen\tO\nby\tO\nAl\u2028ex\tB-Name\ntoday\tO\n", encoding="utf-8")
+        chunks = tmp_path / "chunks.tsv"
+        assert main(["convert", "--input", str(src), "--from", "tsv2",
+                     "--to", "chunk-records", "--out", str(chunks)]) == 0
+        note = tmp_path / "note.txt"
+        note.write_text("Seen by Al\u2028ex today\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["deidentify", "--input", str(note), "--chunks", str(chunks),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "deidentified.txt").read_text(encoding="utf-8") == "Seen by <NAME> today\n"
+
+
 class TestBadValues:
     def test_config_value_is_parse_error(self, workdir, caplog):
         tmp_path, _, train_file, emb_file = workdir
@@ -710,6 +758,18 @@ class TestBadValues:
         code, _ = run_train(tmp_path, train_file, emb_file, extra=("--grid", str(grid)))
         assert code == 3
         assert "line 2" in caplog.text and "'x'" in caplog.text
+
+    # read while the grid file is, so before the corpora and embeddings
+    @pytest.mark.parametrize("line", ["learning_rate =", "batch_size = ,", "lstm_size=, ,"])
+    def test_grid_key_without_values_is_parse_error(self, workdir, caplog, line):
+        tmp_path, _, train_file, _ = workdir
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"dropout = 0.0\n{line}\n", encoding="utf-8")
+        code, out = run_train(tmp_path, train_file, tmp_path / "missing.txt",
+                              extra=("--grid", str(grid)))
+        assert code == 3
+        assert f"line 2: no values for {line.split('=')[0].strip()!r}" in caplog.text
+        assert not out.exists()
 
     def test_grid_value_outside_choices_exits_2(self, workdir, caplog, monkeypatch):
         tmp_path, _, train_file, emb_file = workdir

@@ -19,7 +19,9 @@ from medner.corpus import (
     build_vocab,
     convert_scheme,
     iob_spans,
+    key_values,
     parse_conll,
+    read_text,
     sentence_split,
     split_corpus,
     tokenize,
@@ -29,7 +31,7 @@ from medner.corpus import (
 from medner.errors import MednerError, ParseError, SchemaError, ValidationError
 
 import oracles
-from conftest import make_sentence, rule_corpus, valid_iob2_sequences
+from conftest import SPLITLINES_ONLY, make_sentence, rule_corpus, valid_iob2_sequences
 from test_fuzz import CONLL, ROWS, render
 
 # Raw text from the edges of the sentence and token rules: words that end
@@ -155,6 +157,41 @@ class TestIngestOracles:
     def test_regex_whitespace_is_str_isspace(self):
         text = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF)
         assert [m.group() for m in re.finditer(r"\s", text)] == SPACES
+
+
+class TestLineRule:
+    """read_text reads '\\r\\n' and '\\r' as '\\n', and every reader splits
+    its text at '\\n' alone."""
+
+    def test_splitlines_only_lists_every_other_break(self):
+        breaks = [c for c in map(chr, range(sys.maxunicode + 1)) if c.splitlines() == [""]]
+        assert sorted(breaks) == sorted(["\n", "\r", *SPLITLINES_ONLY])
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_read_text_keeps_the_character(self, tmp_path, char):
+        path = tmp_path / "text.txt"
+        path.write_bytes(f"a{char}b\r\nc\rd".encode("utf-8"))
+        assert read_text(path) == f"a{char}b\nc\nd"
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_tsv2_token(self, char):
+        corpus = parse_conll(f"a{char}b\tB-Name\nc\tO\n", TSV2)
+        assert [s.surfaces() for s in corpus.sentences] == [[f"a{char}b", "c"]]
+        assert corpus.sentences[0].tags() == ["B-Name", "O"]
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_schema_entity_type(self, char):
+        schema = LabelSchema.from_text(f"Sym{char}ptom\nName\n")
+        assert schema.entity_types == [f"Sym{char}ptom", "Name"]
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_key_value(self, char):
+        text = f"# note{char}x = y\na = b{char}c # d\n\nkey=\n"
+        assert list(key_values(text, "k = v")) == [(2, "a", f"b{char}c"), (4, "key", "")]
+
+    def test_key_value_without_equals(self):
+        with pytest.raises(ParseError, match="line 2: expected k = v"):
+            list(key_values("a = 1\nb\n", "k = v"))
 
 
 class TestIobValidation:

@@ -10,6 +10,7 @@ from medner.deid import (
     parse_policy_file,
     placeholder,
 )
+from conftest import SPLITLINES_ONLY
 from medner.errors import ParseError, ValidationError
 from oracles import reverse
 
@@ -174,6 +175,18 @@ class TestPolicyFile:
         (tmp_path / "names.txt").write_text("Pat\nSam\n\nAlex\n", encoding="utf-8")
         policy = parse_policy_file("Name = substitute names.txt\n", base_dir=tmp_path)
         assert policy.dictionaries["name"] == ["Pat", "Sam", "Alex"]
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_inline_value_holds_a_splitlines_break(self, char):
+        policy = parse_policy_file(f"Name = substitute Al{char}ex, Sam\nDate = mask\n")
+        assert policy.dictionaries["name"] == [f"Al{char}ex", "Sam"]
+        assert policy.mode_for("date") == "mask"
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_dictionary_value_holds_a_splitlines_break(self, tmp_path, char):
+        (tmp_path / "names.txt").write_text(f"Al{char}ex\r\nSam\n", encoding="utf-8")
+        policy = parse_policy_file("Name = substitute names.txt\n", base_dir=tmp_path)
+        assert policy.dictionaries["name"] == [f"Al{char}ex", "Sam"]
 
     def test_missing_dictionary_path(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_embeddings
+from conftest import SPLITLINES_ONLY, write_embeddings
 from medner.cli import main
 from medner.embeddings import UNK_WORD, EmbeddingTable, _is_int, load_embeddings
 from medner.errors import MednerError, ParseError
@@ -31,7 +31,7 @@ def oracle_load_embeddings(path, expected_dimension, oov_policy="lowercase_then_
             f"embedding file is not UTF-8 text: {exc.reason} at byte {exc.start}"
         )
     words, rows, seen = [], [], set()
-    lines = text.splitlines()
+    lines = text.split("\n")
     start = 0
     if lines:
         first = lines[0].split()
@@ -125,6 +125,11 @@ class TestLoad:
         float(value)
         with pytest.raises(ParseError, match="line 2: non-numeric"):
             load_text(f"a 1.0\nb {value}\nc 2.0", 1)
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_word_holds_a_splitlines_break(self, char):
+        table = load_text(f"a{char}b 1.0\nc 2.0", 1)
+        assert table.words == [f"a{char}b", "c"]
 
     def test_from_path(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -270,7 +275,7 @@ def assert_matches_oracle(path, text, dim):
     assert want[0] == "table" or (want[1] is not None and want[1] > line), (text, got, want)
     with pytest.raises(ParseError, match=f"line {line}: non-numeric"):
         load_embeddings(str(path), dim)
-    values = text.splitlines()[line - 1].rstrip().split(" ")[1:]
+    values = path.read_text(encoding="utf-8").split("\n")[line - 1].rstrip().split(" ")[1:]
     assert any(float_only(v) for v in values), (text, got, want)
 
 
@@ -304,6 +309,9 @@ FIXED_CASES = [
     ("a 0x1p3", 1),
     ("a 1 2\na 3 x", 2),
     ("a\u00851.0 2.0", 2),
+    ("a\u2028b 1.0\nc 2.0", 1),
+    ("a \x1c1.0", 1),
+    ("a 1.0\x1e 2.0", 2),
     # a fault the value counts show (a wrong count, a \x1f) on a line before
     # one only the parsed values show (not a number, not finite)
     ("a 1.0\nb x 2.0", 2),
