@@ -106,22 +106,24 @@ def _gates(z: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def lstm_batch(
-    u: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, out: np.ndarray,
+    u_t: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, out: np.ndarray,
     reverse: bool = False,
 ) -> np.ndarray:
     """The LSTM recurrence over a batch of rows, into out (B, N, S).
 
-    zx holds the input projections `x @ w.T + b` of distinct inputs, and tok
-    (B, N) picks the input at each position of each row, of which the first
-    lens[r] are real; with `reverse`, row r is read from its position
-    lens[r] - 1 back to 0. Rows are sorted by length, longest first, so step
+    u_t is the recurrent matrix transposed, (S, 4S). Callers pass one
+    contiguous copy for many calls: BLAS would repack a transposed view in
+    every step's product, and at one row a view's bits differ from the
+    copy's. zx holds the input projections `x @ w.T + b` of distinct inputs,
+    and tok (B, N) picks the input at each position of each row, of which
+    the first lens[r] are real; with `reverse`, row r is read from its
+    position lens[r] - 1 back to 0. Rows are sorted by length, longest first, so step
     t updates the active prefix of rows (lens > t) and padding never enters
     a state. Each hidden state is written at its token's position; out past
     a row's length is left as it is. Only the current states are kept:
     lstm_batch_backward recomputes the gates and cells from out.
     """
-    s = u.shape[1]
-    u_t = np.ascontiguousarray(u.T)  # BLAS would repack a transposed view per product
+    s = u_t.shape[0]
     affine = _gate_affine(s)
     rows = np.arange(len(lens))
     h = np.zeros((len(lens), s))
@@ -211,33 +213,18 @@ def _reverse_index(lens: np.ndarray, n: int) -> np.ndarray:
 
 
 def bilstm_batch(
-    fwd_u: np.ndarray, bwd_u: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
+    fwd_u_t: np.ndarray, bwd_u_t: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
     tok: np.ndarray, lens: np.ndarray,
 ) -> np.ndarray:
     """Forward and reversed-input hidden states per position of a
-    length-sorted batch (see lstm_batch), (B, N, 2S); zero past each row's
-    length."""
-    s = fwd_u.shape[1]
+    length-sorted batch (see lstm_batch; fwd_u_t and bwd_u_t are the
+    directions' transposed recurrent matrices), (B, N, 2S); zero past each
+    row's length."""
+    s = fwd_u_t.shape[0]
     h = np.zeros(tok.shape + (2 * s,))
-    lstm_batch(fwd_u, zx_fwd, tok, lens, h[:, :, :s])
-    lstm_batch(bwd_u, zx_bwd, tok, lens, h[:, :, s:], reverse=True)
+    lstm_batch(fwd_u_t, zx_fwd, tok, lens, h[:, :, :s])
+    lstm_batch(bwd_u_t, zx_bwd, tok, lens, h[:, :, s:], reverse=True)
     return h
-
-
-def bilstm_batch_backward(
-    fwd_u: np.ndarray, bwd_u: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
-    tok: np.ndarray, lens: np.ndarray, h: np.ndarray, d_h: np.ndarray,
-    d_fwd_u: np.ndarray, d_bwd_u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate bilstm_batch, given its output h: d(zx_fwd) and
-    d(zx_bwd) at each token position, (B, N, 4S) each; accumulates d(fwd_u)
-    and d(bwd_u)."""
-    s = fwd_u.shape[1]
-    return (
-        lstm_batch_backward(fwd_u, zx_fwd, tok, lens, h[:, :, :s], d_h[:, :, :s], d_fwd_u),
-        lstm_batch_backward(bwd_u, zx_bwd, tok, lens, h[:, :, s:], d_h[:, :, s:], d_bwd_u,
-                            reverse=True),
-    )
 
 
 # ---------------------------------------------------------------------------

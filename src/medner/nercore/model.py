@@ -21,6 +21,13 @@ has no separate evaluation mode: it applies model.config's dropout, and a
 model whose dropout is 0 trains without. The tests compare both against a
 per-sentence oracle of the network (tests/oracles.py).
 
+Both run on two threads, the caller's and the lane's one worker (lane.py):
+`tag` shares its buckets between them, and training runs the reversed LSTM
+direction's forward and backward passes on the worker beside the forward
+direction's. Each thread writes only what its bucket or direction owns and
+every element sees the operations of one thread in the same order, so the
+results are bitwise those of one thread.
+
 A masked model (config.use_transition_mask) holds crf.MASK_SCORE in every
 transition its schema forbids from init_model on, and training reads
 model.transitions as they are. Nothing moves those entries:
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,16 +49,17 @@ from ..chunking import CONFIDENCE_MODES
 from ..corpus import LabelSchema, Sentence, Vocabulary, validate_iob
 from ..embeddings import OOV_POLICIES, EmbeddingTable
 from ..errors import NumericError, ValidationError
-from . import crf
+from . import crf, lane
 from .layers import (
     LstmParams,
     bilstm_batch,
-    bilstm_batch_backward,
     char_cnn_batch,
     char_cnn_batch_backward,
     dropout_mask,
     emission_backward,
     emission_scores,
+    lstm_batch,
+    lstm_batch_backward,
 )
 
 DROP_INPUT = 0
@@ -317,30 +324,34 @@ def batch_nll_and_grads(
 ) -> tuple[float, Gradients]:
     """Summed CRF loss of the batch and its exact gradients, through the
     network `tag` runs, with model.config's dropout (none at 0). The
-    gradients accumulate into `grads` when given (training reuses one buffer
-    and zeroes it before each step), else into a fresh zeroed buffer; the
-    masked transitions' entries are set to zero.
+    gradients accumulate into `grads` when given (training reuses one
+    buffer, which adam_step leaves zeroed), else into a fresh zeroed buffer;
+    the masked transitions' entries are set to zero.
 
     The word features run once per distinct surface. Over buckets of
     length-sorted sentences of at most BATCH_TOKENS padded positions, each
     token's features take the input dropout and their own LSTM input
     projection; the BiLSTM, hidden dropout, emissions and CRF loss follow,
-    and their backward passes accumulate into the gradients. The char-CNN's
-    backward pass runs once per distinct surface at the end. A dropout mask
-    has its sentence's own shape and is keyed by (seed, step, the sentence's
-    position in `batch`, layer), so the loss is the sum of the sentences'
-    losses whatever the bucket layout.
+    and their backward passes accumulate into the gradients. The reversed
+    LSTM direction's chain, from its input projection to its share of
+    d(input), runs on the lane's worker. The char-CNN's backward pass runs
+    once per distinct surface at the end. A dropout mask has its sentence's
+    own shape and is keyed by (seed, step, the sentence's position in
+    `batch`, layer), so the loss is the sum of the sentences' losses
+    whatever the bucket layout.
     """
     cfg = model.config
     if grads is None:
         grads = model.zero_grads()
-    fwd, bwd = model.lstm_fwd, model.lstm_bwd
     gold = [gold_path(model, sent) for sent in batch]
     words, ids = _surface_ids([sent.surfaces() for sent in batch])
     feats, windows = _word_features(model, words)
     d_feats = np.zeros_like(feats)
     rate = cfg.dropout
     lens = np.array([len(i) for i in ids], dtype=np.intp)
+    s = cfg.lstm_size
+    fwd = _Direction(model.lstm_fwd, grads, "lstm_fwd", reverse=False)
+    bwd = _Direction(model.lstm_bwd, grads, "lstm_bwd", reverse=True)
     total = 0.0
     for rows in _buckets(lens):
         blens = lens[rows]
@@ -351,8 +362,12 @@ def batch_nll_and_grads(
             x *= drop_in
         x = x.reshape(-1, x.shape[2])
         pos = np.arange(len(x)).reshape(tok.shape)  # each token reads its own projection
-        zx_fwd, zx_bwd = x @ fwd.w.T + fwd.b, x @ bwd.w.T + bwd.b
-        h = bilstm_batch(fwd.u, bwd.u, zx_fwd, zx_bwd, pos, blens)
+        # the reversed direction's chain runs on the lane's worker, each
+        # direction writing only its half of h and its own gradients
+        h = np.zeros(tok.shape + (2 * s,))
+        with lane.ahead(bwd.forward, x, pos, blens, h[:, :, s:]) as job:
+            fwd.forward(x, pos, blens, h[:, :, :s])
+            job.result()
         h_out = h
         if rate:
             drop_h = _dropout(cfg, step, rows, blens, h.shape[2], DROP_HIDDEN)
@@ -366,15 +381,9 @@ def batch_nll_and_grads(
         d_h = emission_backward(model.w_c, emissions, h_out, d_em, grads["w_c"], grads["b_c"])
         if rate:
             d_h *= drop_h
-        dz_fwd, dz_bwd = bilstm_batch_backward(
-            fwd.u, bwd.u, zx_fwd, zx_bwd, pos, blens, h, d_h,
-            grads["lstm_fwd_u"], grads["lstm_bwd_u"],
-        )
-        dz_fwd, dz_bwd = dz_fwd.reshape(len(x), -1), dz_bwd.reshape(len(x), -1)
-        for name, dz in (("lstm_fwd", dz_fwd), ("lstm_bwd", dz_bwd)):
-            grads[name + "_w"] += dz.T @ x
-            grads[name + "_b"] += dz.sum(axis=0)
-        d_x = dz_fwd @ fwd.w + dz_bwd @ bwd.w
+        with lane.ahead(bwd.backward, x, pos, blens, h[:, :, s:], d_h[:, :, s:]) as job:
+            dx_fwd = fwd.backward(x, pos, blens, h[:, :, :s], d_h[:, :, :s])
+            d_x = dx_fwd + job.result()
         if rate:
             d_x *= drop_in.reshape(d_x.shape)
         np.add.at(d_feats, tok.ravel(), d_x)
@@ -390,6 +399,35 @@ def batch_nll_and_grads(
     if model.transition_mask is not None:
         grads["transitions"][~model.transition_mask] = 0.0
     return total, grads
+
+
+class _Direction:
+    """One LSTM direction of a training batch: its forward pass into its
+    half of the hidden states, and its backward pass into its own
+    gradients. The transposed recurrent matrix that lstm_batch reads is
+    made once per batch, by the first bucket's forward pass."""
+
+    def __init__(self, lstm: LstmParams, grads: Gradients, name: str, reverse: bool):
+        self.lstm, self.reverse = lstm, reverse
+        self.d_w, self.d_u, self.d_b = grads[name + "_w"], grads[name + "_u"], grads[name + "_b"]
+        self.u_t = None
+        self.zx = None
+
+    def forward(self, x: np.ndarray, pos: np.ndarray, lens: np.ndarray, out: np.ndarray) -> None:
+        if self.u_t is None:
+            self.u_t = np.ascontiguousarray(self.lstm.u.T)
+        self.zx = x @ self.lstm.w.T + self.lstm.b
+        lstm_batch(self.u_t, self.zx, pos, lens, out, reverse=self.reverse)
+
+    def backward(
+        self, x: np.ndarray, pos: np.ndarray, lens: np.ndarray, h: np.ndarray, d_h: np.ndarray
+    ) -> np.ndarray:
+        """d(x) of this direction; accumulates d(w), d(b) and d(u)."""
+        dz = lstm_batch_backward(self.lstm.u, self.zx, pos, lens, h, d_h, self.d_u,
+                                 reverse=self.reverse).reshape(len(x), -1)
+        self.d_w += dz.T @ x
+        self.d_b += dz.sum(axis=0)
+        return dz @ self.lstm.w
 
 
 def _dropout(
@@ -477,11 +515,9 @@ def tag(
       BiLSTM, the emissions, Viterbi and (only when asked) the marginals run
       over all rows at once, each row to its own length;
     - a call of two or more buckets is tagged on two threads, the caller's
-      and one worker started for the call, each taking the next bucket until
+      and the lane's worker (lane.share), each taking the next bucket until
       none are left. A bucket writes only its own sentences' results, so
-      they are bitwise those of one thread. numpy releases the GIL in the
-      products and elementwise passes, so the threads use two cores when
-      each BLAS call runs on one thread (OPENBLAS_NUM_THREADS=1).
+      they are bitwise those of one thread.
 
     So working memory is that of at most two buckets whatever the number of
     sentences, and a sentence's tags do not depend on the other sentences in
@@ -496,35 +532,27 @@ def tag(
     seqs = [s.surfaces() if isinstance(s, Sentence) else s for s in sentences]
     lens = np.array([len(s) for s in seqs], dtype=np.intp)
     out = [([], np.zeros((0, model.schema.num_tags)) if marginals else None) for _ in seqs]
-    buckets = list(_buckets(lens))
-    pending = iter(buckets)  # shared by both threads; a list iterator's next is atomic
+    u_fwd, u_bwd = (np.ascontiguousarray(lstm.u.T) for lstm in (model.lstm_fwd, model.lstm_bwd))
 
-    def run() -> None:
-        for rows in pending:
-            blens = lens[rows]
-            words, ids = _surface_ids([seqs[s] for s in rows])
-            x, _ = _word_features(model, words)
-            zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
-            zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
-            # the hidden states are most of a bucket's memory: free them before
-            # the CRF, not when the next bucket replaces them
-            h = bilstm_batch(model.lstm_fwd.u, model.lstm_bwd.u, zx_fwd, zx_bwd,
-                             _padded(ids, range(len(ids)), blens), blens)
-            emissions = emission_scores(model.w_c, model.b_c, h)
-            del h
-            paths = crf.viterbi_batch(emissions, trans, blens)
-            marg = crf.marginals_batch(emissions, trans, blens) if marginals else None
-            for r, s in enumerate(rows):
-                out[s] = (
-                    [model.schema.tags[i] for i in paths[r, : blens[r]]],
-                    marg[r, : blens[r]] if marg is not None else None,
-                )
+    def run(rows: np.ndarray) -> None:
+        blens = lens[rows]
+        words, ids = _surface_ids([seqs[s] for s in rows])
+        x, _ = _word_features(model, words)
+        zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
+        zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
+        # the hidden states are most of a bucket's memory: free them before
+        # the CRF, not when the next bucket replaces them
+        h = bilstm_batch(u_fwd, u_bwd, zx_fwd, zx_bwd,
+                         _padded(ids, range(len(ids)), blens), blens)
+        emissions = emission_scores(model.w_c, model.b_c, h)
+        del h
+        paths = crf.viterbi_batch(emissions, trans, blens)
+        marg = crf.marginals_batch(emissions, trans, blens) if marginals else None
+        for r, s in enumerate(rows):
+            out[s] = (
+                [model.schema.tags[i] for i in paths[r, : blens[r]]],
+                marg[r, : blens[r]] if marg is not None else None,
+            )
 
-    # the caller and one worker take buckets until none are left; leaving the
-    # block joins the worker, and result() re-raises what it raised
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(run) if len(buckets) > 1 else None
-        run()
-    if worker is not None:
-        worker.result()
+    lane.share(list(_buckets(lens)), run)
     return out

@@ -22,7 +22,7 @@ import json
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import TypeVar
 
 import numpy as np
@@ -38,6 +38,7 @@ from ..errors import (
     ValidationError,
     VersionMismatchError,
 )
+from . import lane
 from .model import ModelParams, TrainConfig, param_shapes
 
 MAGIC = "mednermodel"
@@ -160,11 +161,12 @@ def save_model(model: ModelParams, path: str) -> None:
         raise
 
 
-def _read_container(path: str, pool: ThreadPoolExecutor) -> tuple[dict, np.ndarray]:
-    """The container's type-checked manifest and its payload. The payload is
-    read with one readinto into an aligned buffer on `pool`'s worker, which
-    releases the GIL, while this thread parses and checks the manifest; the
-    file is closed only once that read has returned."""
+def _read_container(path: str) -> tuple[dict, np.ndarray]:
+    """The container's type-checked manifest and its payload. The lane's
+    worker parses and checks the manifest while this thread reads the
+    payload with one readinto into an aligned buffer; the readinto releases
+    the GIL at once, so the worker's Python work can start. The read's
+    error wins over the manifest's."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         line = fh.readline(_MAX_HEADER_BYTES)
@@ -186,12 +188,9 @@ def _read_container(path: str, pool: ThreadPoolExecutor) -> tuple[dict, np.ndarr
         if len(manifest_bytes) != manifest_len:
             raise ChecksumError("container truncated inside the manifest")
         payload = np.empty(size - fh.tell(), dtype=np.uint8)
-        read = pool.submit(fh.readinto, payload)
-        try:
-            manifest = _checked_manifest(manifest_bytes)
-        finally:
-            payload = payload[: read.result()]
-    return manifest, payload
+        with lane.ahead(_checked_manifest, manifest_bytes) as manifest:
+            payload = payload[: fh.readinto(payload)]
+            return manifest.result(), payload
 
 
 def _checked_manifest(manifest_bytes: bytes) -> dict:
@@ -232,12 +231,12 @@ def load_model(path: str, use: Callable[[ModelParams], T] = lambda model: model)
     that does not validate, a scheme other than IOB2, or a tensor that is not
     finite raises a ModelFormatError.
 
-    One worker thread does the two long byte-level steps while this thread
-    does the rest (readinto and hashlib release the GIL): it reads the
-    payload while this thread parses the manifest, then hashes the embedding
-    matrix, most of the payload, while this thread checks the config,
-    schema and vocabulary, the other tensors' checksums, the embedding table
-    and the model, and then runs `use`.
+    The lane's worker thread (lane.ahead) works beside this one (readinto
+    and hashlib release the GIL): it parses the manifest while this thread
+    reads the payload, then hashes the embedding matrix, most of the
+    payload, while this thread checks the config, schema and vocabulary,
+    the other tensors' checksums, the embedding table and the model, and
+    then runs `use`.
 
     So `use` runs before the embedding matrix's digest is compared: on a
     model whose every other check has passed, but whose embedding matrix
@@ -251,17 +250,16 @@ def load_model(path: str, use: Callable[[ModelParams], T] = lambda model: model)
     joined before load_model returns or raises, and an exception it raises
     reaches the caller.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        manifest, payload = _read_container(path, pool)
+    with lane.held():
+        manifest, payload = _read_container(path)
         # the walk reaches only the first entry named embed_matrix, and hashes
         # it only inside the payload: then this hash of the same bytes is under way
         entry = next((e for e in manifest["tensors"] if e["name"] == "embed_matrix"), None)
-        embed_digest = None
-        if entry and 0 <= entry["offset"] <= entry["offset"] + entry["nbytes"] <= len(payload):
-            embed_digest = pool.submit(
-                _sha256, payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-            )
-        return _verified_model(manifest, payload, embed_digest, use)
+        if not (entry and 0 <= entry["offset"] <= entry["offset"] + entry["nbytes"] <= len(payload)):
+            return _verified_model(manifest, payload, None, use)
+        blob = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        with lane.ahead(_sha256, blob) as embed_digest:
+            return _verified_model(manifest, payload, embed_digest, use)
 
 
 def _verified_model(

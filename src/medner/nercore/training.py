@@ -19,13 +19,15 @@ import numpy as np
 from ..corpus import Corpus
 from ..errors import NumericError, ValidationError
 from ..evaluation import EvalReport
+from . import lane
 from .model import ModelParams, TrainConfig, batch_nll_and_grads, tag
 
 log = logging.getLogger(__name__)
 
-# Elements per block of adam_step's sweep: the block's slices of the
-# parameters, gradient, both moments and the scratch array (5 x 256 KB) stay
-# in a core's L2 cache through the update's ten operations.
+# Elements per block of adam_step's sweep, which two cores share: per core,
+# the block's slices of the parameters, gradient, both moments and that
+# core's scratch block (5 x 256 KB) stay in its own L2 cache through the
+# update's operations.
 ADAM_BLOCK = 32_768
 
 
@@ -35,7 +37,8 @@ class TrainState:
 
     m and v are flat, laid out as the model's parameter buffer, and hold the
     scaled moments m / (1 - beta1) and v / (1 - beta2) (see adam_step);
-    scratch is adam_step's work array, one block long.
+    scratch holds adam_step's two work blocks, the caller's and the lane
+    worker's.
     """
 
     m: np.ndarray
@@ -49,7 +52,7 @@ class TrainState:
     @classmethod
     def for_model(cls, model: ModelParams) -> "TrainState":
         n = model.flat.size
-        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(min(n, ADAM_BLOCK)))
+        return cls(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, min(n, ADAM_BLOCK))))
 
 
 @dataclass
@@ -85,7 +88,8 @@ def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
 
 def adam_step(model: ModelParams, grad: np.ndarray, state: TrainState) -> float:
     """One Adam update with warmup on the flat parameter buffer, with the
-    model config's optimizer settings; returns the learning rate used.
+    model config's optimizer settings; returns the learning rate used, and
+    leaves `grad` all zero, ready for the next step's gradients.
 
     Adam's update is theta -= lr * m_hat / (sqrt(v_hat) + eps) with
     m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t). In the moments scaled
@@ -96,11 +100,15 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: TrainState) -> float:
     in-place operations.
 
     The operations run block by block, ADAM_BLOCK elements at a time, so each
-    block's data stays in cache from the first operation to the last; every
-    element sees the same operations in the same order as in a whole-buffer
-    sweep, so the result does not depend on the block size. Each updated
-    block is checked to be finite while still in cache: a non-finite one
-    raises NumericError naming its tensor (ModelParams.assert_finite). An
+    block's data stays in cache from the first operation to the last. The
+    caller and the lane's worker share the blocks (lane.share), each with
+    its own scratch block. Every element sees the same operations in the
+    same order as in a whole-buffer sweep on one thread, so the result
+    depends neither on the block size nor on which thread swept a block.
+    Each gradient block is zeroed right after its last read. Each updated
+    block is checked to be finite while still in cache; once both threads
+    are done, a non-finite update raises NumericError naming the first
+    tensor in layout order that holds one (ModelParams.assert_finite). An
     element whose gradient has always been 0 does not move, which keeps a
     masked model's forbidden transitions pinned (see model.py).
     """
@@ -112,22 +120,29 @@ def adam_step(model: ModelParams, grad: np.ndarray, state: TrainState) -> float:
     c2 = math.sqrt((1.0 - b2) / (1.0 - b2**t))
     alpha = lr * (1.0 - b1) / (1.0 - b1**t) / c2
     eps = config.epsilon / c2
-    for lo in range(0, grad.size, ADAM_BLOCK):
+    non_finite = []
+
+    def sweep(lo: int) -> None:
         hi = lo + ADAM_BLOCK
         g, m, v, theta = grad[lo:hi], state.m[lo:hi], state.v[lo:hi], model.flat[lo:hi]
-        tmp = state.scratch[: g.size]
+        tmp = state.scratch[int(lane.on_worker()), : g.size]
         m *= b1
         m += g
         np.multiply(g, g, out=tmp)
         v *= b2
         v += tmp
+        g.fill(0.0)
         np.sqrt(v, out=tmp)
         tmp += eps
         np.divide(m, tmp, out=tmp)
         tmp *= alpha
         theta -= tmp
         if not np.isfinite(theta).all():
-            model.assert_finite()
+            non_finite.append(lo)
+
+    lane.share(range(0, grad.size, ADAM_BLOCK), sweep)
+    if non_finite:
+        model.assert_finite()
     return lr
 
 
@@ -160,7 +175,8 @@ def fit(model: ModelParams, train_corpus: Corpus, val_corpus: Corpus) -> FitResu
     Deterministic for a fixed seed: epoch shuffles come from one seeded
     generator, dropout from the counter-based stream keyed by each
     sentence's position in its batch, and each batch runs in a fixed layout
-    of length-sorted buckets (see batch_nll_and_grads).
+    of length-sorted buckets (see batch_nll_and_grads). The lane's worker
+    is held up for the whole fit, so its steps reuse one thread.
     """
     cfg = model.config
     if len(train_corpus) == 0:
@@ -176,38 +192,38 @@ def fit(model: ModelParams, train_corpus: Corpus, val_corpus: Corpus) -> FitResu
     history: list[EpochRecord] = []
     best_flat: np.ndarray | None = None
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(len(train_corpus))
-        epoch_loss = 0.0
-        lr = warmup_lr(cfg.learning_rate, state.step + 1, cfg.warmup_steps)
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_corpus.sentences[i] for i in order[lo : lo + cfg.batch_size]]
-            grads.flat.fill(0.0)
-            loss, _ = batch_nll_and_grads(model, batch, step=state.step, grads=grads)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, step {state.step}"
-                )
-            clip_gradients(grads.flat, cfg.grad_clip_norm)
-            lr = adam_step(model, grads.flat, state)
-            epoch_loss += loss
+    with lane.held():
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = rng.permutation(len(train_corpus))
+            epoch_loss = 0.0
+            lr = warmup_lr(cfg.learning_rate, state.step + 1, cfg.warmup_steps)
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = [train_corpus.sentences[i] for i in order[lo : lo + cfg.batch_size]]
+                loss, _ = batch_nll_and_grads(model, batch, step=state.step, grads=grads)
+                if not np.isfinite(loss):
+                    raise NumericError(
+                        f"non-finite loss {loss!r} at epoch {epoch}, step {state.step}"
+                    )
+                clip_gradients(grads.flat, cfg.grad_clip_norm)
+                lr = adam_step(model, grads.flat, state)
+                epoch_loss += loss
 
-        metric = validation_micro_f1(model, val_corpus)
-        history.append(EpochRecord(epoch, state.step, lr, epoch_loss, metric))
-        log.info("epoch %d: step=%d lr=%.3g loss=%.4f val_micro_f1=%.4f",
-                 epoch, state.step, lr, epoch_loss, metric)
+            metric = validation_micro_f1(model, val_corpus)
+            history.append(EpochRecord(epoch, state.step, lr, epoch_loss, metric))
+            log.info("epoch %d: step=%d lr=%.3g loss=%.4f val_micro_f1=%.4f",
+                     epoch, state.step, lr, epoch_loss, metric)
 
-        if metric > state.best_metric:
-            state.best_metric = metric
-            state.best_epoch = epoch
-            state.epochs_since_improvement = 0
-            best_flat = model.flat.copy()
-        else:
-            state.epochs_since_improvement += 1
-            if state.epochs_since_improvement >= cfg.early_stopping_patience:
-                log.info("early stopping after epoch %d (best epoch %d)",
-                         epoch, state.best_epoch)
-                break
+            if metric > state.best_metric:
+                state.best_metric = metric
+                state.best_epoch = epoch
+                state.epochs_since_improvement = 0
+                best_flat = model.flat.copy()
+            else:
+                state.epochs_since_improvement += 1
+                if state.epochs_since_improvement >= cfg.early_stopping_patience:
+                    log.info("early stopping after epoch %d (best epoch %d)",
+                             epoch, state.best_epoch)
+                    break
 
     if best_flat is not None:
         model.flat[...] = best_flat

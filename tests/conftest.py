@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from medner.corpus import (
     validate_iob,
 )
 from medner.embeddings import EmbeddingTable
+from medner.nercore import lane
 from medner.nercore.model import TrainConfig, init_model
 from medner.nercore.training import fit
 
@@ -34,6 +36,26 @@ UNITS = ["mg", "ml", "mcg"]
 # the characters besides '\n' and '\r' at which str.splitlines() ends a
 # line; no reader ends one there, so each reads as part of its line
 SPLITLINES_ONLY = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+class InlineLane:
+    """Stands in for the lane's worker once installed over lane.Lane.submit:
+    runs each submitted call at once, on the caller's thread, and counts
+    the submissions."""
+
+    submitted = 0
+
+    @staticmethod
+    def install(monkeypatch) -> None:
+        monkeypatch.setattr(InlineLane, "submitted", 0)
+        monkeypatch.setattr(lane.Lane, "submit", InlineLane.submit)
+
+    @staticmethod
+    def submit(_lane, fn, *args) -> Future:
+        InlineLane.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def make_sentence(words: list[str], tags: list[str] | None = None,

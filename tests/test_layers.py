@@ -6,12 +6,12 @@ import pytest
 from medner.nercore.layers import (
     LstmParams,
     bilstm_batch,
-    bilstm_batch_backward,
     char_cnn_batch,
     char_cnn_batch_backward,
     dropout_mask,
     emission_scores,
     lstm_batch,
+    lstm_batch_backward,
 )
 from oracles import bilstm_forward, char_cnn_forward, lstm_forward, sigmoid
 
@@ -81,7 +81,7 @@ class TestLstm:
         c2 = f2 * c + i2 * g2
         assert hs2[1, 0] == pytest.approx(o2 * math.tanh(c2), abs=1e-12)
         # the batched layer, both steps
-        h = lstm_batch(u, np.array([[0.7], [0.0]]) @ w.T + b, np.array([[0, 1]]), np.array([2]),
+        h = lstm_batch(u.T, np.array([[0.7], [0.0]]) @ w.T + b, np.array([[0, 1]]), np.array([2]),
                        np.zeros((1, 2, 1)))
         np.testing.assert_allclose(h[0, :, 0], [h_expected, hs2[1, 0]], rtol=0, atol=1e-12)
 
@@ -145,7 +145,7 @@ class TestBatched:
         x = rng.normal(size=(distinct, d))
         lens = np.array([7, 5, 5, 2, 1])
         tok = rng.integers(0, distinct, size=(len(lens), 7))
-        h = bilstm_batch(fwd.u, bwd.u, x @ fwd.w.T + fwd.b, x @ bwd.w.T + bwd.b, tok, lens)
+        h = bilstm_batch(fwd.u.T, bwd.u.T, x @ fwd.w.T + fwd.b, x @ bwd.w.T + bwd.b, tok, lens)
         assert h.shape == (len(lens), 7, 2 * s)
         for r, n in enumerate(lens):
             single = bilstm_forward(fwd, bwd, x[tok[r, :n]])
@@ -163,12 +163,13 @@ class TestBatched:
         weight = rng.normal(size=(len(lens), 6, 2 * s))
 
         def loss():
-            return float((bilstm_batch(u_f, u_b, zx_f, zx_b, tok, lens) * weight).sum())
+            return float((bilstm_batch(u_f.T, u_b.T, zx_f, zx_b, tok, lens) * weight).sum())
 
-        h = bilstm_batch(u_f, u_b, zx_f, zx_b, tok, lens)
+        h = bilstm_batch(u_f.T, u_b.T, zx_f, zx_b, tok, lens)
         d_u_f, d_u_b = np.zeros_like(u_f), np.zeros_like(u_b)
-        dz_f, dz_b = bilstm_batch_backward(u_f, u_b, zx_f, zx_b, tok, lens, h, weight,
-                                           d_u_f, d_u_b)
+        dz_f = lstm_batch_backward(u_f, zx_f, tok, lens, h[:, :, :s], weight[:, :, :s], d_u_f)
+        dz_b = lstm_batch_backward(u_b, zx_b, tok, lens, h[:, :, s:], weight[:, :, s:], d_u_b,
+                                   reverse=True)
         for n, row_f, row_b in zip(lens, dz_f, dz_b):
             assert not row_f[n:].any() and not row_b[n:].any()
         d_zx_f, d_zx_b = np.zeros_like(zx_f), np.zeros_like(zx_b)

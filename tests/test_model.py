@@ -4,7 +4,6 @@ import re
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sentence, rule_corpus, rule_lexicon, tiny_config, toy_table
+from conftest import InlineLane, make_sentence, rule_corpus, rule_lexicon, tiny_config, toy_table
 from medner.corpus import LabelSchema, build_vocab, validate_iob
 from medner.errors import ValidationError
 from medner.nercore import crf, model as model_module
@@ -281,28 +280,6 @@ def oracle_tag(model, sentence):
     return [model.schema.tags[i] for i in path], marginals(emissions, trans)
 
 
-class InlineExecutor:
-    """Stands in for concurrent.futures.ThreadPoolExecutor: runs each
-    submitted call at once, on the caller's thread."""
-
-    submitted = 0
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn):
-        InlineExecutor.submitted += 1
-        future = Future()
-        future.set_result(fn())
-        return future
-
-
 def awkward_sentences(corpus, rng):
     """Sentence objects and word lists mixed: empty and one-token sentences,
     words shorter than a kernel, repeated surfaces, characters the vocabulary
@@ -370,10 +347,9 @@ class TestBatchedTag:
             threaded = tag(model, sentences, marginals=True)
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(model_module, "ThreadPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(InlineExecutor, "submitted", 0)
+        InlineLane.install(monkeypatch)
         inline = tag(model, sentences, marginals=True)
-        assert InlineExecutor.submitted > 0
+        assert InlineLane.submitted > 0
         for (tags, marg), (want_tags, want_marg) in zip(threaded, inline, strict=True):
             assert tags == want_tags
             assert np.array_equal(marg, want_marg)
@@ -386,10 +362,9 @@ class TestBatchedTag:
         sentences = [[next(words) for _ in range(n)] for n in [400, 100, 100] * 3]
         lens = np.array([len(s) for s in sentences])
         assert len(list(model_module._buckets(lens))) == 3
-        monkeypatch.setattr(model_module, "ThreadPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(InlineExecutor, "submitted", 0)
+        InlineLane.install(monkeypatch)
         tagged = tag(model, sentences, marginals=True)
-        assert InlineExecutor.submitted == 1
+        assert InlineLane.submitted == 1
         for sent, (tags, marg) in zip(sentences, tagged, strict=True):
             want_tags, want_marg = oracle_tag(model, sent)
             assert tags == want_tags

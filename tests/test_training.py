@@ -152,6 +152,18 @@ class TestAdam:
         with pytest.raises(NumericError, match="tensor lstm_bwd_u contains non-finite"):
             training.adam_step(model, grads.flat, state)
 
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_leaves_the_gradient_zero(self, monkeypatch, block):
+        # fit zeroes no buffer of its own: the step zeroes each block it has read
+        if block is not None:
+            monkeypatch.setattr(training, "ADAM_BLOCK", block)
+        model, corpus, _ = fresh_setup(size=3)
+        state = training.TrainState.for_model(model)
+        _, grads = batch_nll_and_grads(model, corpus.sentences)
+        assert grads.flat.any()
+        training.adam_step(model, grads.flat, state)
+        assert not grads.flat.any()
+
     def test_steps_in_place(self):
         model, corpus, _ = fresh_setup(size=3)
         state = training.TrainState.for_model(model)
