@@ -1,11 +1,12 @@
 """Neural building blocks: batched layers with hand-written backward passes.
 
 Everything is 64-bit numpy. The batched layers run over sentences sorted by
-length, longest first, and padded to a common length; each forward returns
-what its backward needs as plain arrays, and each backward accumulates
-parameter gradients into caller-supplied arrays, so gradients over several
-batches are plain sums. The tests check each forward against a
-per-sentence oracle (tests/oracles.py).
+length, longest first, and padded to a common length; an LSTM call is one
+direction over its own LstmParams. Each forward returns what its backward
+needs as plain arrays, and each backward accumulates parameter gradients
+into caller-supplied arrays, so gradients over several batches are plain
+sums. The tests check each forward against a per-sentence oracle
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -106,23 +107,25 @@ def _gates(z: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def lstm_batch(
-    u_t: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, out: np.ndarray,
+    lstm: LstmParams, x: np.ndarray, tok: np.ndarray, lens: np.ndarray, out: np.ndarray,
     reverse: bool = False,
 ) -> np.ndarray:
-    """The LSTM recurrence over a batch of rows, into out (B, N, S).
+    """One LSTM direction over a batch of rows, into out (B, N, S); returns
+    the input projections zx = x @ w.T + b for lstm_batch_backward.
 
-    u_t is the recurrent matrix transposed, (S, 4S). Callers pass one
-    contiguous copy for many calls: BLAS would repack a transposed view in
-    every step's product, and at one row a view's bits differ from the
-    copy's. zx holds the input projections `x @ w.T + b` of distinct inputs,
-    and tok (B, N) picks the input at each position of each row, of which
+    tok (B, N) picks the row of x at each position of each row, of which
     the first lens[r] are real; with `reverse`, row r is read from its
-    position lens[r] - 1 back to 0. Rows are sorted by length, longest first, so step
-    t updates the active prefix of rows (lens > t) and padding never enters
-    a state. Each hidden state is written at its token's position; out past
-    a row's length is left as it is. Only the current states are kept:
-    lstm_batch_backward recomputes the gates and cells from out.
+    position lens[r] - 1 back to 0. Rows are sorted by length, longest
+    first, so step t updates the active prefix of rows (lens > t) and
+    padding never enters a state. Each hidden state is written at its
+    token's position; out past a row's length is left as it is. Only the
+    current states are kept: lstm_batch_backward recomputes the gates and
+    cells from out. The steps multiply by a contiguous copy of u.T, made
+    per call: BLAS would repack a transposed view in every step's product,
+    and at one row a view's bits differ from the copy's.
     """
+    zx = x @ lstm.w.T + lstm.b
+    u_t = np.ascontiguousarray(lstm.u.T)
     s = u_t.shape[0]
     affine = _gate_affine(s)
     rows = np.arange(len(lens))
@@ -139,7 +142,7 @@ def lstm_batch(
         np.tanh(ca, out=ha)
         ha *= z[:, 3 * s :]
         out[at] = ha
-    return out
+    return zx
 
 
 def _active(lens: np.ndarray, n: int) -> list[int]:
@@ -148,12 +151,17 @@ def _active(lens: np.ndarray, n: int) -> list[int]:
 
 
 def lstm_batch_backward(
-    u: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray, h: np.ndarray,
-    d_hs: np.ndarray, d_u: np.ndarray, reverse: bool = False,
+    lstm: LstmParams, x: np.ndarray, zx: np.ndarray, tok: np.ndarray, lens: np.ndarray,
+    h: np.ndarray, d_hs: np.ndarray, d_lstm: LstmParams, reverse: bool = False,
 ) -> np.ndarray:
-    """Backpropagate lstm_batch through time, given its hidden states h and
-    d(hidden states), both (B, N, S) by position; returns d(zx) of each
-    position, (B, N, 4S), zero past each row's length, and accumulates d(u).
+    """Backpropagate lstm_batch through time, given its inputs x, its
+    projections zx, its hidden states h and d(hidden states), both (B, N, S)
+    by position; returns d(x) and adds d(w), d(u) and d(b) into d_lstm.
+
+    Training's layout only: x holds one row per padded position, and tok is
+    np.arange(B * N).reshape(B, N), so d(x) comes back as x's rows, zero at
+    padding. Inputs shared between positions would need their d(x) scattered
+    back (np.add.at), a cost that training's layout avoids.
 
     The steps are laid out time-major in reading order. The gates come back
     from each step's previous hidden state in one product over all steps,
@@ -163,14 +171,14 @@ def lstm_batch_backward(
     which then only carries dh and dc.
     """
     b, n = tok.shape
-    s = u.shape[1]
+    s = lstm.u.shape[1]
     rows = np.arange(b)[:, None]
     # the position each row reads at each step; padding stays in place
     seq = _reverse_index(lens, n) if reverse else np.broadcast_to(np.arange(n), (b, n))
     h_prev = np.zeros((n, b, s))
     h_prev[1:] = h[rows, seq[:, :-1]].transpose(1, 0, 2)
     h_prev = h_prev.reshape(n * b, s)
-    z = (h_prev @ u.T).reshape(n, b, 4 * s)
+    z = (h_prev @ lstm.u.T).reshape(n, b, 4 * s)
     z += zx[tok[rows, seq].T]
     _gates(z, *_gate_affine(s))
     i, f, g, o = (z[..., q * s : (q + 1) * s] for q in range(4))
@@ -197,12 +205,13 @@ def lstm_batch_backward(
         np.multiply(k[t, :a, :3], dca[:, None], out=dz[t, :a, :3])
         np.multiply(k[t, :a, 3], dha, out=dz[t, :a, 3])
         dca *= f[t, :a]
-        np.matmul(dz[t, :a].reshape(a, 4 * s), u, out=dha)  # u.T @ dz per row
-    dz = dz.reshape(n * b, 4 * s)
-    d_u += dz.T @ h_prev
-    out = np.empty((b, n, 4 * s))
-    out[rows, seq] = dz.reshape(n, b, 4 * s).transpose(1, 0, 2)
-    return out
+        np.matmul(dz[t, :a].reshape(a, 4 * s), lstm.u, out=dha)  # u.T @ dz per row
+    d_lstm.u += dz.reshape(n * b, 4 * s).T @ h_prev
+    dz_x = np.empty((b * n, 4 * s))  # by position, as x's rows
+    dz_x.reshape(b, n, 4, s)[rows, seq] = dz.transpose(1, 0, 2, 3)
+    d_lstm.w += dz_x.T @ x
+    d_lstm.b += dz_x.sum(axis=0)
+    return dz_x @ lstm.w
 
 
 def _reverse_index(lens: np.ndarray, n: int) -> np.ndarray:
@@ -210,21 +219,6 @@ def _reverse_index(lens: np.ndarray, n: int) -> np.ndarray:
     front and keep its padding in place."""
     pos = np.arange(n)
     return np.where(pos < lens[:, None], lens[:, None] - 1 - pos, pos)
-
-
-def bilstm_batch(
-    fwd_u_t: np.ndarray, bwd_u_t: np.ndarray, zx_fwd: np.ndarray, zx_bwd: np.ndarray,
-    tok: np.ndarray, lens: np.ndarray,
-) -> np.ndarray:
-    """Forward and reversed-input hidden states per position of a
-    length-sorted batch (see lstm_batch; fwd_u_t and bwd_u_t are the
-    directions' transposed recurrent matrices), (B, N, 2S); zero past each
-    row's length."""
-    s = fwd_u_t.shape[0]
-    h = np.zeros(tok.shape + (2 * s,))
-    lstm_batch(fwd_u_t, zx_fwd, tok, lens, h[:, :, :s])
-    lstm_batch(bwd_u_t, zx_bwd, tok, lens, h[:, :, s:], reverse=True)
-    return h
 
 
 # ---------------------------------------------------------------------------

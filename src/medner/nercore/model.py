@@ -13,13 +13,14 @@ per-tag scores through tanh. The CRF on top is in crf.py.
 
 Training (`batch_nll_and_grads`) and inference (`tag`) run one batched
 implementation of every layer: word features once per distinct surface,
-then the BiLSTM, emissions and CRF over buckets of length-sorted sentences.
-Training computes the features per distinct surface of its batch and
-projects them per token after dropout; inference has no dropout, so `tag`
-computes and projects them per distinct surface of each bucket. Training
-has no separate evaluation mode: it applies model.config's dropout, and a
-model whose dropout is 0 trains without. The tests compare both against a
-per-sentence oracle of the network (tests/oracles.py).
+then the BiLSTM, emissions and CRF over buckets of length-sorted sentences;
+each LSTM direction is one layers.lstm_batch call, which projects its
+inputs itself. Training computes the features per distinct surface of its
+batch and projects them per token after dropout; inference has no dropout,
+so `tag` computes and projects them per distinct surface of each bucket.
+Training has no separate evaluation mode: it applies model.config's
+dropout, and a model whose dropout is 0 trains without. The tests compare
+both against a per-sentence oracle of the network (tests/oracles.py).
 
 Both run on two threads, the caller's and the lane's one worker (lane.py):
 `tag` shares its buckets between them, and training runs the reversed LSTM
@@ -52,7 +53,6 @@ from ..errors import NumericError, ValidationError
 from . import crf, lane
 from .layers import (
     LstmParams,
-    bilstm_batch,
     char_cnn_batch,
     char_cnn_batch_backward,
     dropout_mask,
@@ -203,8 +203,7 @@ class ModelParams:
         self.char_emb = views["char_emb"]
         self.char_filters = views["char_filters"]
         self.char_bias = views["char_bias"]
-        self.lstm_fwd = LstmParams(views["lstm_fwd_w"], views["lstm_fwd_u"], views["lstm_fwd_b"])
-        self.lstm_bwd = LstmParams(views["lstm_bwd_w"], views["lstm_bwd_u"], views["lstm_bwd_b"])
+        self.lstm_fwd, self.lstm_bwd = _lstm_params(views)
         self.w_c = views["w_c"]
         self.b_c = views["b_c"]
         self.transitions = views["transitions"]
@@ -249,6 +248,11 @@ class ModelParams:
         for name, t in self.tensors().items():
             if not np.all(np.isfinite(t)):
                 raise NumericError(f"tensor {name} contains non-finite values")
+
+
+def _lstm_params(views: dict[str, np.ndarray]) -> tuple[LstmParams, LstmParams]:
+    """The two LSTM directions' tensors among views by tensors() name."""
+    return tuple(LstmParams(*(views[f"lstm_{d}_{p}"] for p in "wub")) for d in ("fwd", "bwd"))
 
 
 class Gradients(dict):
@@ -350,8 +354,7 @@ def batch_nll_and_grads(
     rate = cfg.dropout
     lens = np.array([len(i) for i in ids], dtype=np.intp)
     s = cfg.lstm_size
-    fwd = _Direction(model.lstm_fwd, grads, "lstm_fwd", reverse=False)
-    bwd = _Direction(model.lstm_bwd, grads, "lstm_bwd", reverse=True)
+    d_fwd, d_bwd = _lstm_params(grads)
     total = 0.0
     for rows in _buckets(lens):
         blens = lens[rows]
@@ -365,9 +368,9 @@ def batch_nll_and_grads(
         # the reversed direction's chain runs on the lane's worker, each
         # direction writing only its half of h and its own gradients
         h = np.zeros(tok.shape + (2 * s,))
-        with lane.ahead(bwd.forward, x, pos, blens, h[:, :, s:]) as job:
-            fwd.forward(x, pos, blens, h[:, :, :s])
-            job.result()
+        with lane.ahead(lstm_batch, model.lstm_bwd, x, pos, blens, h[:, :, s:], True) as job:
+            zx_fwd = lstm_batch(model.lstm_fwd, x, pos, blens, h[:, :, :s])
+            zx_bwd = job.result()
         h_out = h
         if rate:
             drop_h = _dropout(cfg, step, rows, blens, h.shape[2], DROP_HIDDEN)
@@ -381,9 +384,11 @@ def batch_nll_and_grads(
         d_h = emission_backward(model.w_c, emissions, h_out, d_em, grads["w_c"], grads["b_c"])
         if rate:
             d_h *= drop_h
-        with lane.ahead(bwd.backward, x, pos, blens, h[:, :, s:], d_h[:, :, s:]) as job:
-            dx_fwd = fwd.backward(x, pos, blens, h[:, :, :s], d_h[:, :, :s])
-            d_x = dx_fwd + job.result()
+        with lane.ahead(lstm_batch_backward, model.lstm_bwd, x, zx_bwd, pos, blens,
+                        h[:, :, s:], d_h[:, :, s:], d_bwd, True) as job:
+            d_x = lstm_batch_backward(model.lstm_fwd, x, zx_fwd, pos, blens,
+                                      h[:, :, :s], d_h[:, :, :s], d_fwd)
+            d_x += job.result()
         if rate:
             d_x *= drop_in.reshape(d_x.shape)
         np.add.at(d_feats, tok.ravel(), d_x)
@@ -399,35 +404,6 @@ def batch_nll_and_grads(
     if model.transition_mask is not None:
         grads["transitions"][~model.transition_mask] = 0.0
     return total, grads
-
-
-class _Direction:
-    """One LSTM direction of a training batch: its forward pass into its
-    half of the hidden states, and its backward pass into its own
-    gradients. The transposed recurrent matrix that lstm_batch reads is
-    made once per batch, by the first bucket's forward pass."""
-
-    def __init__(self, lstm: LstmParams, grads: Gradients, name: str, reverse: bool):
-        self.lstm, self.reverse = lstm, reverse
-        self.d_w, self.d_u, self.d_b = grads[name + "_w"], grads[name + "_u"], grads[name + "_b"]
-        self.u_t = None
-        self.zx = None
-
-    def forward(self, x: np.ndarray, pos: np.ndarray, lens: np.ndarray, out: np.ndarray) -> None:
-        if self.u_t is None:
-            self.u_t = np.ascontiguousarray(self.lstm.u.T)
-        self.zx = x @ self.lstm.w.T + self.lstm.b
-        lstm_batch(self.u_t, self.zx, pos, lens, out, reverse=self.reverse)
-
-    def backward(
-        self, x: np.ndarray, pos: np.ndarray, lens: np.ndarray, h: np.ndarray, d_h: np.ndarray
-    ) -> np.ndarray:
-        """d(x) of this direction; accumulates d(w), d(b) and d(u)."""
-        dz = lstm_batch_backward(self.lstm.u, self.zx, pos, lens, h, d_h, self.d_u,
-                                 reverse=self.reverse).reshape(len(x), -1)
-        self.d_w += dz.T @ x
-        self.d_b += dz.sum(axis=0)
-        return dz @ self.lstm.w
 
 
 def _dropout(
@@ -532,18 +508,18 @@ def tag(
     seqs = [s.surfaces() if isinstance(s, Sentence) else s for s in sentences]
     lens = np.array([len(s) for s in seqs], dtype=np.intp)
     out = [([], np.zeros((0, model.schema.num_tags)) if marginals else None) for _ in seqs]
-    u_fwd, u_bwd = (np.ascontiguousarray(lstm.u.T) for lstm in (model.lstm_fwd, model.lstm_bwd))
+    size = model.config.lstm_size
 
     def run(rows: np.ndarray) -> None:
         blens = lens[rows]
         words, ids = _surface_ids([seqs[s] for s in rows])
         x, _ = _word_features(model, words)
-        zx_fwd = x @ model.lstm_fwd.w.T + model.lstm_fwd.b
-        zx_bwd = x @ model.lstm_bwd.w.T + model.lstm_bwd.b
+        tok = _padded(ids, range(len(ids)), blens)
         # the hidden states are most of a bucket's memory: free them before
         # the CRF, not when the next bucket replaces them
-        h = bilstm_batch(u_fwd, u_bwd, zx_fwd, zx_bwd,
-                         _padded(ids, range(len(ids)), blens), blens)
+        h = np.zeros(tok.shape + (2 * size,))
+        lstm_batch(model.lstm_fwd, x, tok, blens, h[:, :, :size])
+        lstm_batch(model.lstm_bwd, x, tok, blens, h[:, :, size:], reverse=True)
         emissions = emission_scores(model.w_c, model.b_c, h)
         del h
         paths = crf.viterbi_batch(emissions, trans, blens)

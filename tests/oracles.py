@@ -61,7 +61,7 @@ log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Neural layers: sigmoid, the char-CNN and the (Bi)LSTM; oracles of
-# layers.char_cnn_batch, lstm_batch and bilstm_batch.
+# layers.char_cnn_batch and lstm_batch, one call per LSTM direction.
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # the tanh form is stable at both extremes and needs no boolean masks
@@ -105,7 +105,7 @@ def lstm_forward(params: LstmParams, xs: np.ndarray) -> np.ndarray:
 
 def bilstm_forward(fwd: LstmParams, bwd: LstmParams, xs: np.ndarray) -> np.ndarray:
     """Forward and reversed-input hidden states per position, (N, 2S); the
-    oracle of bilstm_batch."""
+    oracle of two lstm_batch calls, the second with `reverse`."""
     return np.concatenate([lstm_forward(fwd, xs), lstm_forward(bwd, xs[::-1])[::-1]], axis=1)
 
 

@@ -16,6 +16,8 @@ from medner.nercore.lane import Lane
 from medner.nercore.model import batch_nll_and_grads, init_model
 from medner.nercore.serialize import save_model
 
+pytestmark = pytest.mark.lane
+
 TIMEOUT = 30
 
 
@@ -204,8 +206,8 @@ class TestOneWorker:
                 return fn(*args, **kwargs)
             return counted
 
-        for module in (layers, model_module):  # tag's LSTM and training's
-            monkeypatch.setattr(module, "lstm_batch", spy(layers.lstm_batch))
+        # tag and training both run their LSTM through model's lstm_batch
+        monkeypatch.setattr(model_module, "lstm_batch", spy(layers.lstm_batch))
         monkeypatch.setattr(serialize, "_sha256", spy(serialize._sha256))
         training.fit(model, corpus, corpus)
         path = tmp_path / "model.medner"

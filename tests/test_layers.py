@@ -5,7 +5,6 @@ import pytest
 
 from medner.nercore.layers import (
     LstmParams,
-    bilstm_batch,
     char_cnn_batch,
     char_cnn_batch_backward,
     dropout_mask,
@@ -80,10 +79,11 @@ class TestLstm:
         g2, o2 = math.tanh(0.3), 1 / (1 + math.exp(-0.4))
         c2 = f2 * c + i2 * g2
         assert hs2[1, 0] == pytest.approx(o2 * math.tanh(c2), abs=1e-12)
-        # the batched layer, both steps
-        h = lstm_batch(u.T, np.array([[0.7], [0.0]]) @ w.T + b, np.array([[0, 1]]), np.array([2]),
-                       np.zeros((1, 2, 1)))
+        # the batched layer, both steps; it returns its input projections
+        xs, h = np.array([[0.7], [0.0]]), np.zeros((1, 2, 1))
+        zx = lstm_batch(LstmParams(w, u, b), xs, np.array([[0, 1]]), np.array([2]), h)
         np.testing.assert_allclose(h[0, :, 0], [h_expected, hs2[1, 0]], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(zx, xs @ w.T + b)
 
     def test_recurrence_uses_previous_state(self):
         rng = np.random.default_rng(1)
@@ -145,7 +145,9 @@ class TestBatched:
         x = rng.normal(size=(distinct, d))
         lens = np.array([7, 5, 5, 2, 1])
         tok = rng.integers(0, distinct, size=(len(lens), 7))
-        h = bilstm_batch(fwd.u.T, bwd.u.T, x @ fwd.w.T + fwd.b, x @ bwd.w.T + bwd.b, tok, lens)
+        h = np.zeros((len(lens), 7, 2 * s))
+        lstm_batch(fwd, x, tok, lens, h[:, :, :s])
+        lstm_batch(bwd, x, tok, lens, h[:, :, s:], reverse=True)
         assert h.shape == (len(lens), 7, 2 * s)
         for r, n in enumerate(lens):
             single = bilstm_forward(fwd, bwd, x[tok[r, :n]])
@@ -155,28 +157,42 @@ class TestBatched:
     def test_bilstm_batch_backward_matches_finite_differences(self):
         # ragged rows that share inputs; the loss weighs every hidden state
         rng = np.random.default_rng(6)
-        s, distinct = 3, 5
-        u_f, u_b = rng.normal(size=(4 * s, s)), rng.normal(size=(4 * s, s))
-        zx_f, zx_b = rng.normal(size=(distinct, 4 * s)), rng.normal(size=(distinct, 4 * s))
+        s, d, distinct = 3, 4, 5
+        fwd, bwd = (LstmParams(rng.normal(size=(4 * s, d)), rng.normal(size=(4 * s, s)),
+                               rng.normal(size=4 * s)) for _ in range(2))
+        x = rng.normal(size=(distinct, d))
         lens = np.array([6, 4, 4, 1])
         tok = rng.integers(0, distinct, size=(len(lens), 6))
         weight = rng.normal(size=(len(lens), 6, 2 * s))
 
-        def loss():
-            return float((bilstm_batch(u_f.T, u_b.T, zx_f, zx_b, tok, lens) * weight).sum())
+        def bilstm(inputs, tok):
+            h = np.zeros(tok.shape + (2 * s,))
+            zx_f = lstm_batch(fwd, inputs, tok, lens, h[:, :, :s])
+            zx_b = lstm_batch(bwd, inputs, tok, lens, h[:, :, s:], reverse=True)
+            return h, zx_f, zx_b
 
-        h = bilstm_batch(u_f.T, u_b.T, zx_f, zx_b, tok, lens)
-        d_u_f, d_u_b = np.zeros_like(u_f), np.zeros_like(u_b)
-        dz_f = lstm_batch_backward(u_f, zx_f, tok, lens, h[:, :, :s], weight[:, :, :s], d_u_f)
-        dz_b = lstm_batch_backward(u_b, zx_b, tok, lens, h[:, :, s:], weight[:, :, s:], d_u_b,
-                                   reverse=True)
-        for n, row_f, row_b in zip(lens, dz_f, dz_b):
+        def loss():
+            return float((bilstm(x, tok)[0] * weight).sum())
+
+        # the backward pass takes one input row per padded position
+        x_pos = x[tok].reshape(-1, d)
+        pos = np.arange(tok.size).reshape(tok.shape)
+        h, zx_f, zx_b = bilstm(x_pos, pos)
+        np.testing.assert_allclose(h, bilstm(x, tok)[0], rtol=0, atol=1e-12)
+        d_fwd, d_bwd = (LstmParams(*map(np.zeros_like, (p.w, p.u, p.b))) for p in (fwd, bwd))
+        dx_f = lstm_batch_backward(fwd, x_pos, zx_f, pos, lens, h[:, :, :s], weight[:, :, :s],
+                                   d_fwd)
+        dx_b = lstm_batch_backward(bwd, x_pos, zx_b, pos, lens, h[:, :, s:], weight[:, :, s:],
+                                   d_bwd, reverse=True)
+        for n, row_f, row_b in zip(lens, dx_f.reshape(tok.shape + (d,)),
+                                   dx_b.reshape(tok.shape + (d,))):
             assert not row_f[n:].any() and not row_b[n:].any()
-        d_zx_f, d_zx_b = np.zeros_like(zx_f), np.zeros_like(zx_b)
-        np.add.at(d_zx_f, tok.ravel(), dz_f.reshape(-1, 4 * s))
-        np.add.at(d_zx_b, tok.ravel(), dz_b.reshape(-1, 4 * s))
+        d_x = np.zeros_like(x)
+        np.add.at(d_x, tok.ravel(), dx_f + dx_b)
+        checks = [(getattr(p, name), getattr(g, name))
+                  for p, g in ((fwd, d_fwd), (bwd, d_bwd)) for name in ("w", "u", "b")]
         eps = 1e-6
-        for arr, grad in ((u_f, d_u_f), (u_b, d_u_b), (zx_f, d_zx_f), (zx_b, d_zx_b)):
+        for arr, grad in checks + [(x, d_x)]:
             for i in rng.choice(arr.size, size=10, replace=False):
                 flat = arr.reshape(-1)
                 old = flat[i]

@@ -335,6 +335,7 @@ class TestBatchedTag:
             assert tags == want_tags
             np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
 
+    @pytest.mark.lane
     def test_worker_changes_no_bit(self, tiny_model, monkeypatch):
         # the same call with the worker replaced by a stand-in that runs the
         # submitted loop inline, so the caller's thread tags every bucket
@@ -354,6 +355,7 @@ class TestBatchedTag:
             assert tags == want_tags
             assert np.array_equal(marg, want_marg)
 
+    @pytest.mark.lane
     def test_one_worker_per_call(self, tiny_model, monkeypatch):
         # 1,800 distinct surfaces in sentences of 400 and 100 tokens: three
         # buckets under the default budget, one worker for all of them
@@ -370,6 +372,7 @@ class TestBatchedTag:
             assert tags == want_tags
             np.testing.assert_allclose(marg, want_marg, rtol=0, atol=1e-10)
 
+    @pytest.mark.lane
     def test_error_in_a_bucket_reaches_the_caller(self, tiny_model, monkeypatch):
         model, corpus = tiny_model
         monkeypatch.setattr(model_module, "BATCH_TOKENS", 12)
@@ -394,6 +397,7 @@ class TestBatchedTag:
             assert tags == want_tags
             assert np.array_equal(marg, want_marg)
 
+    @pytest.mark.lane
     def test_worker_error_reaches_the_caller(self, tiny_model, monkeypatch):
         # two buckets of one row each; the caller's bucket waits until the
         # worker has taken the other one and failed on it

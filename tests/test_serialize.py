@@ -437,6 +437,7 @@ class TestVerifyWorker:
                 load_model(str(path))
         assert threading.active_count() == threads
 
+    @pytest.mark.lane
     def test_round_trip_under_fast_switching(self, saved):
         model, _, path = saved
         interval = sys.getswitchinterval()
@@ -516,6 +517,7 @@ class TestUse:
         assert len(calls) == 1
         assert threading.active_count() == threads
 
+    @pytest.mark.lane
     def test_returns_the_result_of_use_under_fast_switching(self, saved):
         model, _, path = saved
         calls = []
