@@ -41,6 +41,7 @@ from .corpus import (
     split_corpus,
     tokenize,
     write_conll,
+    write_files,
 )
 from .embeddings import OOV_POLICIES, load_embeddings
 from .errors import (
@@ -64,6 +65,9 @@ EXIT_VALIDATION = 4
 EXIT_NUMERIC = 5
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# what no --grid may vary: cmd_train reads the first three once, before the
+# grid runs, and training never reads confidence_mode
+_FIXED_IN_GRID = ("word_dim", "oov_policy", "max_seq_length", "confidence_mode")
 
 
 class UsageError(ValidationError):
@@ -133,12 +137,6 @@ def _train_config_options() -> list[tuple[tuple[str, ...], dict]]:
     return options
 
 
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _read_abbreviations(path: str | None) -> frozenset[str]:
     extra = {line.strip() for line in read_text(path).split("\n")} if path else set()
     return DEFAULT_ABBREVIATIONS | extra - {""}
@@ -164,6 +162,8 @@ def _load_corpus(path: str, fmt: str, scheme: str, schema: LabelSchema | None,
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    """Train, or grid-search, and write every output but model.medner in one
+    write_files call, then save_model: in a fresh --out-dir the model comes last."""
     _required(args, "out_dir", "train", "embeddings")
     config = TrainConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS})
     grid = _read_grid_file(args.grid) if args.grid else None
@@ -194,26 +194,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         fit_result = fit(build_model(config), train_corpus, val_corpus)
     report = evaluate(fit_result.model, val_corpus)
 
-    out = _out_dir(args.out_dir)
+    files = _report_files(report)
+    files["metrics.log"] = "\n".join(fit_result.log_lines()) + ("\n" if fit_result.history else "")
     if grid:
-        (out / "grid_results.json").write_text(
-            json.dumps(
-                [
-                    {"config": r.config.to_dict(), "val_micro_f1": r.val_micro_f1,
-                     "num_parameters": r.num_parameters}
-                    for r in result.runs
-                ],
-                indent=2, sort_keys=True,
-            ) + "\n",
-            encoding="utf-8",
-        )
-    save_model(fit_result.model, str(out / "model.medner"))
-    (out / "metrics.log").write_text(
-        "\n".join(fit_result.log_lines()) + ("\n" if fit_result.history else ""),
-        encoding="utf-8",
-    )
-    _write_report(out, report)
-    log.info("model written to %s", out / "model.medner")
+        runs = [{"config": r.config.to_dict(), "val_micro_f1": r.val_micro_f1,
+                 "num_parameters": r.num_parameters} for r in result.runs]
+        files["grid_results.json"] = json.dumps(runs, indent=2, sort_keys=True) + "\n"
+    write_files(args.out_dir, files)
+    model_path = Path(args.out_dir) / "model.medner"
+    save_model(fit_result.model, str(model_path))
+    log.info("model written to %s", model_path)
     return EXIT_OK
 
 
@@ -227,16 +217,17 @@ def _read_grid_file(path: str) -> dict[str, list]:
                      for v in values.split(",") if v.strip()]
         if not grid[key]:
             raise ParseError(f"no values for {key!r}", line=lineno)
+        if key in _FIXED_IN_GRID:  # after its values, so a bad one exits as its flag's would
+            raise ParseError(f"a --grid cannot vary {key!r}", line=lineno)
     if not grid:
         raise ParseError("grid file lists no hyperparameters")
     return grid
 
 
-def _write_report(out: Path, report: evaluation.EvalReport) -> None:
-    (out / "eval_report.txt").write_text(report.summary() + "\n", encoding="utf-8")
-    (out / "eval_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _report_files(report: evaluation.EvalReport) -> dict[str, str]:
+    """The eval_report.txt and eval_report.json of `report`, by file name."""
+    return {"eval_report.txt": report.summary() + "\n",
+            "eval_report.json": json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"}
 
 
 def _check_known_types(model: ModelParams, entity_types) -> None:
@@ -274,9 +265,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     chunks = load_model(args.model, use=tag_input)
     chunks = [c for c in chunks if c.confidence >= args.min_confidence]
-    out = _out_dir(args.out_dir)
-    (out / "chunks.tsv").write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
-    log.info("%d chunks written to %s", len(chunks), out / "chunks.tsv")
+    write_files(args.out_dir, {"chunks.tsv": chunking.write_chunk_records(chunks)})
+    log.info("%d chunks written to %s", len(chunks), Path(args.out_dir) / "chunks.tsv")
     return EXIT_OK
 
 
@@ -300,7 +290,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluation.EvalReport.from_sentences(gold.sentences, pred.sentences)
     print(report.summary())
     if args.out_dir:
-        _write_report(_out_dir(args.out_dir), report)
+        write_files(args.out_dir, _report_files(report))
     if gate is not None and report.micro_f1 < gate:
         log.error("micro-F1 %.4f below gate %.4f", report.micro_f1, gate)
         return EXIT_GATE
@@ -335,12 +325,8 @@ def cmd_deidentify(args: argparse.Namespace) -> int:
         result = deid.apply_policy(text, chunks, policy)
     except ValidationError as exc:
         raise ValidationError(f"{args.input}: {exc}")
-    out = _out_dir(args.out_dir)
-    (out / "deidentified.txt").write_text(result.text, encoding="utf-8")
-    (out / "replacements.log").write_text(
-        "\n".join(result.log_lines()) + ("\n" if result.replacements else ""),
-        encoding="utf-8",
-    )
+    log_text = "\n".join(result.log_lines()) + ("\n" if result.replacements else "")
+    write_files(args.out_dir, {"deidentified.txt": result.text, "replacements.log": log_text})
     return EXIT_OK
 
 
@@ -350,14 +336,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
             "chunk-records carry no token information and cannot be a source format"
         )
     corpus = _load_corpus(args.input, args.from_format, args.from_scheme, None)
-    out_path = Path(args.out)
     if args.to_format == "chunk-records":
         chunks = chunking.decode_chunks(corpus.sentences, [s.tags() for s in corpus.sentences])
-        out_path.write_text(chunking.write_chunk_records(chunks), encoding="utf-8")
-        return EXIT_OK
-    out_path.write_text(
-        write_conll(corpus, FORMATS[args.to_format], args.to_scheme), encoding="utf-8"
-    )
+        text = chunking.write_chunk_records(chunks)
+    else:
+        text = write_conll(corpus, FORMATS[args.to_format], args.to_scheme)
+    out = Path(args.out)
+    write_files(out.parent, {out.name: text})
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
-"""Corpus ingestion: the reader of every input file but the model container
-and the `key = value` grammar, sentence splitting, tokenization, CoNLL
-parsing, IOB tag handling, vocabularies, and deterministic data splits.
+"""Corpus ingestion: the one reader of every input file but the model
+container and the one writer of every output file, the `key = value` grammar,
+sentence splitting, tokenization, CoNLL parsing, IOB tag handling,
+vocabularies, and deterministic data splits.
 
 Raw text is cut into sentences after every newline, and after '.', '!' or
 '?' when spaces or tabs and then an upper-case letter or digit follow,
@@ -20,10 +21,11 @@ apply it.
 from __future__ import annotations
 
 import logging
+import os
 import re
 import string
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -69,6 +71,28 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     # the guard spares the copy of the text that replacing "\r\n" makes
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def write_files(directory: str | Path, files: dict[str, str | Iterable[bytes]]) -> None:
+    """Write each of `files` (name -> UTF-8 text with '\\n' line ends, or byte
+    strings written in turn) to a new temporary sibling in `directory`, made
+    if missing, then os.replace each over its name, so a reader sees a file's
+    old bytes or its new ones whole; any exception removes the temporaries."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, content in files.items():
+            tmp = Path(directory, f"{name}.{os.urandom(6).hex()}.tmp")
+            with open(tmp, "xb") as fh:
+                staged.append((tmp, Path(directory, name)))
+                for part in [content.encode("utf-8")] if isinstance(content, str) else content:
+                    fh.write(part)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def key_values(text: str, expected: str) -> Iterator[tuple[int, str, str]]:

@@ -27,7 +27,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from ..corpus import LabelSchema, Vocabulary
+from ..corpus import LabelSchema, Vocabulary, write_files
 from ..embeddings import EmbeddingTable
 from ..errors import (
     ChecksumError,
@@ -106,9 +106,9 @@ def _dimensions(model: ModelParams) -> dict:
 
 
 def save_model(model: ModelParams, path: str) -> None:
-    """Write the container to `path` atomically: to a temporary file in the
-    same directory, then os.replace'd into place; on any exception the
-    temporary file is removed and `path` is left as it was."""
+    """Write the container to `path`, making its directory if missing, in one
+    corpus.write_files call: a reader sees the old container or the new one
+    whole, and a failed save leaves `path` as it was."""
     tensors = dict(model.tensors())
     tensors["embed_matrix"] = model.embed.matrix
     tensors["embed_unk"] = model.embed.unk_vector
@@ -146,19 +146,9 @@ def save_model(model: ModelParams, path: str) -> None:
         "tensors": directory,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    # written to a new sibling and renamed over `path`, so a reader sees the
-    # old container or the new one whole, and a failed save leaves the old one
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(f"{MAGIC} {FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii"))
-            fh.write(manifest_bytes)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    header = f"{MAGIC} {FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii")
+    folder, name = os.path.split(path)
+    write_files(folder, {name: (header, manifest_bytes, payload)})
 
 
 def _read_container(path: str) -> tuple[dict, np.ndarray]:

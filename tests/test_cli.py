@@ -1,6 +1,7 @@
 import argparse
 import json
 import logging
+import os
 import threading
 
 import numpy as np
@@ -15,13 +16,15 @@ from conftest import (
     toy_table,
     write_embeddings,
 )
-from medner.chunking import Chunk, write_chunk_records
+import medner.corpus
+from medner.chunking import Chunk, parse_chunk_records, write_chunk_records
 from medner import cli
 from medner.cli import main, read_text
 from medner.corpus import TSV2, Corpus, parse_conll, write_conll
 from medner.errors import NumericError
 from medner.nercore.model import TrainConfig
 from medner.nercore.serialize import load_model, save_model
+import test_serialize
 from test_serialize import flip_byte
 
 
@@ -591,6 +594,134 @@ class TestConvert:
         assert code == 4
 
 
+def files_in(directory) -> dict[str, bytes]:
+    """Every file in `directory`, temporaries included, by name."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+# counting_open(patch, fail_at) makes the fail_at-th write of the files that
+# corpus.write_files opens raise OSError, and returns the writes made
+counting_open = test_serialize.TestAtomicSave.counting_open
+
+
+def failing_replace(patch, fail_at) -> None:
+    """Make the fail_at-th os.replace that corpus.write_files makes raise."""
+    real, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError("replace failed")
+        real(src, dst)
+
+    patch.setattr(medner.corpus.os, "replace", replace)
+
+
+class TestFailedWrites:
+    """A command writes its outputs through corpus.write_files: when a write
+    or a rename fails, every output holds its old bytes or its new ones whole,
+    and no temporary file is left beside them."""
+
+    GOLD = "w0a\tB-A\nw0b\tO\n\nw1a\tB-B\nw1b\tO\n\n"
+    PRED = "w0a\tB-A\nw0b\tO\n\nw1a\tO\nw1b\tB-A\n\n"
+
+    @classmethod
+    def argv(cls, command, run, out, inputs, model_file, corpus):
+        """`command`'s argv on its first (run 0) or second (run 1) inputs,
+        which give other outputs, writing to `out`; inputs go in `inputs`."""
+        inputs.mkdir(exist_ok=True)
+        note, chunks = inputs / "note.txt", inputs / "chunks.tsv"
+        gold, pred = inputs / "gold.tsv", inputs / "pred.tsv"
+        if command == "predict":
+            sentences = corpus.sentences[5 * run : 5 * run + 5]
+            note.write_text("".join(" ".join(t.surface for t in s.tokens) + "\n"
+                                    for s in sentences), encoding="utf-8")
+            return ["predict", "--model", str(model_file), "--input", str(note),
+                    "--out-dir", str(out)]
+        if command == "deidentify":
+            records = parse_chunk_records(figure_chunk_records())[: 9 - 4 * run]
+            note.write_text(FIGURE_TEXT, encoding="utf-8")
+            chunks.write_text(write_chunk_records(records), encoding="utf-8")
+            return ["deidentify", "--input", str(note), "--chunks", str(chunks),
+                    "--out-dir", str(out)]
+        gold.write_text(cls.GOLD, encoding="utf-8")
+        pred.write_text([cls.GOLD, cls.PRED][run], encoding="utf-8")
+        if command == "evaluate":
+            return ["evaluate", "--gold", str(gold), "--pred", str(pred), "--out-dir", str(out)]
+        return ["convert", "--input", str(pred), "--from", "tsv2", "--to", "conll4",
+                "--out", str(out)]
+
+    @pytest.fixture(params=["predict", "deidentify", "evaluate", "convert"])
+    def runs(self, request, model_file, trained_tiny_model, tmp_path, monkeypatch):
+        """A command's first run into an output directory, which it makes, and
+        a clean second run into another: (the argv of the second run into the
+        first directory, that directory, its files after the first run, the
+        second run's files, the number of writes the second run makes)."""
+        command, corpus = request.param, trained_tiny_model[1]
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        out_file = "data.conll4" if command == "convert" else None  # --out names the file
+
+        def argv(run, directory):
+            target = directory / out_file if out_file else directory
+            return self.argv(command, run, target, tmp_path / f"inputs{run}", model_file, corpus)
+
+        assert main(argv(0, out)) == 0
+        with monkeypatch.context() as patch:
+            writes = counting_open(patch, fail_at=0)
+            assert main(argv(1, ref)) == 0
+        before, after = files_in(out), files_in(ref)
+        assert before.keys() == after.keys()
+        assert all(before[name] != after[name] for name in before)
+        assert len(writes) >= len(before)  # all through write_files
+        return argv(1, out), out, before, after, len(writes)
+
+    def test_failed_write_keeps_every_output(self, runs, monkeypatch):
+        argv, out, before, _, num_writes = runs
+        for k in range(1, num_writes + 1):
+            with monkeypatch.context() as patch:
+                counting_open(patch, fail_at=k)
+                assert main(argv) == 4, k
+            assert files_in(out) == before, k
+
+    def test_failed_replace_leaves_each_output_whole(self, runs, monkeypatch):
+        argv, out, before, after, _ = runs
+        for k in range(1, len(before) + 1):
+            for name, data in before.items():
+                (out / name).write_bytes(data)
+            with monkeypatch.context() as patch:
+                failing_replace(patch, k)
+                assert main(argv) == 4, k
+            files = files_in(out)
+            assert files.keys() == before.keys(), k
+            assert all(files[name] in (before[name], after[name]) for name in files), k
+
+    def test_train_writes_its_reports_then_its_model(self, workdir, monkeypatch):
+        """A fault in train's one write_files call leaves the out-dir as it
+        was; a fault in save_model, which comes after, leaves the new reports
+        beside the old model.medner."""
+        tmp_path, _, train_file, emb_file = workdir
+        second = ("--val", str(train_file))  # another split, so every output differs
+        _, out = run_train(tmp_path, train_file, emb_file)
+        with monkeypatch.context() as patch:
+            writes = counting_open(patch, fail_at=0)
+            code, ref = run_train(tmp_path, train_file, emb_file, "ref", second)
+        assert code == 0
+        before, after = files_in(out), files_in(ref)
+        assert before.keys() == after.keys()
+        assert all(before[name] != after[name] for name in before)
+        assert len(writes) >= len(before)  # all through write_files
+        text_writes = len(before) - 1  # one per text file, then save_model's
+        for k in range(1, len(writes) + 1):
+            for name, data in before.items():
+                (out / name).write_bytes(data)
+            with monkeypatch.context() as patch:
+                counting_open(patch, fail_at=k)
+                assert run_train(tmp_path, train_file, emb_file, extra=second)[0] == 4, k
+            expected = before if k <= text_writes else {
+                **after, "model.medner": before["model.medner"]}
+            assert files_in(out) == expected, k
+
+
 NOT_UTF8 = b"\xff fever\n"
 
 # every text file a subcommand reads, by flag; the model container is
@@ -769,6 +900,22 @@ class TestBadValues:
                               extra=("--grid", str(grid)))
         assert code == 3
         assert f"line 2: no values for {line.split('=')[0].strip()!r}" in caplog.text
+        assert not out.exists()
+
+    # cmd_train reads the first three once, before the grid runs, and training
+    # never reads confidence_mode, so no grid point could differ by them
+    @pytest.mark.parametrize("line", [
+        "word_dim = 16, 8", "oov_policy = zero, lowercase_then_unk",
+        "max_seq_length = 3, 512", "confidence_mode = min, geomean",
+    ])
+    def test_grid_key_that_no_point_can_vary_is_parse_error(self, workdir, caplog, line):
+        tmp_path, _, train_file, _ = workdir
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"dropout = 0.0\n{line}\n", encoding="utf-8")
+        code, out = run_train(tmp_path, train_file, tmp_path / "missing.txt",
+                              extra=("--grid", str(grid)))
+        assert code == 3
+        assert f"line 2: a --grid cannot vary {line.split('=')[0].strip()!r}" in caplog.text
         assert not out.exists()
 
     def test_grid_value_outside_choices_exits_2(self, workdir, caplog, monkeypatch):

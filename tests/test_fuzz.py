@@ -193,6 +193,7 @@ def test_grid_file(contents):
     grid = write_then(contents, _read_grid_file)
     for name, values in (grid or {}).items():
         assert name in FIELDS
+        assert name not in ("word_dim", "oov_policy", "max_seq_length", "confidence_mode")
         # grid_search builds each point this way (and rejects an empty list)
         for value in values:
             config = parsed_or_rejected(lambda: dataclasses.replace(TrainConfig(), **{name: value}))

@@ -12,8 +12,9 @@ but never flags live code. Reference implementations that only the tests
 call belong in tests/oracles.py.
 
 A second walk finds every call that opens or reads a file, decodes UTF-8 or
-splits text with str.splitlines(), and allows each only in corpus.read_text
-or in the model container's code.
+splits text with str.splitlines(), and allows each only in corpus.read_text,
+corpus.write_files or the model container's code. A third finds every call
+that writes or renames a file and allows it only in corpus.write_files.
 """
 
 import ast
@@ -73,10 +74,11 @@ def test_every_definition_is_reachable_from_the_cli():
 
 
 # (module, function) -> the file reads and UTF-8 decodes it may make:
-# corpus.read_text is the one reader of input files, and serialize.py
-# writes and reads the binary model container, whose manifest is UTF-8 JSON
+# corpus.read_text is the one reader of input files, corpus.write_files opens
+# the files it writes, and serialize.py reads the binary model container,
+# whose manifest is UTF-8 JSON
 READERS = {("corpus.py", "read_text"): {"read_bytes", "decode"},
-           ("serialize.py", "save_model"): {"open"},
+           ("corpus.py", "write_files"): {"open"},
            ("serialize.py", "_read_container"): {"open"},
            ("serialize.py", "_checked_manifest"): {"decode"}}
 
@@ -121,3 +123,40 @@ def test_one_reader_and_one_line_rule():
             if kind is not None and kind not in READERS.get(where, ()):
                 found.append(f"{path.name}:{call.lineno} {where[1]}: {kind}")
     assert found == [], "file reads or line splits outside corpus.read_text: " + ", ".join(found)
+
+
+def _file_writes(node: ast.Call) -> str | None:
+    """What kind of file write a call is, if any: `write_text`, `write_bytes`,
+    an `open` whose mode writes ('w', 'x', 'a' or '+'; a mode that is not a
+    constant counts too), `os.replace` or `os.rename`."""
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
+        return name
+    if name == "open":
+        at = 1 if isinstance(func, ast.Name) else 0
+        mode = node.args[at] if len(node.args) > at else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wxa+"):
+            return "writing open"
+    if (isinstance(func, ast.Attribute) and name in ("replace", "rename")
+            and isinstance(func.value, ast.Name) and func.value.id == "os"):
+        return f"os.{name}"
+    return None
+
+
+def test_one_writer():
+    """Every file the package writes goes through corpus.write_files, which
+    writes a temporary sibling and renames it into place: no other code
+    writes, opens for writing or renames a file."""
+    found = []
+    for path in sorted(Path(medner.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        owner = {id(call): f.name for f in functions for call in ast.walk(f)}
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            kind = _file_writes(call)
+            where = (path.name, owner.get(id(call)))
+            if kind is not None and where != ("corpus.py", "write_files"):
+                found.append(f"{path.name}:{call.lineno} {where[1]}: {kind}")
+    assert found == [], "file writes outside corpus.write_files: " + ", ".join(found)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import medner.corpus
 from medner.cli import main
 from medner.errors import (
     ChecksumError,
@@ -565,7 +566,7 @@ class TestAtomicSave:
 
     @staticmethod
     def counting_open(monkeypatch, fail_at):
-        """Make the fail_at-th write of files save_model opens raise OSError;
+        """Make the fail_at-th write of files corpus.write_files opens raise OSError;
         returns the list of writes made so far."""
         writes = []
 
@@ -585,7 +586,7 @@ class TestAtomicSave:
             def __exit__(self, *exc):
                 self.fh.close()
 
-        monkeypatch.setattr(serialize, "open", lambda *args: Counted(open(*args)),
+        monkeypatch.setattr(medner.corpus, "open", lambda *args: Counted(open(*args)),
                             raising=False)
         return writes
 
@@ -612,7 +613,7 @@ class TestAtomicSave:
         def failing_replace(src, dst):
             raise OSError("replace failed")
 
-        monkeypatch.setattr(serialize.os, "replace", failing_replace)
+        monkeypatch.setattr(medner.corpus.os, "replace", failing_replace)
         with pytest.raises(OSError, match="replace failed"):
             save_model(self.other_model(model), str(path))
         assert path.read_bytes() == before
