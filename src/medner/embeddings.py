@@ -2,7 +2,9 @@
 
 Pretrained contextual embeddings are abstracted behind the same lookup
 interface: a table maps surfaces to 64-bit float rows and is total, i.e.
-lookup never fails regardless of the token.
+lookup never fails regardless of the token. A table loaded from a model
+container may hold its rows as int32 decimal codes (see decode); lookup
+decodes only the row it returns.
 """
 
 from __future__ import annotations
@@ -22,15 +24,27 @@ UNK_WORD = "<unk>"
 # loadtxt skips these around a value as whitespace, and float() does not; a
 # table's rows are searched for them only when its text holds one
 _LOADTXT_SPACES = "\x1c\x1d\x1e\x1f"
+# The int32 code of -0.0 in a table of decimal codes; every other code k,
+# within +-(2**31 - 1), is the value k / 10**decimals.
+NEG_ZERO_CODE = np.iinfo(np.int32).min
+
+
+def decode(codes: np.ndarray, decimals: int) -> np.ndarray:
+    """The float64 values of int32 decimal codes: k / 10**decimals, correctly
+    rounded, and -0.0 where k is NEG_ZERO_CODE."""
+    values = codes / 10.0**decimals
+    values[codes == NEG_ZERO_CODE] = -0.0
+    return values
 
 
 @dataclass
 class EmbeddingTable:
     dimension: int
     words: list[str]
-    matrix: np.ndarray  # (len(words), dimension) float64
+    rows: np.ndarray  # (len(words), dimension): float64 values, or int32 codes
     unk_vector: np.ndarray
     oov_policy: str = "lowercase_then_unk"
+    decimals: int | None = None  # None for float64 rows, else the codes' decimals
     word_to_row: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -38,11 +52,13 @@ class EmbeddingTable:
             raise ValidationError(
                 f"unknown OOV policy {self.oov_policy!r}, expected one of {OOV_POLICIES}"
             )
-        if self.matrix.shape != (len(self.words), self.dimension):
+        if self.rows.shape != (len(self.words), self.dimension):
             raise ValidationError("embedding matrix shape does not match word list")
         if self.unk_vector.shape != (self.dimension,):
             raise ValidationError("unk vector has wrong dimension")
-        if not np.all(np.isfinite(self.matrix)) or not np.all(np.isfinite(self.unk_vector)):
+        # every decimal code decodes to a finite value
+        if (self.decimals is None and not np.all(np.isfinite(self.rows))
+                or not np.all(np.isfinite(self.unk_vector))):
             raise ValidationError("embedding table contains non-finite values")
         self.word_to_row = dict(zip(self.words, range(len(self.words))))
         if len(self.word_to_row) != len(self.words):  # a repeat's first row is unreachable
@@ -53,19 +69,20 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.words)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (len(words), dimension) float64 rows, decoded whole if coded."""
+        return self.rows if self.decimals is None else decode(self.rows, self.decimals)
+
     def lookup(self, token_surface: str) -> np.ndarray:
-        """Resolve a token to its vector; total under every OOV policy."""
+        """Resolve a token to its vector; total under every OOV policy. Of a
+        coded table, only the returned row is decoded."""
         row = self.word_to_row.get(token_surface)
-        if row is not None:
-            return self.matrix[row]
-        if self.oov_policy == "lowercase_then_unk":
+        if row is None and self.oov_policy == "lowercase_then_unk":
             row = self.word_to_row.get(token_surface.lower())
-            if row is not None:
-                return self.matrix[row]
-            return self.unk_vector
-        if self.oov_policy == "unk_row":
-            return self.unk_vector
-        return self._zero
+        if row is not None:
+            return self.rows[row] if self.decimals is None else decode(self.rows[row], self.decimals)
+        return self._zero if self.oov_policy == "zero" else self.unk_vector
 
 
 def load_embeddings(

@@ -1,12 +1,21 @@
 """Versioned model container: a text manifest followed by raw tensor payloads.
 
-Layout:
-    line 1   ``mednermodel <version> <manifest_nbytes>\\n``
+Layout of format 2, which save_model writes:
+    line 1   ``mednermodel 2 <manifest_nbytes> <manifest_sha256>\\n``
     bytes    JSON manifest (dimensions, schema, vocab, embedding words,
              config snapshot, tensor directory); the schema's ``scheme``
              is always "IOB2", the only scheme a model tags in
-    bytes    tensors concatenated in directory order, little-endian float64,
-             C order, each with a sha256 checksum recorded in the directory
+    bytes    tensors concatenated in directory order, C order, each with a
+             sha256 checksum of its stored bytes and an encoding recorded in
+             the directory: "f64", little-endian float64, or, for the
+             embedding matrix alone, "i32e-<d>", little-endian int32 codes
+             k of the values k / 10**d (see embeddings.decode)
+
+save_model stores the embedding matrix as "i32e-<d>" for the smallest d in
+0..9 that gives back every float64 bit of it, as it does for a table read
+from a text file that prints d decimals, and as "f64" when no d does.
+Format 1 has no manifest digest in its header and no encodings: every tensor
+is float64. load_model reads both formats.
 
 The embedding table is stored inside the container so a loaded model predicts
 without external files, bit-identically to the saved one. The trainable
@@ -28,7 +37,7 @@ from typing import TypeVar
 import numpy as np
 
 from ..corpus import LabelSchema, Vocabulary, write_files
-from ..embeddings import EmbeddingTable
+from ..embeddings import NEG_ZERO_CODE, EmbeddingTable, decode
 from ..errors import (
     ChecksumError,
     MednerError,
@@ -40,27 +49,36 @@ from ..errors import (
 )
 from . import lane
 from .model import ModelParams, TrainConfig, param_shapes
+from .training import ADAM_BLOCK
 
 MAGIC = "mednermodel"
-FORMAT_VERSION = 1
-_MAX_HEADER_BYTES = 64  # "mednermodel <version> <manifest_nbytes>\n" is far shorter
+FORMAT_VERSION = 2
+# "mednermodel 2 <manifest_nbytes> <64 hex digits>\n" is far shorter
+_MAX_HEADER_BYTES = 128
+# the embedding matrix's decimal encodings, by name, with their d
+_DECIMAL_ENCODINGS = {f"i32e-{d}": d for d in range(10)}
+_I32_MAX = np.iinfo(np.int32).max
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
 T = TypeVar("T")
 
 # The JSON type of every manifest field load_model reads; [t] is a list of t.
 # Types compare exactly, so a boolean never passes for an integer.
 _CONFIG_TYPES = {"int": int, "float": (float, int), "bool": bool, "str": str}
-_MANIFEST_TYPES = {
+_TENSOR_TYPES = {"name": str, "shape": [int], "offset": int, "nbytes": int, "sha256": str}
+_V1_TYPES = {
     "dimensions": dict.fromkeys(
         ("word_dim", "char_dim", "kernel_width", "num_filters", "lstm_size",
          "num_tags", "num_chars", "input_dim", "embed_rows"), int,
     ) | {"num_words": (int, type(None))},
-    "tensors": [{"name": str, "shape": [int], "offset": int, "nbytes": int, "sha256": str}],
+    "tensors": [_TENSOR_TYPES],
     "config": {f.name: _CONFIG_TYPES[f.type] for f in dataclasses.fields(TrainConfig)},
     "schema": {"entity_types": [str], "scheme": str},
     "vocab": {"words": [str], "chars": [str], "min_count": int},
     "embedding": {"words": [str], "oov_policy": str},
 }
+# by format version; format 2 adds each tensor's encoding
+_MANIFEST_TYPES = {1: _V1_TYPES, 2: _V1_TYPES | {"tensors": [_TENSOR_TYPES | {"encoding": str}]}}
 
 
 def _check_json(value, kind, where: str) -> None:
@@ -105,28 +123,61 @@ def _dimensions(model: ModelParams) -> dict:
     }
 
 
+def _decimal_codes(matrix: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """The int32 codes k and the smallest d in 0..9 for which decode(k, d)
+    gives back every bit of the float64 `matrix`, -0.0 included; None when
+    no d does. It works ADAM_BLOCK values at a time into one int32 array, so
+    its temporaries are a few blocks, not a few matrices."""
+    flat = np.ascontiguousarray(matrix, dtype=np.float64).reshape(-1)
+    codes = np.empty(flat.size, dtype="<i4")
+    for d in _DECIMAL_ENCODINGS.values():
+        for lo in range(0, flat.size, ADAM_BLOCK):
+            x = flat[lo : lo + ADAM_BLOCK]
+            with np.errstate(over="ignore"):  # a value past int32 at this d
+                k = x * 10.0**d
+            np.rint(k, out=k)
+            if not -_I32_MAX <= k.min() <= k.max() <= _I32_MAX:
+                break
+            block = codes[lo : lo + ADAM_BLOCK]
+            block[:] = k
+            bits = x.view(np.int64)
+            block[bits == _NEG_ZERO_BITS] = NEG_ZERO_CODE
+            if not np.array_equal(decode(block, d).view(np.int64), bits):
+                break
+        else:
+            return codes.reshape(matrix.shape), d
+    return None
+
+
 def save_model(model: ModelParams, path: str) -> None:
     """Write the container to `path`, making its directory if missing, in one
     corpus.write_files call: a reader sees the old container or the new one
-    whole, and a failed save leaves `path` as it was."""
+    whole, and a failed save leaves `path` as it was. The tensors' bytes are
+    written from their own buffers, with no payload copy."""
     tensors = dict(model.tensors())
     tensors["embed_matrix"] = model.embed.matrix
     tensors["embed_unk"] = model.embed.unk_vector
 
     directory = []
-    payload = bytearray()
+    blobs = []
+    offset = 0
     for name, arr in tensors.items():
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        stored, encoding = np.ascontiguousarray(arr, dtype="<f8"), "f64"
+        if name == "embed_matrix" and (coded := _decimal_codes(arr)) is not None:
+            stored, encoding = coded[0], f"i32e-{coded[1]}"
+        blob = stored.reshape(-1).view(np.uint8)
         directory.append(
             {
                 "name": name,
                 "shape": list(arr.shape),
-                "offset": len(payload),
-                "nbytes": len(blob),
+                "offset": offset,
+                "nbytes": blob.nbytes,
                 "sha256": _sha256(blob),
+                "encoding": encoding,
             }
         )
-        payload.extend(blob)
+        blobs.append(blob)
+        offset += blob.nbytes
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -138,7 +189,6 @@ def save_model(model: ModelParams, path: str) -> None:
             "min_count": model.vocab.min_count,
         },
         "embedding": {
-            "dimension": model.embed.dimension,
             "words": model.embed.words,
             "oov_policy": model.embed.oov_policy,
         },
@@ -146,29 +196,32 @@ def save_model(model: ModelParams, path: str) -> None:
         "tensors": directory,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    header = f"{MAGIC} {FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii")
+    header = f"{MAGIC} {FORMAT_VERSION} {len(manifest_bytes)} {_sha256(manifest_bytes)}\n"
     folder, name = os.path.split(path)
-    write_files(folder, {name: (header, manifest_bytes, payload)})
+    write_files(folder, {name: (header.encode("ascii"), manifest_bytes, *blobs)})
 
 
 def _read_container(path: str) -> tuple[dict, np.ndarray]:
     """The container's type-checked manifest and its payload. The lane's
-    worker parses and checks the manifest while this thread reads the
-    payload with one readinto into an aligned buffer; the readinto releases
-    the GIL at once, so the worker's Python work can start. The read's
-    error wins over the manifest's."""
+    worker checks the manifest's digest (format 2), then parses and checks
+    the manifest, while this thread reads the payload with one readinto into
+    an aligned buffer; the readinto releases the GIL at once, so the
+    worker's work can start. The read's error wins over the manifest's."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         line = fh.readline(_MAX_HEADER_BYTES)
         if not line.endswith(b"\n"):
             raise ModelFormatError("missing container header")
         header = line.decode("ascii", errors="replace").split()
-        if len(header) != 3 or header[0] != MAGIC:
+        if len(header) not in (3, 4) or header[0] != MAGIC:
             raise ModelFormatError("not a model container")
-        if header[1] != str(FORMAT_VERSION):
+        if header[1] not in ("1", "2"):
             raise VersionMismatchError(
-                f"container version {header[1]} is not supported (expected {FORMAT_VERSION})"
+                f"container version {header[1]} is not supported (expected 1 or 2)"
             )
+        version = int(header[1])
+        if len(header) != 2 + version:  # format 2 adds the manifest's digest
+            raise ModelFormatError(f"a version {version} header has {2 + version} fields")
         if not header[2].isdigit():  # after the ASCII decode only 0-9 pass: no sign
             raise ModelFormatError(f"bad manifest length {header[2]!r} in header")
         manifest_len = int(header[2])
@@ -178,33 +231,55 @@ def _read_container(path: str) -> tuple[dict, np.ndarray]:
         if len(manifest_bytes) != manifest_len:
             raise ChecksumError("container truncated inside the manifest")
         payload = np.empty(size - fh.tell(), dtype=np.uint8)
-        with lane.ahead(_checked_manifest, manifest_bytes) as manifest:
+        digest = header[3] if version == 2 else None
+        with lane.ahead(_checked_manifest, manifest_bytes, version, digest) as manifest:
             payload = payload[: fh.readinto(payload)]
             return manifest.result(), payload
 
 
-def _checked_manifest(manifest_bytes: bytes) -> dict:
-    """The manifest parsed and type-checked."""
+def _checked_manifest(manifest_bytes: bytes, version: int, digest: str | None) -> dict:
+    """The manifest, its digest compared when the header gives one, parsed
+    and type-checked; a format-1 manifest's tensors are all "f64"."""
+    if digest is not None and _sha256(manifest_bytes) != digest:
+        raise ChecksumError("manifest: checksum mismatch")
     try:
         manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"unreadable manifest: {exc}")
-    if isinstance(manifest, dict) and manifest.get("format_version") != FORMAT_VERSION:
+    if isinstance(manifest, dict) and manifest.get("format_version") != version:
         raise VersionMismatchError(
-            f"manifest format_version {manifest.get('format_version')!r} unsupported"
+            f"manifest format_version {manifest.get('format_version')!r} is not the "
+            f"header's {version}"
         )
-    _check_json(manifest, _MANIFEST_TYPES, "manifest")
+    _check_json(manifest, _MANIFEST_TYPES[version], "manifest")
     if manifest["schema"]["scheme"] != "IOB2":
         raise ModelFormatError(
             f"manifest scheme {manifest['schema']['scheme']!r}: models tag in IOB2 only"
         )
+    if version == 1:
+        for entry in manifest["tensors"]:
+            entry["encoding"] = "f64"
     return manifest
+
+
+def _decimals(name: str, encoding: str) -> int | None:
+    """None for a tensor stored as "f64", the d of the embedding matrix's
+    "i32e-<d>"; any other encoding is a ModelFormatError."""
+    if encoding == "f64":
+        return None
+    if name != "embed_matrix" or encoding not in _DECIMAL_ENCODINGS:
+        raise ModelFormatError(
+            f"tensor {name}: encoding {encoding!r} is not f64"
+            + (" or i32e-<d> with d in 0..9" if name == "embed_matrix" else "")
+        )
+    return _DECIMAL_ENCODINGS[encoding]
 
 
 def load_model(path: str, use: Callable[[ModelParams], T] = lambda model: model) -> T:
     """Read and verify a container, and return use(model) for the verified
     model; by default, the model itself. Every tensor is a view of one
-    payload buffer.
+    payload buffer, the embedding matrix's int32 codes too: the loaded
+    table decodes only the rows it looks up.
 
     The payload is read once into an aligned buffer and nothing is copied, so
     the tensor directory must tile it exactly as save_model writes it: its
@@ -297,31 +372,34 @@ def _verified_model(
                 owed = entry["sha256"]
             elif _sha256(blob) != entry["sha256"]:
                 raise ChecksumError(f"tensor {name}: checksum mismatch")
+            itemsize = 8 if _decimals(name, entry["encoding"]) is None else 4
             shape = tuple(entry["shape"])
-            if min(shape, default=0) < 0 or entry["nbytes"] != 8 * math.prod(shape):
+            if min(shape, default=0) < 0 or entry["nbytes"] != itemsize * math.prod(shape):
                 raise ShapeMismatchError(f"tensor {name}: shape {shape} does not fit payload")
             if shape != expected[name]:
                 raise ShapeMismatchError(
                     f"tensor {name}: shape {shape} does not match the {expected[name]} that "
                     "the config, schema and vocabulary give"
                 )
-            tensors[name] = blob.view("<f8").reshape(shape)
+            tensors[name] = blob.view("<f8" if itemsize == 8 else "<i4").reshape(shape)
         if end != len(payload):
             raise ModelFormatError(f"{len(payload) - end} bytes follow the last tensor")
         if len(tensors) != len(order):
             raise ShapeMismatchError(f"container is missing tensors: {order[len(tensors):]}")
 
+        embed_entry = manifest["tensors"][order.index("embed_matrix")]
         try:
             embed = EmbeddingTable(
                 config.word_dim, words, tensors["embed_matrix"], tensors["embed_unk"],
                 manifest["embedding"]["oov_policy"],
+                _decimals("embed_matrix", embed_entry["encoding"]),
             )
         except ValidationError as exc:
             raise ModelFormatError(str(exc))
         model = ModelParams(
             config, schema, vocab, embed,
             # the trainable tensors tile the payload up to the embedding matrix
-            payload[: manifest["tensors"][order.index("embed_matrix")]["offset"]].view("<f8"),
+            payload[: embed_entry["offset"]].view("<f8"),
         )
         if manifest["dimensions"] != _dimensions(model):
             raise ShapeMismatchError(

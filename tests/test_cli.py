@@ -25,7 +25,7 @@ from medner.errors import NumericError
 from medner.nercore.model import TrainConfig
 from medner.nercore.serialize import load_model, save_model
 import test_serialize
-from test_serialize import flip_byte
+from test_serialize import flip_byte, replace_in_manifest
 
 
 @pytest.fixture()
@@ -435,9 +435,10 @@ class TestDeidentify:
         assert not (out / "deidentified.txt").exists()
 
     def test_iob1_container_leaves_no_out_dir(self, model_file, tmp_path, caplog):
-        # same length, so every checksum still passes: the load rejects the scheme
+        # the header's digest updated, so every checksum still passes: the
+        # load rejects the scheme
         data = model_file.read_bytes()
-        model_file.write_bytes(data.replace(b'"scheme": "IOB2"', b'"scheme": "IOB1"', 1))
+        model_file.write_bytes(replace_in_manifest(data, b'"scheme": "IOB2"', b'"scheme": "IOB1"'))
         inp = tmp_path / "note.txt"
         inp.write_text("patient took 250mg daily.", encoding="utf-8")
         out = tmp_path / "deid"

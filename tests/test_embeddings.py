@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import SPLITLINES_ONLY, write_embeddings
 from medner.cli import main
-from medner.embeddings import UNK_WORD, EmbeddingTable, _is_int, load_embeddings
+from medner.embeddings import (
+    NEG_ZERO_CODE,
+    OOV_POLICIES,
+    UNK_WORD,
+    EmbeddingTable,
+    _is_int,
+    load_embeddings,
+)
 from medner.errors import MednerError, ParseError
 
 
@@ -165,6 +173,36 @@ class TestLookup:
             vec = table.lookup(token)
             assert vec.shape == (2,)
             assert np.all(np.isfinite(vec))
+
+
+class TestCodedTable:
+    """A table of int32 decimal codes, as load_model builds it from an
+    "i32e-<d>" container, looks words up as its float64 table does."""
+
+    CODES = np.array([[1500, -2], [NEG_ZERO_CODE, 0], [7, -(2**31 - 1)]], dtype=np.int32)
+    VALUES = np.array([[1.5, -0.002], [-0.0, 0.0], [0.007, -2147483.647]])
+
+    @pytest.mark.parametrize("policy", OOV_POLICIES)
+    def test_lookups_match_the_float_table(self, policy):
+        unk = np.array([0.25, -0.5])
+        coded = EmbeddingTable(2, ["a", "b", "c"], self.CODES, unk, policy, decimals=3)
+        plain = EmbeddingTable(2, ["a", "b", "c"], self.VALUES, unk, policy)
+        for word in ["a", "b", "c", "B", "zzz"]:
+            assert coded.lookup(word).tobytes() == plain.lookup(word).tobytes(), word
+        assert coded.matrix.tobytes() == self.VALUES.tobytes()
+
+    def test_lookup_decodes_one_row(self):
+        codes = np.arange(1_000_000, dtype=np.int32).reshape(10_000, 100)
+        words = [f"w{i}" for i in range(len(codes))]
+        table = EmbeddingTable(100, words, codes, np.zeros(100), decimals=2)
+        tracemalloc.start()
+        try:
+            row = table.lookup("w3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.tobytes() == (np.arange(300, 400) / 100).tobytes()
+        assert peak < 4 * row.nbytes
 
 
 class TestRoundTrip:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import medner.corpus
 from medner.cli import main
+from medner.corpus import Corpus, LabelSchema, build_vocab
+from medner.embeddings import EmbeddingTable, load_embeddings
 from medner.errors import (
     ChecksumError,
     MednerError,
@@ -22,9 +24,12 @@ from medner.errors import (
     ValidationError,
     VersionMismatchError,
 )
-from medner.nercore import serialize
-from medner.nercore.model import tag
+from medner.nercore import lane, serialize
+from medner.nercore.model import init_model, tag
 from medner.nercore.serialize import load_model, save_model
+from medner.nercore.training import ADAM_BLOCK
+
+from conftest import make_sentence, tiny_config
 
 
 @pytest.fixture()
@@ -43,8 +48,21 @@ def split_container(data: bytes) -> tuple[dict, bytes]:
 
 
 def join_container(manifest, payload: bytes) -> bytes:
-    new = json.dumps(manifest).encode("utf-8")
-    return b"mednermodel 1 %d\n" % len(new) + new + payload
+    return container_of(json.dumps(manifest).encode("utf-8"), payload)
+
+
+def container_of(manifest: bytes, payload: bytes) -> bytes:
+    """A format-2 container of these bytes, its header's digest made to match."""
+    digest = hashlib.sha256(manifest).hexdigest().encode("ascii")
+    return b"mednermodel 2 %d %s\n" % (len(manifest), digest) + manifest + payload
+
+
+def replace_in_manifest(data: bytes, old: bytes, new: bytes) -> bytes:
+    """The container with the first `old` in its manifest's bytes replaced by
+    `new`, the header's digest updated to match."""
+    newline = data.index(b"\n")
+    start = newline + 1 + int(data[:newline].split()[2])
+    return container_of(data[newline + 1 : start].replace(old, new, 1), data[start:])
 
 
 def rewrite_manifest(path, edit):
@@ -162,8 +180,15 @@ def _non_finite_tensor(data: bytes, name: str) -> bytes:
     return join_container(manifest, payload[:start] + blob + payload[start + entry["nbytes"] :])
 
 
-# Whole-file corruptions that no manifest edit expresses, and in-place edits
-# of the manifest's bytes.
+def _encoded(data: bytes, name: str, encoding: str) -> bytes:
+    """Tensor `name`'s directory entry claiming `encoding`, its bytes left as they are."""
+    manifest, payload = split_container(data)
+    next(e for e in manifest["tensors"] if e["name"] == name)["encoding"] = encoding
+    return join_container(manifest, payload)
+
+
+# Whole-file corruptions that no manifest edit expresses, edits of the
+# manifest's bytes, and tensor encodings the reader must refuse.
 MALFORMED_CONTAINERS = {
     "appended_bytes": lambda data: data + bytes(8),
     "negative_manifest_length": lambda data: replace_header(data, b"mednermodel 1 -5\n"),
@@ -173,8 +198,15 @@ MALFORMED_CONTAINERS = {
     "non_finite_tensor": lambda data: _non_finite_tensor(data, "w_c"),
     "non_finite_embed_matrix": lambda data: _non_finite_tensor(data, "embed_matrix"),
     "non_finite_embed_unk": lambda data: _non_finite_tensor(data, "embed_unk"),
-    # same length, so every checksum and the header still match
-    "iob1_scheme": lambda data: data.replace(b'"scheme": "IOB2"', b'"scheme": "IOB1"', 1),
+    # the header's digest updated, so every checksum still matches
+    "iob1_scheme": lambda data: replace_in_manifest(
+        data, b'"scheme": "IOB2"', b'"scheme": "IOB1"'),
+    "decimal_encoding_on_other_tensor": lambda data: _encoded(data, "w_c", "i32e-5"),
+    "ten_decimals": lambda data: _encoded(data, "embed_matrix", "i32e-10"),
+    "non_digit_decimals": lambda data: _encoded(data, "embed_matrix", "i32e-x"),
+    "unknown_encoding": lambda data: _encoded(data, "embed_matrix", "f32"),
+    # the float64 matrix's 8 bytes a value, where int32 codes take 4
+    "decimal_nbytes_off": lambda data: _encoded(data, "embed_matrix", "i32e-3"),
 }
 
 
@@ -242,10 +274,50 @@ class TestFormatV1:
         assert [tags for tags, _ in tagged] == [e["tags"] for e in expected]
 
     def test_resave_is_byte_identical(self, tmp_path):
-        path = self.DATA / "tiny_v1.medner"
+        """save_model writes format 2, so a re-saved v1 container is a new
+        file; every tensor must load back from it byte for byte, and the
+        model must tag the same."""
+        model = load_model(str(self.DATA / "tiny_v1.medner"))
+        again = tmp_path / "again.medner"
+        save_model(model, str(again))
+        loaded = load_model(str(again))
+        for name, tensor in container_tensors(model).items():
+            assert container_tensors(loaded)[name].tobytes() == tensor.tobytes(), name
+        expected = json.loads((self.DATA / "tiny_v1_tags.json").read_text(encoding="utf-8"))
+        tagged = tag(loaded, [e["words"] for e in expected], marginals=False)
+        assert [tags for tags, _ in tagged] == [e["tags"] for e in expected]
+
+
+class TestFormatV2:
+    """A committed format-2 container: tiny_v1's model with its embedding
+    table rounded to 4 decimals and its first value set to -0.0, so that
+    save_model stores the table as "i32e-4", with the tags it gives
+    tiny_v1's five sentences."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_tags_unchanged(self):
+        model = load_model(str(self.DATA / "tiny_v2.medner"))
+        expected = json.loads((self.DATA / "tiny_v2_tags.json").read_text(encoding="utf-8"))
+        tagged = tag(model, [e["words"] for e in expected], marginals=False)
+        assert [tags for tags, _ in tagged] == [e["tags"] for e in expected]
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        path = self.DATA / "tiny_v2.medner"
         again = tmp_path / "again.medner"
         save_model(load_model(str(path)), str(again))
         assert again.read_bytes() == path.read_bytes()
+
+    def test_table_is_decimal_coded(self):
+        path = self.DATA / "tiny_v2.medner"
+        manifest, _ = split_container(path.read_bytes())
+        encodings = {e["name"]: e["encoding"] for e in manifest["tensors"]}
+        assert encodings.pop("embed_matrix") == "i32e-4"
+        assert set(encodings.values()) == {"f64"}
+        table = load_model(str(path)).embed
+        assert table.decimals == 4 and table.rows.dtype == np.int32
+        assert table.matrix[0, 0] == 0.0 and np.signbit(table.matrix[0, 0])
+        assert np.signbit(table.lookup(table.words[0])[0])
 
 
 class TestZeroCopyLoad:
@@ -303,17 +375,16 @@ class TestCorruption:
     def test_manifest_dimension_edited(self, saved):
         _, _, path = saved
         data = path.read_bytes()
-        # same-length edit keeps the header byte count valid
         assert b'"lstm_size": 16' in data
-        path.write_bytes(data.replace(b'"lstm_size": 16', b'"lstm_size": 61', 1))
+        path.write_bytes(replace_in_manifest(data, b'"lstm_size": 16', b'"lstm_size": 61'))
         with pytest.raises(ShapeMismatchError):
             load_model(str(path))
 
     def test_version_mismatch(self, saved):
         _, _, path = saved
         data = path.read_bytes()
-        assert data.startswith(b"mednermodel 1 ")
-        path.write_bytes(data.replace(b"mednermodel 1 ", b"mednermodel 9 ", 1))
+        assert data.startswith(b"mednermodel 2 ")
+        path.write_bytes(data.replace(b"mednermodel 2 ", b"mednermodel 9 ", 1))
         with pytest.raises(VersionMismatchError):
             load_model(str(path))
 
@@ -683,3 +754,176 @@ class TestFuzz:
             self.check(path, replace_header(data, header))
 
         run()
+
+
+def model_with_table(table: EmbeddingTable):
+    """An untrained model of one entity type around `table`, as small as
+    its table allows."""
+    corpus = Corpus([make_sentence(["a"], ["B-X"])], LabelSchema(["X"]))
+    config = tiny_config(word_dim=table.dimension, lstm_size=1, use_char_features=False,
+                         char_dim=1, num_filters=1)
+    return init_model(config, corpus.schema, build_vocab(corpus), table)
+
+
+def embed_encoding(path) -> str:
+    manifest, _ = split_container(path.read_bytes())
+    return next(e["encoding"] for e in manifest["tensors"] if e["name"] == "embed_matrix")
+
+
+class TestManifestDigest:
+    """A format-2 header carries the manifest's sha256, compared before the
+    manifest is parsed, so no changed byte of the header or the manifest
+    loads."""
+
+    def test_every_bit_flip_of_header_and_manifest_is_an_error(self, tmp_path):
+        table = EmbeddingTable(1, ["a"], np.array([[0.5]]), np.array([0.5]), "unk_row")
+        path = tmp_path / "small.medner"
+        save_model(model_with_table(table), str(path))
+        data = path.read_bytes()
+        manifest_end = len(data) - len(split_container(data)[1])
+        loaded = []
+        # the held lane keeps one worker up across the loads
+        with lane.held(), open(path, "r+b") as fh:
+            for index in range(manifest_end):
+                for bit in range(8):
+                    fh.seek(index)
+                    fh.write(bytes([data[index] ^ 1 << bit]))
+                    fh.flush()
+                    try:
+                        load_model(str(path))
+                        loaded.append((index, bit))
+                    except MednerError:
+                        pass
+                fh.seek(index)
+                fh.write(data[index : index + 1])
+        assert 8 * manifest_end > 20_000 and not loaded
+
+    def test_flipped_entity_type_exits_4_and_writes_nothing(self, saved, tmp_path):
+        _, _, path = saved
+        data = bytearray(path.read_bytes())
+        index = data.index(b'"entity_types": ["') + len(b'"entity_types": ["')
+        data[index] ^= 0x20  # "Dosage" becomes "dosage", a valid schema
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChecksumError, match="^manifest: checksum mismatch$"):
+            load_model(str(path))
+        assert deidentify_exit_code(path, tmp_path) == 4
+        assert not (tmp_path / "deid").exists()
+
+    def test_header_and_manifest_versions_agree(self, saved):
+        _, _, path = saved
+        manifest, payload = split_container(path.read_bytes())
+        new = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(b"mednermodel 1 %d\n" % len(new) + new + payload)
+        with pytest.raises(VersionMismatchError, match="format_version 2 is not the header's 1$"):
+            load_model(str(path))
+        manifest["format_version"] = 1
+        path.write_bytes(join_container(manifest, payload))
+        with pytest.raises(VersionMismatchError, match="format_version 1 is not the header's 2$"):
+            load_model(str(path))
+
+
+def decimal(code: int | None, places: int) -> str:
+    """The text of code / 10**places printed with `places` decimals; None is -0."""
+    digits = str(abs(code or 0)).rjust(places + 1, "0")
+    whole, frac = digits[: len(digits) - places], digits[len(digits) - places :]
+    sign = "-" if code is None or code < 0 else ""
+    return sign + whole + ("." + frac if places else "")
+
+
+def places_needed(code: int | None, places: int) -> int:
+    """The fewest decimals that print code / 10**places exactly."""
+    if not code:
+        return 0
+    digits = str(abs(code))
+    return max(0, places - (len(digits) - len(digits.rstrip("0"))))
+
+
+def write_table(path, values: list[list[str]]) -> None:
+    lines = [f"w{i} " + " ".join(row) for i, row in enumerate(values)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestDecimalEncoding:
+    """save_model stores an embedding matrix of decimals as int32 codes with
+    the fewest decimals that give back every float64 bit, and any other
+    matrix as float64; either loads back bit for bit."""
+
+    @staticmethod
+    def round_trip(tmp_path, values: list[list[str]]) -> str:
+        """Load `values` as a text table, save and load it; the encoding."""
+        write_table(tmp_path / "vectors.txt", values)
+        table = load_embeddings(str(tmp_path / "vectors.txt"), len(values[0]))
+        parsed = np.array([[float(v) for v in row] for row in values])
+        assert table.matrix.tobytes() == parsed.tobytes()
+        path = tmp_path / "model.medner"
+        save_model(model_with_table(table), str(path))
+        assert load_model(str(path)).embed.matrix.tobytes() == parsed.tobytes()
+        return embed_encoding(path)
+
+    def test_decimal_tables_are_coded_exactly(self, tmp_path):
+        code = st.one_of(st.integers(-999, 999), st.integers(-(2**31 - 1), 2**31 - 1),
+                         st.none())  # None is -0.0
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(0, 9), st.integers(1, 4), st.integers(1, 4), st.data())
+        def run(places, rows, dim, data):
+            codes = data.draw(st.lists(st.lists(code, min_size=dim, max_size=dim),
+                                       min_size=rows, max_size=rows))
+            values = [[decimal(k, places) for k in row] for row in codes]
+            fewest = max(places_needed(k, places) for row in codes for k in row)
+            assert self.round_trip(tmp_path, values) == f"i32e-{fewest}"
+
+        run()
+
+    @pytest.mark.parametrize("value", [
+        repr(0.1 + 0.2),   # 0.30000000000000004
+        "3000000000",      # past int32 at every d
+        "0.0000000001",    # needs d = 10
+    ])
+    def test_other_tables_are_float64(self, tmp_path, value):
+        values = [["0.5", "-0", "1"], [value, "0.25", "-0.125"]]
+        assert self.round_trip(tmp_path, values) == "f64"
+
+    # each is also a MALFORMED_CONTAINERS case; here the error must name it
+    @pytest.mark.parametrize("name, encoding", [
+        ("w_c", "i32e-5"), ("embed_matrix", "i32e-10"), ("embed_matrix", "i32e-x"),
+        ("embed_matrix", "f32"),
+    ])
+    def test_refused_encoding_is_named(self, saved, name, encoding):
+        _, _, path = saved
+        path.write_bytes(_encoded(path.read_bytes(), name, encoding))
+        with pytest.raises(ModelFormatError, match=f"^tensor {name}: encoding '{encoding}' is not"):
+            load_model(str(path))
+
+    def test_flipped_code_is_a_checksum_error(self, tmp_path):
+        path = tmp_path / "tiny_v2.medner"
+        data = (TestFormatV2.DATA / "tiny_v2.medner").read_bytes()
+        assert embed_encoding(TestFormatV2.DATA / "tiny_v2.medner") == "i32e-4"
+        path.write_bytes(flip_byte(data, "embed_matrix", 13))
+        with pytest.raises(ChecksumError, match="^tensor embed_matrix: checksum mismatch$"):
+            load_model(str(path))
+
+    def test_save_holds_the_codes_and_a_few_blocks(self, tmp_path):
+        """save_model's peak is the 8 MB of int32 codes of a 20,000 x 100
+        table, plus json.dumps's peak for the manifest, plus a few
+        ADAM_BLOCK-sized float64 temporaries; a whole-matrix temporary
+        (16 MB) or a copy of the payload would exceed it."""
+        matrix = np.round(np.random.default_rng(0).normal(size=(20_000, 100)), 5)
+        words = [f"w{i}" for i in range(len(matrix))]
+        model = model_with_table(EmbeddingTable(100, words, matrix, matrix.mean(axis=0)))
+        path = tmp_path / "model.medner"
+        tracemalloc.start()
+        try:
+            save_model(model, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert embed_encoding(path) == "i32e-5"
+        manifest, _ = split_container(path.read_bytes())
+        tracemalloc.start()
+        try:
+            json.dumps(manifest, sort_keys=True).encode("utf-8")
+            manifest_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * matrix.size + manifest_peak + 4 * (8 * ADAM_BLOCK)
